@@ -10,7 +10,6 @@ JSON instance format.
 """
 from .admm import (
     AdmmConfig,
-    AdmmState,
     NonFiniteError,
     SolveReport,
     residual_norms,
@@ -18,14 +17,12 @@ from .admm import (
     x_step,
     y_step,
     z_step,
-    z_step_scaled_space,
 )
 from .bounds import (
     BoundsReport,
     DiagonalBound,
     FixedPointTrace,
     ZeroCenterError,
-    l1_upper_zero_test,
     lower_bound_l0,
     lower_bound_l1,
     lower_bound_plain,
@@ -34,12 +31,10 @@ from .bounds import (
     scaled_l2_prox,
     upper_bound_l0,
     upper_bound_l1,
-    upper_bound_plain,
     upper_diag,
 )
 from .dual import (
     CycleDetectedError,
-    DualState,
     dual_objective,
     dual_y_step,
     dual_z_step,
@@ -58,12 +53,10 @@ from .instances import (
     trace_to_csv,
 )
 from .model import (
-    BlockVector,
     GroupStructure,
     ProxInstance,
     gather,
     group_norm_sum,
-    group_soft_threshold,
     hard_threshold,
     objective_value,
     scatter_add,

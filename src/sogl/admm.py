@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    BlockVector,
     GroupStructure,
     ProxInstance,
     gather,
-    group_soft_threshold,
+    group_norms,
     hard_threshold,
     objective_value,
     scatter_add,
@@ -29,12 +28,10 @@ from .model import (
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "SolveReport",
     "NonFiniteError",
     "x_step",
     "z_step",
-    "z_step_scaled_space",
     "y_step",
     "residual_norms",
     "solve_admm",
@@ -65,18 +62,6 @@ class AdmmConfig:
 
 
 @dataclass
-class AdmmState:
-    """Iterate state: local blocks x, consensus z, duals y."""
-
-    x: BlockVector
-    z: np.ndarray
-    y: BlockVector
-    iter: int = 0
-    r_norm: float = math.inf
-    s_norm: float = math.inf
-
-
-@dataclass
 class SolveReport:
     """Outcome of a solve: final point, objective, and diagnostics.
 
@@ -99,23 +84,21 @@ class SolveReport:
     oracle_gap: float = None
 
 
-def x_step(state: AdmmState, inst: ProxInstance, gs: GroupStructure,
-           cfg: AdmmConfig) -> BlockVector:
-    """Block update: soft-threshold ``z_i - y_i/rho`` at level ``lam1/rho``."""
-    zb = gather(state.z, gs)
+def x_step(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
+           gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
+    """Block update: soft-threshold each block of ``gather(z) - y/rho`` at
+    level ``lam1/rho``, i.e. shrink its norm by that amount or zero it."""
+    a = gather(z, gs) - y / cfg.rho
     t = inst.lam1 / cfg.rho
-    return BlockVector(
-        [group_soft_threshold(zb[i] - state.y[i] / cfg.rho, t) for i in range(gs.m)]
-    )
+    nrm = group_norms(a, gs)
+    keep = nrm > t
+    scale = np.zeros(gs.m)
+    scale[keep] = 1.0 - t / nrm[keep]
+    return np.repeat(scale, gs.sizes) * a
 
 
-def _consensus_numerator(state: AdmmState, inst: ProxInstance,
-                         gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
-    return inst.v / inst.s + scatter_add(state.y + cfg.rho * state.x, gs)
-
-
-def z_step(state: AdmmState, inst: ProxInstance, gs: GroupStructure,
-           cfg: AdmmConfig) -> np.ndarray:
+def z_step(x: np.ndarray, y: np.ndarray, inst: ProxInstance,
+           gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
     """Consensus update, coordinate by coordinate.
 
     With curvature ``c_g = 1/s + k_g*rho`` (``k_g`` = overlap count), each
@@ -123,59 +106,36 @@ def z_step(state: AdmmState, inst: ProxInstance, gs: GroupStructure,
     scattered dual/block information at level ``sqrt(2*lam0/c_g)``.
     """
     c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-    num = _consensus_numerator(state, inst, gs, cfg)
+    num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
     return hard_threshold(num / c, np.sqrt(2.0 * inst.lam0 / c))
 
 
-def z_step_scaled_space(state: AdmmState, inst: ProxInstance,
-                        gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
-    """Consensus update computed in rescaled coordinates.
-
-    Reference path for :func:`z_step`: stack the blocks into one long
-    vector, accumulate it onto the global indices, then solve the
-    diagonally rescaled problem where the threshold is the constant
-    ``sqrt(2*lam0)``. Must agree with :func:`z_step` to round-off.
-    """
-    c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-    stacked = (cfg.rho * state.x + state.y).concat()
-    acc = np.zeros(gs.n)
-    for pos, g in enumerate(gs.flat_index):
-        acc[g] += stacked[pos]
-    w = inst.v / inst.s + acc
-    root_c = np.sqrt(c)
-    z_scaled = hard_threshold(w / root_c, math.sqrt(2.0 * inst.lam0))
-    return z_scaled / root_c
+def y_step(x: np.ndarray, z: np.ndarray, y: np.ndarray, gs: GroupStructure,
+           cfg: AdmmConfig) -> np.ndarray:
+    """Dual ascent: ``y += rho * (x - gather(z))`` with freshly updated x, z."""
+    return y + cfg.rho * (x - gather(z, gs))
 
 
-def y_step(state: AdmmState, gs: GroupStructure, cfg: AdmmConfig) -> BlockVector:
-    """Dual ascent: ``y_i += rho * (x_i - z_i)`` with freshly updated x, z."""
-    zb = gather(state.z, gs)
-    return state.y + cfg.rho * (state.x - zb)
-
-
-def residual_norms(prev_z: np.ndarray, state: AdmmState, gs: GroupStructure,
-                   cfg: AdmmConfig) -> tuple:
+def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
+                   gs: GroupStructure, cfg: AdmmConfig) -> tuple:
     """Primal and dual residual norms for the consensus constraints.
 
     r = ||x - gather(z)|| over all blocks; s = rho*||k * (z - prev_z)||
     where k holds the overlap counts.
     """
-    r = (state.x - gather(state.z, gs)).norm()
-    s = cfg.rho * float(
-        np.linalg.norm(gs.overlap_counts * (state.z - prev_z))
-    )
+    r = float(np.linalg.norm(x - gather(z, gs)))
+    s = cfg.rho * float(np.linalg.norm(gs.overlap_counts * (z - prev_z)))
     return r, s
 
 
-def _stop_thresholds(state: AdmmState, gs: GroupStructure,
-                     cfg: AdmmConfig) -> tuple:
-    zb = gather(state.z, gs)
+def _stop_thresholds(x: np.ndarray, z: np.ndarray, y: np.ndarray,
+                     gs: GroupStructure, cfg: AdmmConfig) -> tuple:
     nt = gs.total_size
     eps_pri = cfg.eps_abs * math.sqrt(nt if nt else 1) + cfg.eps_rel * max(
-        state.x.norm(), zb.norm()
+        float(np.linalg.norm(x)), float(np.linalg.norm(gather(z, gs)))
     )
     eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * float(
-        np.linalg.norm(scatter_add(state.y, gs))
+        np.linalg.norm(scatter_add(y, gs))
     )
     return eps_pri, eps_dual
 
@@ -199,36 +159,32 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     if inst.n != gs.n:
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
     t0 = time.perf_counter()
-    state = AdmmState(x=gather(inst.v, gs), z=inst.v.copy(), y=BlockVector.zeros(gs))
+    x, z, y = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
     trace = [] if cfg.trace else None
     converged = False
-    it = 0
     for it in range(1, cfg.max_iters + 1):
-        prev_z = state.z
-        state.x = x_step(state, inst, gs, cfg)
-        state.z = z_step(state, inst, gs, cfg)
-        state.y = y_step(state, gs, cfg)
-        state.iter = it
-        if not (np.all(np.isfinite(state.z)) and np.all(np.isfinite(state.x.concat()))):
+        prev_z = z
+        x = x_step(z, y, inst, gs, cfg)
+        z = z_step(x, y, inst, gs, cfg)
+        y = y_step(x, z, y, gs, cfg)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
-        state.r_norm, state.s_norm = residual_norms(prev_z, state, gs, cfg)
+        r_norm, s_norm = residual_norms(prev_z, x, z, gs, cfg)
         if trace is not None:
-            trace.append(
-                (it, objective_value(state.z, inst, gs), state.r_norm, state.s_norm)
-            )
-        eps_pri, eps_dual = _stop_thresholds(state, gs, cfg)
-        if state.r_norm <= eps_pri and state.s_norm <= eps_dual:
+            trace.append((it, objective_value(z, inst, gs), r_norm, s_norm))
+        eps_pri, eps_dual = _stop_thresholds(x, z, y, gs, cfg)
+        if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
-    objective = objective_value(state.z, inst, gs)
+    objective = objective_value(z, inst, gs)
     return SolveReport(
-        x_final=state.z,
+        x_final=z,
         objective=objective,
         iters=it,
         converged=converged,
         algorithm="admm",
-        r_norm=state.r_norm,
-        s_norm=state.s_norm,
+        r_norm=r_norm,
+        s_norm=s_norm,
         trace=trace,
         wall_time=time.perf_counter() - t0,
         oracle_gap=None if oracle_value is None else objective - oracle_value,

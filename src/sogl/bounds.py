@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GroupStructure, ProxInstance, weighted_group_norm
+from .model import GroupStructure, ProxInstance
 
 __all__ = [
     "DiagonalBound",
@@ -32,10 +32,8 @@ __all__ = [
     "upper_diag",
     "scaled_l2_prox",
     "lower_bound_plain",
-    "upper_bound_plain",
     "lower_bound_l1",
     "upper_bound_l1",
-    "l1_upper_zero_test",
     "lower_bound_l0",
     "upper_bound_l0",
     "sandwich",
@@ -107,9 +105,8 @@ def lower_diag(gs: GroupStructure) -> DiagonalBound:
     the weighted l1 norm it induces never exceeds the group term; equality
     holds when every group's entries share one magnitude.
     """
-    l = np.zeros(gs.n)
-    for w, g in zip(gs.weights, gs.groups):
-        l[g] += w / math.sqrt(g.size)
+    per_entry = np.repeat(gs.weights / np.sqrt(gs.sizes), gs.sizes)
+    l = np.bincount(gs.flat_index, weights=per_entry, minlength=gs.n)
     return DiagonalBound("lower", l)
 
 
@@ -233,32 +230,17 @@ def lower_bound_plain(v: np.ndarray, lam: float, diag):
     return x, value
 
 
-def upper_bound_plain(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
-                      x0: np.ndarray = None):
-    """Prox of the scaled l2 surrogate; see :func:`scaled_l2_prox`."""
-    return scaled_l2_prox(v, lam, diag, tol=tol, x0=x0)
-
-
-def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
-                   full_shrinkage: bool = True):
+def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     """Weighted lasso with an extra elementwise l1 term.
 
-    The combined threshold is ``lam*l_i + lam1`` and by default surviving
-    coordinates are shrunk by the full combined amount (the actual
-    minimizer). ``full_shrinkage=False`` shrinks survivors by the group
-    part only, an alternative closed form kept for numerical comparison;
-    it does not minimize the stated objective when ``lam1 > 0``.
+    The combined threshold is ``lam*l_i + lam1`` and surviving coordinates
+    are shrunk by the full combined amount.
 
     Returns ``(x, value)`` with value the full objective at x.
     """
     v = np.asarray(v, dtype=float)
     l = _entries(diag)
-    thresh = lam * l + lam1
-    if full_shrinkage:
-        x = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-    else:
-        keep = np.abs(v) > thresh
-        x = np.where(keep, v - lam * l * np.sign(v), 0.0)
+    x = np.sign(v) * np.maximum(np.abs(v) - (lam * l + lam1), 0.0)
     value = (
         0.5 * float(np.sum((x - v) ** 2))
         + lam * float(np.sum(l * np.abs(x)))
@@ -267,39 +249,13 @@ def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
     return x, value
 
 
-def l1_upper_zero_test(v: np.ndarray, lam: float, lam1: float, diag,
-                       form: str = "shrunk") -> bool:
-    """All-zero decision for the l1-flavored upper problem, in two forms.
-
-    ``shrunk`` tests the inverse-scaled norm of the center pulled toward
-    zero by ``lam1`` (a subgradient certificate exists at zero); ``pushed``
-    tests the center pushed away from zero instead. The pushed form is
-    strictly harder to satisfy and is kept only for comparison: whenever
-    the two disagree, the reduced fixed point collapses to zero anyway, so
-    the final minimizer does not depend on the choice.
-    """
-    v = np.asarray(v, dtype=float)
-    u = _entries(diag)
-    pen = u > 0
-    if form == "shrunk":
-        w = np.sign(v) * np.maximum(np.abs(v) - lam1, 0.0)
-    elif form == "pushed":
-        w = v + lam1 * np.sign(v)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return math.sqrt(float(np.sum((w[pen] / u[pen]) ** 2))) <= lam
-
-
 def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
-                   tol: float = 1e-10, alt_zero_test: bool = False):
+                   tol: float = 1e-10):
     """Scaled-l2 surrogate with an extra elementwise l1 term.
 
     Coordinates with ``|v_i| <= lam1`` are zero; the survivors keep the
     sign of v and solve a reduced scaled-l2 prox with the center pulled
-    toward zero by ``lam1``. ``alt_zero_test=True`` makes the early
-    all-zero exit use the pushed form of :func:`l1_upper_zero_test`
-    (comparison knob; the returned minimizer is unchanged because the
-    reduced solve applies the consistent test itself).
+    toward zero by ``lam1``.
 
     Returns ``(x, value)`` with value the full objective at x.
     """
@@ -317,9 +273,6 @@ def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
 
     support = np.abs(v) > lam1
     if not support.any():
-        return x, value_at(x)
-    if alt_zero_test and np.all(u[support] > 0) and \
-            l1_upper_zero_test(v, lam, lam1, u, form="pushed"):
         return x, value_at(x)
     v_red = v[support] - lam1 * np.sign(v[support])
     x_red, _, _ = scaled_l2_prox(v_red, lam, u[support], tol=tol)
@@ -411,7 +364,7 @@ def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str,
     relaxed = None
     if variant == "plain":
         xl, vl = lower_bound_plain(v, lam_s, ld)
-        xu, vu, _ = upper_bound_plain(v, lam_s, ud, tol=tol)
+        xu, vu, _ = scaled_l2_prox(v, lam_s, ud, tol=tol)
     elif variant == "l1":
         xl, vl = lower_bound_l1(v, lam_s, inst.lam1 * s, ld)
         xu, vu = upper_bound_l1(v, lam_s, inst.lam1 * s, ud, tol=tol)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
                        help="write per-iteration CSV trace here")
     solve.add_argument("--out", metavar="PATH")
     solve.add_argument("--batch", action="store_true",
-                       help="process several instance files concurrently")
+                       help="process several instance files, one after another")
     solve.add_argument("--out-dir", metavar="DIR",
                        help="output directory for --batch records")
     solve.add_argument("--stamp", action="store_true",
@@ -206,8 +206,7 @@ def _cmd_solve(args) -> int:
             write_atomic(out, text)
             return 0, f"{path}: ok -> {out}"
 
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            results = list(pool.map(one, paths))
+        results = [one(path) for path in paths]
         for _, message in results:
             print(message)
         return max(code for code, _ in results)
@@ -261,6 +260,8 @@ def _load_point(path: str, n: int) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if isinstance(data, dict) and "report" in data:
+        if not isinstance(data["report"], dict):
+            raise ValidationError("point: record 'report' must be an object")
         data = data["report"].get("x_final")
     elif isinstance(data, dict):
         data = data.get("x")
@@ -268,7 +269,17 @@ def _load_point(path: str, n: int) -> np.ndarray:
         raise ValidationError("point: expected an array, {'x': ...}, or a record")
     if len(data) != n:
         raise ValidationError(f"point: expected length {n}, got {len(data)}")
-    return np.asarray([float(x) for x in data])
+    x = np.empty(n)
+    for i, value in enumerate(data):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"point[{i}]: expected a number")
+        try:
+            x[i] = value
+        except OverflowError:  # an integer beyond the float range
+            x[i] = math.inf
+        if not math.isfinite(x[i]):
+            raise ValidationError(f"point[{i}]: expected a finite number")
+    return x
 
 
 def _cmd_check(args) -> int:

@@ -16,17 +16,16 @@ import numpy as np
 
 from .admm import AdmmConfig, SolveReport
 from .model import (
-    BlockVector,
     GroupStructure,
     ProxInstance,
     gather,
+    group_norms,
     hard_threshold,
     objective_value,
     scatter_add,
 )
 
 __all__ = [
-    "DualState",
     "CycleDetectedError",
     "dual_z_step",
     "dual_y_step",
@@ -39,16 +38,7 @@ class CycleDetectedError(RuntimeError):
     """The alternation revisited an earlier non-consecutive discrete state."""
 
 
-class DualState:
-    """Dual iterate: blocks y (each within its ball), candidate z."""
-
-    def __init__(self, y: BlockVector, z: np.ndarray, iter: int = 0):
-        self.y = y
-        self.z = z
-        self.iter = iter
-
-
-def dual_z_step(y: BlockVector, inst: ProxInstance, gs: GroupStructure) -> np.ndarray:
+def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> np.ndarray:
     """Exact minimizer in z: hard-threshold ``v + s*scatter_add(y)``.
 
     The threshold is ``sqrt(2*s*lam0)``, applied elementwise.
@@ -57,29 +47,19 @@ def dual_z_step(y: BlockVector, inst: ProxInstance, gs: GroupStructure) -> np.nd
     return hard_threshold(w, np.sqrt(2.0 * inst.s * inst.lam0))
 
 
-def dual_y_step(z: np.ndarray, inst: ProxInstance, gs: GroupStructure,
-                direction: str = "z-2v") -> BlockVector:
+def dual_y_step(z: np.ndarray, inst: ProxInstance,
+                gs: GroupStructure) -> np.ndarray:
     """Maximize the linear form over the product of radius-``lam1`` balls.
 
     Each block is the unit direction of ``gather(z - 2v)`` scaled to the
-    ball boundary; a zero direction maps to the zero block. The
-    ``direction="z"`` switch drives the blocks with ``gather(z)`` instead,
-    kept for experimentation; the default follows the dual derivation.
+    ball boundary; a zero direction maps to the zero block.
     """
-    if direction == "z-2v":
-        d = gather(z - 2.0 * inst.v, gs)
-    elif direction == "z":
-        d = gather(z, gs)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    blocks = []
-    for b in d:
-        nrm = np.linalg.norm(b)
-        blocks.append(inst.lam1 * b / nrm if nrm > 0 else np.zeros_like(b))
-    return BlockVector(blocks)
+    d = gather(z - 2.0 * inst.v, gs)
+    nrm = np.repeat(group_norms(d, gs), gs.sizes)
+    return np.divide(inst.lam1 * d, nrm, out=np.zeros_like(d), where=nrm > 0)
 
 
-def dual_objective(z: np.ndarray, y: BlockVector, inst: ProxInstance,
+def dual_objective(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
                    gs: GroupStructure) -> float:
     """Value of the dual inner objective at (z, y), constants dropped.
 
@@ -90,9 +70,9 @@ def dual_objective(z: np.ndarray, y: BlockVector, inst: ProxInstance,
     return quad + inst.lam0 * np.count_nonzero(z) - 0.5 / inst.s * float(np.sum(w**2))
 
 
-def _discrete_state(z: np.ndarray, y: BlockVector) -> tuple:
-    signs = tuple(int(np.sign(v)) for v in z)
-    y_flags = tuple(bool(np.any(b != 0)) for b in y)
+def _discrete_state(z: np.ndarray, y: np.ndarray, gs: GroupStructure) -> tuple:
+    signs = np.sign(z).astype(np.int8).tobytes()
+    y_flags = np.logical_or.reduceat(y != 0, gs.offsets[:-1]).tobytes()
     return signs, y_flags
 
 
@@ -121,8 +101,8 @@ class _CycleMonitor:
         return kind
 
 
-def solve_dual(inst: ProxInstance, gs: GroupStructure, cfg: AdmmConfig = None,
-               direction: str = "z-2v") -> SolveReport:
+def solve_dual(inst: ProxInstance, gs: GroupStructure,
+               cfg: AdmmConfig = None) -> SolveReport:
     """Alternate the exact z-step and the analytic dual step from y = 0.
 
     Stops once the discrete state (signs of z, zero pattern of the dual
@@ -139,19 +119,19 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure, cfg: AdmmConfig = None,
     if inst.n != gs.n:
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
     t0 = time.perf_counter()
-    state = DualState(y=BlockVector.zeros(gs), z=np.zeros(gs.n))
+    y, z = np.zeros(gs.total_size), np.zeros(gs.n)
     monitor = _CycleMonitor()
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        z_new = dual_z_step(state.y, inst, gs)
-        y_new = dual_y_step(z_new, inst, gs, direction=direction)
-        dz = float(np.linalg.norm(z_new - state.z))
-        dy = (y_new - state.y).norm()
-        state.z, state.y, state.iter = z_new, y_new, it
+        z_new = dual_z_step(y, inst, gs)
+        y_new = dual_y_step(z_new, inst, gs)
+        dz = float(np.linalg.norm(z_new - z))
+        dy = float(np.linalg.norm(y_new - y))
+        z, y = z_new, y_new
         if trace is not None:
-            trace.append((it, objective_value(state.z, inst, gs), dz, dy))
-        kind = monitor.update(_discrete_state(state.z, state.y))
+            trace.append((it, objective_value(z, inst, gs), dz, dy))
+        kind = monitor.update(_discrete_state(z, y, gs))
         if kind == "repeat":
             converged = True
             break
@@ -161,9 +141,9 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure, cfg: AdmmConfig = None,
                 "fall back to solve_admm"
             )
     return SolveReport(
-        x_final=state.z,
-        objective=objective_value(state.z, inst, gs),
-        iters=state.iter,
+        x_final=z,
+        objective=objective_value(z, inst, gs),
+        iters=it,
         converged=converged,
         algorithm="dual",
         trace=trace,

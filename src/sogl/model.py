@@ -2,6 +2,11 @@
 
 Everything here is a pure function of its inputs; structures are plain
 dataclasses wrapping numpy arrays and are safe to share across threads.
+
+Per-group copies of a global vector live in one stacked float array of
+length ``gs.total_size``: block i occupies ``offsets[i]:offsets[i+1]`` and
+holds the entries ``groups[i]``, so ``flat_index`` maps every stacked
+position to its global index.
 """
 from __future__ import annotations
 
@@ -12,11 +17,10 @@ import numpy as np
 __all__ = [
     "GroupStructure",
     "ProxInstance",
-    "BlockVector",
-    "group_soft_threshold",
     "hard_threshold",
     "gather",
     "scatter_add",
+    "group_norms",
     "group_norm_sum",
     "weighted_group_norm",
     "objective_value",
@@ -38,23 +42,21 @@ class GroupStructure:
         ``groups[i]`` holds the distinct global indices of group ``i``.
     weights : float array, shape (m,)
         Strictly positive per-group weights. Defaults to all ones.
+    sizes, offsets, flat_index : int arrays
+        Stacked layout: block i is ``offsets[i]:offsets[i+1]`` (length
+        ``sizes[i]``) and ``flat_index`` is the concatenation of the groups.
     overlap_counts : int array, shape (n,)
         ``overlap_counts[g]`` is the number of groups containing ``g``.
-    membership : list of list of (int, int)
-        For each global index ``g``, the ``(i, j)`` pairs such that
-        ``groups[i][j] == g``.
     """
 
     n: int
     groups: list
     weights: np.ndarray = None
     overlap_counts: np.ndarray = field(init=False)
-    membership: list = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        self.groups = [np.asarray(g, dtype=np.intp) for g in self.groups]
         m = len(self.groups)
         if self.weights is None:
             self.weights = np.ones(m)
@@ -65,27 +67,22 @@ class GroupStructure:
             )
         if m and not np.all(self.weights > 0):
             raise ValueError("all group weights must be strictly positive")
+        groups, sizes = [], []
         for i, g in enumerate(self.groups):
+            g = np.asarray(g, dtype=np.intp)
             if g.size == 0:
                 raise ValueError(f"group {i} is empty")
             if g.min() < 0 or g.max() >= self.n:
                 raise ValueError(f"group {i} has an index outside [0, {self.n})")
             if np.unique(g).size != g.size:
                 raise ValueError(f"group {i} has repeated indices")
-        # flat index map: concatenation of all groups, block i at
-        # offsets[i]:offsets[i+1]; gather/scatter run off this single array
-        self.sizes = np.array([g.size for g in self.groups], dtype=np.intp)
+            groups.append(g)
+            sizes.append(g.size)
+        self.groups = groups
+        self.sizes = np.array(sizes, dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.intp)
-        self.flat_index = (
-            np.concatenate(self.groups) if m else np.zeros(0, dtype=np.intp)
-        )
-        counts = np.zeros(self.n, dtype=np.intp)
-        np.add.at(counts, self.flat_index, 1)
-        self.overlap_counts = counts
-        self.membership = [[] for _ in range(self.n)]
-        for i, g in enumerate(self.groups):
-            for j, idx in enumerate(g):
-                self.membership[idx].append((i, j))
+        self.flat_index = np.concatenate(groups) if m else np.zeros(0, dtype=np.intp)
+        self.overlap_counts = np.bincount(self.flat_index, minlength=self.n)
 
     @property
     def m(self) -> int:
@@ -95,7 +92,7 @@ class GroupStructure:
     @property
     def total_size(self) -> int:
         """Sum of group sizes (length of the stacked block vector)."""
-        return int(self.sizes.sum()) if self.m else 0
+        return int(self.offsets[-1])
 
 
 @dataclass
@@ -128,64 +125,6 @@ class ProxInstance:
         return self.v.size
 
 
-@dataclass
-class BlockVector:
-    """Per-group blocks aligned with a :class:`GroupStructure`."""
-
-    blocks: list
-
-    def __post_init__(self):
-        self.blocks = [np.asarray(b, dtype=float) for b in self.blocks]
-
-    @classmethod
-    def zeros(cls, gs: GroupStructure) -> "BlockVector":
-        return cls([np.zeros(sz) for sz in gs.sizes])
-
-    def copy(self) -> "BlockVector":
-        return BlockVector([b.copy() for b in self.blocks])
-
-    def concat(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate(self.blocks)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.concat()))
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i) -> np.ndarray:
-        return self.blocks[i]
-
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, scalar: float) -> "BlockVector":
-        return BlockVector([scalar * b for b in self.blocks])
-
-    __rmul__ = __mul__
-
-
-def group_soft_threshold(a: np.ndarray, t: float) -> np.ndarray:
-    """Shrink the euclidean norm of ``a`` by ``t``: (||a|| - t)+ * a/||a||.
-
-    Returns the zero vector whenever ``||a|| <= t``, which also resolves
-    the 0/0 at ``a = 0``. Exact minimizer of ``0.5*||x - a||^2 + t*||x||_2``.
-    """
-    a = np.asarray(a, dtype=float)
-    nrm = np.linalg.norm(a)
-    if nrm <= t:
-        return np.zeros_like(a)
-    return (1.0 - t / nrm) * a
-
-
 def hard_threshold(u, t):
     """Keep entries with ``|u| > t``, zero the rest (ties go to zero).
 
@@ -196,35 +135,36 @@ def hard_threshold(u, t):
     return float(out) if out.ndim == 0 else out
 
 
-def gather(z: np.ndarray, gs: GroupStructure) -> BlockVector:
-    """Copy the global vector into per-group blocks: block i is z[groups[i]]."""
+def gather(z: np.ndarray, gs: GroupStructure) -> np.ndarray:
+    """Stack the per-group copies of the global vector: block i is z[groups[i]]."""
     z = np.asarray(z, dtype=float)
     if z.size != gs.n:
         raise ValueError(f"expected a vector of length {gs.n}, got {z.size}")
-    return BlockVector([z[g] for g in gs.groups])
+    return z[gs.flat_index]
 
 
-def scatter_add(bv: BlockVector, gs: GroupStructure) -> np.ndarray:
-    """Sum block entries back onto their global indices.
+def scatter_add(a: np.ndarray, gs: GroupStructure) -> np.ndarray:
+    """Sum stacked entries back onto their global indices.
 
     Adjoint of :func:`gather`; ``scatter_add(gather(z)) == overlap_counts * z``.
     """
-    out = np.zeros(gs.n)
-    if len(bv):
-        np.add.at(out, gs.flat_index, bv.concat())
-    return out
+    # bincount returns integer zeros when there is nothing to add
+    return np.bincount(gs.flat_index, weights=a, minlength=gs.n).astype(float, copy=False)
+
+
+def group_norms(a: np.ndarray, gs: GroupStructure) -> np.ndarray:
+    """Euclidean norm of every block of a stacked vector, shape (m,)."""
+    return np.sqrt(np.add.reduceat(a * a, gs.offsets[:-1]))
 
 
 def group_norm_sum(x: np.ndarray, gs: GroupStructure) -> float:
     """Sum of the per-group euclidean norms of ``x`` (unit weights)."""
-    return float(sum(np.linalg.norm(x[g]) for g in gs.groups))
+    return float(np.sum(group_norms(gather(x, gs), gs)))
 
 
 def weighted_group_norm(x: np.ndarray, gs: GroupStructure) -> float:
     """Weighted sum of per-group euclidean norms used by the bound problems."""
-    return float(
-        sum(w * np.linalg.norm(x[g]) for w, g in zip(gs.weights, gs.groups))
-    )
+    return float(np.sum(gs.weights * group_norms(gather(x, gs), gs)))
 
 
 def objective_value(x: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> float:

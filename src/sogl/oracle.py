@@ -50,6 +50,11 @@ def _shrink(u: np.ndarray, t: float) -> np.ndarray:
     return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
 
 
+def _block_norms(xb: np.ndarray, gs: GroupStructure) -> np.ndarray:
+    """Norm of each block of a vector stacked by ``gs.flat_index``."""
+    return np.sqrt(np.add.reduceat(xb * xb, gs.offsets[:-1]))
+
+
 def _block_shrink(a: np.ndarray, t: float) -> np.ndarray:
     nrm = float(np.linalg.norm(a))
     if nrm <= t:
@@ -345,14 +350,14 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     """
     x = np.asarray(x, dtype=float)
     r = (x - inst.v) / inst.s
-    zero_groups = []
-    for g in gs.groups:
-        b = x[g]
-        nrm = float(np.linalg.norm(b))
-        if nrm > 0:
-            r[g] += inst.lam1 * b / nrm
-        elif inst.lam1 > 0:
-            zero_groups.append(g)
+    xb = x[gs.flat_index]
+    nrm = _block_norms(xb, gs)
+    nrm_b = np.repeat(nrm, gs.sizes)
+    r += np.bincount(gs.flat_index, minlength=gs.n,
+                     weights=np.divide(inst.lam1 * xb, nrm_b,
+                                       out=np.zeros_like(xb), where=nrm_b > 0))
+    zero_groups = ([gs.groups[i] for i in np.flatnonzero(nrm == 0)]
+                   if inst.lam1 > 0 else [])
     supp = x != 0
     if inst.lam0 > 0:
         residual = float(np.linalg.norm(r[supp])) if supp.any() else 0.0
@@ -375,5 +380,5 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
 def _objective_main(x: np.ndarray, inst: ProxInstance,
                     gs: GroupStructure) -> float:
     quad = 0.5 / inst.s * float(np.sum((x - inst.v) ** 2))
-    grp = float(sum(np.linalg.norm(x[g]) for g in gs.groups))
+    grp = float(np.sum(_block_norms(x[gs.flat_index], gs)))
     return quad + inst.lam0 * int(np.count_nonzero(x)) + inst.lam1 * grp

@@ -5,62 +5,70 @@ import pytest
 
 from sogl import (
     AdmmConfig,
-    AdmmState,
-    BlockVector,
     GroupStructure,
     NonFiniteError,
     ProxInstance,
     gather,
+    hard_threshold,
     objective_value,
     oracle_prox_l0_ogl,
+    oracle_variant,
     residual_norms,
+    sandwich,
     scatter_add,
     solve_admm,
+    solve_dual,
+    stationarity_check,
     x_step,
     y_step,
     z_step,
+)
+from helpers import (
+    block_soft_threshold,
+    random_instance,
+    random_structure,
+    stacked_normal,
     z_step_scaled_space,
 )
-from helpers import random_instance, random_structure
 
 
 def make_state(rng, gs):
-    return AdmmState(
-        x=BlockVector([rng.normal(size=len(g)) for g in gs.groups]),
-        z=rng.normal(size=gs.n),
-        y=BlockVector([rng.normal(size=len(g)) for g in gs.groups]),
-    )
+    """Random stacked x, consensus z and stacked y, drawn in that order."""
+    x = stacked_normal(rng, gs)
+    z = rng.normal(size=gs.n)
+    y = stacked_normal(rng, gs)
+    return x, z, y
+
+
+def blocks(a, gs):
+    """The per-group blocks of a stacked vector."""
+    return np.split(a, gs.offsets[1:-1])
 
 
 class TestXStep:
     def test_zero_threshold_is_projection(self):
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         rng = np.random.default_rng(0)
-        state = make_state(rng, gs)
+        x, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(3), s=1.0, lam1=0.0)
         cfg = AdmmConfig(rho=2.0)
-        out = x_step(state, inst, gs, cfg)
-        zb = gather(state.z, gs)
-        for i in range(gs.m):
-            np.testing.assert_allclose(out[i], zb[i] - state.y[i] / cfg.rho,
-                                       atol=1e-15)
+        out = x_step(z, y, inst, gs, cfg)
+        zb = gather(z, gs)
+        np.testing.assert_allclose(out, zb - y / cfg.rho, atol=1e-15)
 
     def test_all_zero_state(self):
         gs = GroupStructure(2, [[0, 1]])
-        state = AdmmState(x=BlockVector.zeros(gs), z=np.zeros(2),
-                          y=BlockVector.zeros(gs))
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=0.7)
-        out = x_step(state, inst, gs, AdmmConfig())
-        assert out.norm() == 0.0
+        out = x_step(np.zeros(2), np.zeros(2), inst, gs, AdmmConfig())
+        assert np.linalg.norm(out) == 0.0
 
     def test_block_shrink_example(self):
         # z=(3,4) on one group, y=0, lam1/rho = 2.5: shrink factor 1/2
         gs = GroupStructure(2, [[0, 1]])
-        state = AdmmState(x=BlockVector.zeros(gs), z=np.array([3.0, 4.0]),
-                          y=BlockVector.zeros(gs))
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.5)
-        out = x_step(state, inst, gs, AdmmConfig(rho=1.0))
-        np.testing.assert_allclose(out[0], [1.5, 2.0], atol=1e-15)
+        out = x_step(np.array([3.0, 4.0]), np.zeros(2), inst, gs,
+                     AdmmConfig(rho=1.0))
+        np.testing.assert_allclose(out, [1.5, 2.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_optimality_against_grid(self, seed):
@@ -68,64 +76,75 @@ class TestXStep:
         # blocks by dense grid search
         rng = np.random.default_rng(seed)
         gs = GroupStructure(2, [[0, 1]])
-        state = make_state(rng, gs)
+        _, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=float(rng.uniform(0, 2)))
         cfg = AdmmConfig(rho=float(rng.uniform(0.5, 2)))
-        out = x_step(state, inst, gs, cfg)
+        out = x_step(z, y, inst, gs, cfg)
 
-        zb = gather(state.z, gs)
+        zb = gather(z, gs)
 
         def block_obj(p):
-            return (inst.lam1 * np.linalg.norm(p) + p @ state.y[0]
-                    + 0.5 * cfg.rho * np.sum((p - zb[0]) ** 2))
+            return (inst.lam1 * np.linalg.norm(p) + p @ y
+                    + 0.5 * cfg.rho * np.sum((p - zb) ** 2))
 
-        best = block_obj(out[0])
+        best = block_obj(out)
         grid = np.linspace(-4, 4, 81)
         for a in grid:
             for b in grid:
                 assert block_obj(np.array([a, b])) >= best - 1e-9
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_group_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gs = random_structure(rng, max_n=10, max_m=5)
+        _, z, y = make_state(rng, gs)
+        inst = ProxInstance(v=np.zeros(gs.n), lam1=float(rng.uniform(0, 3)))
+        cfg = AdmmConfig(rho=float(rng.uniform(0.5, 2)))
+        out = x_step(z, y, inst, gs, cfg)
+        for i, g in enumerate(gs.groups):
+            expected = block_soft_threshold(z[g] - blocks(y, gs)[i] / cfg.rho,
+                                            inst.lam1 / cfg.rho)
+            np.testing.assert_allclose(blocks(out, gs)[i], expected,
+                                       rtol=1e-14, atol=1e-15)
+
+
 class TestZStep:
     def test_uncoupled_quadratic_returns_center(self):
         gs = GroupStructure(2, [])  # no groups: every overlap count is 0
-        state = AdmmState(x=BlockVector.zeros(gs), z=np.zeros(2),
-                          y=BlockVector.zeros(gs))
         inst = ProxInstance(v=np.array([0.3, -1.2]), s=1.0, lam0=0.0)
-        np.testing.assert_allclose(z_step(state, inst, gs, AdmmConfig()),
-                                   inst.v, atol=1e-15)
+        np.testing.assert_allclose(
+            z_step(np.zeros(0), np.zeros(0), inst, gs, AdmmConfig()),
+            inst.v, atol=1e-15)
 
     def test_hand_worked_coordinate(self):
         # s=1, rho=1, both groups contain the coordinate (k=2), v=3 and the
         # scattered dual/block term sums to 3: curvature 3, argument 2,
         # threshold sqrt(2/3) < 2, so the coordinate survives as 2
         gs = GroupStructure(1, [[0], [0]])
-        state = AdmmState(
-            x=BlockVector([np.array([1.0]), np.array([1.0])]),
-            z=np.zeros(1),
-            y=BlockVector([np.array([0.5]), np.array([0.5])]),
-        )
+        x = np.array([1.0, 1.0])
+        y = np.array([0.5, 0.5])
         inst = ProxInstance(v=np.array([3.0]), s=1.0, lam0=1.0)
-        out = z_step(state, inst, gs, AdmmConfig(rho=1.0))
+        out = z_step(x, y, inst, gs, AdmmConfig(rho=1.0))
         np.testing.assert_allclose(out, [2.0], atol=1e-15)
 
     def test_huge_count_penalty_zeroes_everything(self):
         rng = np.random.default_rng(1)
         gs = random_structure(rng)
-        state = make_state(rng, gs)
+        x, _, y = make_state(rng, gs)
         inst = ProxInstance(v=rng.normal(size=gs.n), s=1.0, lam0=1e6)
-        assert np.all(z_step(state, inst, gs, AdmmConfig()) == 0.0)
+        assert np.all(z_step(x, y, inst, gs, AdmmConfig()) == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_coordinate_two_candidate_optimality(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng)
-        state = make_state(rng, gs)
+        x, _, y = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
         cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z = z_step(state, inst, gs, cfg)
+        z = z_step(x, y, inst, gs, cfg)
         c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-        num = inst.v / inst.s + scatter_add(state.y + cfg.rho * state.x, gs)
+        num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
         for g in range(gs.n):
             def sub(val):
                 return (0.5 * c[g] * val**2 - num[g] * val
@@ -137,11 +156,11 @@ class TestZStep:
     def test_matches_scaled_space_form(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng, max_n=12, max_m=5)
-        state = make_state(rng, gs)
+        x, _, y = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
         cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z1 = z_step(state, inst, gs, cfg)
-        z2 = z_step_scaled_space(state, inst, gs, cfg)
+        z1 = z_step(x, y, inst, gs, cfg)
+        z2 = z_step_scaled_space(x, y, inst, gs, cfg)
         assert float(np.max(np.abs(z1 - z2))) <= 1e-12
 
 
@@ -149,21 +168,15 @@ class TestYStep:
     def test_consensus_reached_leaves_duals(self):
         rng = np.random.default_rng(2)
         gs = random_structure(rng)
-        state = make_state(rng, gs)
-        state.x = gather(state.z, gs)
-        out = y_step(state, gs, AdmmConfig(rho=1.7))
-        for i in range(gs.m):
-            np.testing.assert_array_equal(out[i], state.y[i])
+        _, z, y = make_state(rng, gs)
+        out = y_step(gather(z, gs), z, y, gs, AdmmConfig(rho=1.7))
+        np.testing.assert_array_equal(out, y)
 
     def test_direct_formula(self):
         gs = GroupStructure(2, [[0, 1]])
-        state = AdmmState(
-            x=BlockVector([np.array([1.0, -1.0])]),
-            z=np.zeros(2),
-            y=BlockVector.zeros(gs),
-        )
-        out = y_step(state, gs, AdmmConfig(rho=2.0))
-        np.testing.assert_array_equal(out[0], [2.0, -2.0])
+        out = y_step(np.array([1.0, -1.0]), np.zeros(2), np.zeros(2), gs,
+                     AdmmConfig(rho=2.0))
+        np.testing.assert_array_equal(out, [2.0, -2.0])
 
     def test_duals_stabilize_after_convex_convergence(self):
         rng = np.random.default_rng(3)
@@ -180,30 +193,29 @@ class TestResiduals:
     def test_zero_at_consensus(self):
         rng = np.random.default_rng(4)
         gs = random_structure(rng)
-        state = make_state(rng, gs)
-        state.x = gather(state.z, gs)
-        r, s = residual_norms(state.z.copy(), state, gs, AdmmConfig())
+        _, z, _ = make_state(rng, gs)
+        r, s = residual_norms(z.copy(), gather(z, gs), z, gs, AdmmConfig())
         assert r == 0.0 and s == 0.0
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(5)
         gs = GroupStructure(3, [[0, 1], [1, 2]])
-        state = make_state(rng, gs)
+        x, z, _ = make_state(rng, gs)
         prev_z = rng.normal(size=3)
         cfg = AdmmConfig(rho=1.3)
-        r, s = residual_norms(prev_z, state, gs, cfg)
+        r, s = residual_norms(prev_z, x, z, gs, cfg)
         # recompute from scratch with plain loops
         r2 = 0.0
         for i, g in enumerate(gs.groups):
             for j, idx in enumerate(g):
-                r2 += (state.x[i][j] - state.z[idx]) ** 2
+                r2 += (blocks(x, gs)[i][j] - z[idx]) ** 2
         r2 = math.sqrt(r2)
         counts = [0] * 3
         for g in gs.groups:
             for idx in g:
                 counts[idx] += 1
         s2 = cfg.rho * math.sqrt(
-            sum((counts[g] * (state.z[g] - prev_z[g])) ** 2 for g in range(3))
+            sum((counts[g] * (z[g] - prev_z[g])) ** 2 for g in range(3))
         )
         assert r == pytest.approx(r2, rel=1e-12)
         assert s == pytest.approx(s2, rel=1e-12)
@@ -297,3 +309,51 @@ class TestSolveAdmm:
         inst = ProxInstance(v=np.ones(2), s=1.0)
         with pytest.raises(ValueError, match="n="):
             solve_admm(inst, gs)
+
+
+class TestLayoutEdges:
+    """Structures where the stacked layout is empty or leaves variables out."""
+
+    @pytest.mark.parametrize("n,groups", [(4, []), (5, [[1, 2], [2, 3]])],
+                             ids=["no-groups", "uncovered"])
+    def test_solvers_bounds_and_check(self, n, groups):
+        gs = GroupStructure(n, groups)
+        rng = np.random.default_rng(31)
+        inst = ProxInstance(v=rng.normal(0, 2, n), s=0.8, lam0=0.3, lam1=0.4,
+                            lam=0.5)
+        exact = oracle_prox_l0_ogl(inst, gs)
+        # an uncovered coordinate is its own 1-D count-penalized prox
+        free = gs.overlap_counts == 0
+        separable = hard_threshold(inst.v, math.sqrt(2 * inst.s * inst.lam0))
+
+        for report in (solve_admm(inst, gs), solve_dual(inst, gs)):
+            assert report.converged
+            assert report.objective >= exact.value - 1e-9
+            np.testing.assert_allclose(report.x_final[free], separable[free],
+                                       atol=1e-12)
+
+        ok, residual = stationarity_check(exact.minimizer, inst, gs)
+        assert ok and residual <= 1e-6
+
+        for variant in ("plain", "l1", "l0"):
+            rep = sandwich(inst, gs, variant)
+            target = oracle_variant(inst, gs, variant).value
+            assert rep.lower_value - 1e-9 <= target <= rep.upper_value + 1e-9
+
+        if gs.m == 0:
+            # no group term: every problem is separable with a closed form
+            v, s = inst.v, inst.s
+            l0_value = float(np.sum(np.minimum(v**2 / (2 * s), inst.lam0)))
+            assert exact.value == pytest.approx(l0_value, rel=1e-12)
+            for report in (solve_admm(inst, gs), solve_dual(inst, gs)):
+                np.testing.assert_allclose(report.x_final, separable, atol=1e-12)
+                assert report.objective == pytest.approx(l0_value, rel=1e-12)
+            t = s * inst.lam1
+            l1_value = float(np.sum(np.where(
+                np.abs(v) > t, inst.lam1 * np.abs(v) - 0.5 * s * inst.lam1**2,
+                v**2 / (2 * s))))
+            for variant, value in (("plain", 0.0), ("l1", l1_value),
+                                   ("l0", l0_value)):
+                rep = sandwich(inst, gs, variant)
+                assert rep.lower_value == pytest.approx(value, rel=1e-12, abs=1e-15)
+                assert rep.upper_value == pytest.approx(value, rel=1e-12, abs=1e-15)

@@ -7,8 +7,6 @@ from sogl import (
     GroupStructure,
     ProxInstance,
     ZeroCenterError,
-    group_soft_threshold,
-    l1_upper_zero_test,
     lower_bound_l0,
     lower_bound_l1,
     lower_bound_plain,
@@ -20,11 +18,10 @@ from sogl import (
     scaled_l2_prox,
     upper_bound_l0,
     upper_bound_l1,
-    upper_bound_plain,
     upper_diag,
     weighted_group_norm,
 )
-from helpers import random_instance, random_structure
+from helpers import block_soft_threshold, random_instance, random_structure
 
 
 class TestDiagonals:
@@ -230,8 +227,10 @@ class TestLowerBoundL1:
         v = np.array([3.0])
         l = np.array([1.0])
         x_full, val_full = lower_bound_l1(v, 1.0, 0.5, l)
-        x_lit, val_lit = lower_bound_l1(v, 1.0, 0.5, l, full_shrinkage=False)
-        assert x_lit[0] == pytest.approx(2.0)  # shrunk by the group part only
+        # shrinking by the group part only gives 2.0, worth 0.5 + 2 + 1
+        x_lit = 2.0
+        val_lit = 0.5 * (x_lit - 3.0) ** 2 + 1.0 * x_lit + 0.5 * x_lit
+        assert x_full[0] != x_lit
         assert val_full < val_lit  # the full shrink is the true minimizer
 
     @pytest.mark.parametrize("seed", range(8))
@@ -256,7 +255,7 @@ class TestUpperBoundL1:
         v = rng.normal(size=5)
         u = rng.uniform(0.3, 2, 5)
         x1, v1 = upper_bound_l1(v, 0.6, 0.0, u)
-        x2, v2, _ = upper_bound_plain(v, 0.6, u)
+        x2, v2, _ = scaled_l2_prox(v, 0.6, u)
         np.testing.assert_allclose(x1, x2, atol=1e-12)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
@@ -315,32 +314,26 @@ class TestUpperBoundL1:
         u = np.array([1.0])
         lam1 = 0.4
         lam = 0.5 * (0.6 + 1.4)  # between |v|-lam1 and |v|+lam1
-        assert l1_upper_zero_test(v, lam, lam1, u, form="shrunk")
-        assert not l1_upper_zero_test(v, lam, lam1, u, form="pushed")
+        assert abs(v[0]) - lam1 <= lam < abs(v[0]) + lam1
         x_def, _ = upper_bound_l1(v, lam, lam1, u)
-        x_alt, _ = upper_bound_l1(v, lam, lam1, u, alt_zero_test=True)
         np.testing.assert_allclose(x_def, 0.0, atol=1e-12)
-        np.testing.assert_allclose(x_alt, 0.0, atol=1e-12)
-        with pytest.raises(ValueError, match="form"):
-            l1_upper_zero_test(v, lam, lam1, u, form="bogus")
 
-    def test_alt_flag_agrees_when_pushed_form_certifies(self):
+    def test_zero_when_pushed_form_certifies(self):
         v = np.array([1.0, -0.8])
         u = np.array([1.0, 1.0])
         lam1 = 0.4
         lam = 3.0  # above both conditions: both forms certify zero
         x_def, vd = upper_bound_l1(v, lam, lam1, u)
-        x_alt, va = upper_bound_l1(v, lam, lam1, u, alt_zero_test=True)
-        assert np.all(x_def == 0.0) and np.all(x_alt == 0.0) and vd == va
+        assert np.all(x_def == 0.0)
+        assert vd == pytest.approx(0.5 * np.sum(v**2), rel=1e-15)
 
     def test_unpenalized_survivors_never_zeroed(self):
         # coordinates with a zero diagonal entry reduce to plain 1-D
         # soft-thresholding regardless of any zero test
         v = np.array([3.0, 0.2])
         u = np.array([0.0, 1.0])
-        for alt in (False, True):
-            x, _ = upper_bound_l1(v, 5.0, 0.5, u, alt_zero_test=alt)
-            np.testing.assert_allclose(x, [2.5, 0.0], atol=1e-12)
+        x, _ = upper_bound_l1(v, 5.0, 0.5, u)
+        np.testing.assert_allclose(x, [2.5, 0.0], atol=1e-12)
 
 
 class TestLowerBoundL0:
@@ -379,7 +372,7 @@ class TestUpperBoundL0:
         u = rng.uniform(0.3, 2, 6)
         sigma = float(u.max())
         x, _, _ = upper_bound_l0(v, 0.4, 0.0, u)
-        np.testing.assert_allclose(x, group_soft_threshold(v, 0.4 * sigma),
+        np.testing.assert_allclose(x, block_soft_threshold(v, 0.4 * sigma),
                                    atol=1e-12)
 
     def test_huge_count_penalty(self):
@@ -427,7 +420,7 @@ class TestSandwich:
         gs = GroupStructure(n, [list(range(n))])
         inst = ProxInstance(v=rng.normal(0, 2, n), s=0.8, lam=0.5)
         rep = sandwich(inst, gs, "plain")
-        x_exact = group_soft_threshold(inst.v, inst.lam * inst.s)
+        x_exact = block_soft_threshold(inst.v, inst.lam * inst.s)
         exact = (0.5 / inst.s) * float(np.sum((x_exact - inst.v) ** 2)) + \
             inst.lam * float(np.linalg.norm(x_exact))
         assert rep.upper_value == pytest.approx(exact, rel=1e-9)

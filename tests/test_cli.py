@@ -185,6 +185,25 @@ class TestCheckAndPipelines:
         point.write_text("[1.0, 2.0]\n")
         assert run_cli(["check", str(path), "--point", str(point)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"report": 5}',
+        '["abc", 1, 2]',
+        '[null, 1, 2]',
+        '{"x": [1e400, 0, 0]}',
+        '[1' + '0' * 400 + ', 0, 0]',
+    ], ids=["report-not-object", "string-entry", "null-entry", "float-overflow",
+            "int-overflow"])
+    def test_check_malformed_point_is_validation_error(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.json"
+        path.write_text('{"v": [1.0, 2.0, 3.0], "groups": [[0, 1], [1, 2]], "s": 1, '
+                        '"lambda0": 0, "lambda1": 0.1, "lambda": 0}\n')
+        point = tmp_path / "pt.json"
+        point.write_text(text + "\n")
+        assert run_cli(["check", str(path), "--point", str(point)]) == 2
+        captured = capsys.readouterr()
+        assert "point" in captured.err
+        assert captured.out == ""
+
     def test_gen_solve_check_pipeline(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         rec = tmp_path / "rec.json"

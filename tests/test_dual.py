@@ -6,7 +6,6 @@ import pytest
 import sogl.dual as dual_mod
 from sogl import (
     AdmmConfig,
-    BlockVector,
     CycleDetectedError,
     GroupStructure,
     ProxInstance,
@@ -26,20 +25,20 @@ class TestDualZStep:
     def test_zero_dual_zero_count_penalty(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([0.4, -1.1]), s=1.3, lam0=0.0)
-        np.testing.assert_array_equal(dual_z_step(BlockVector.zeros(gs), inst, gs),
+        np.testing.assert_array_equal(dual_z_step(np.zeros(gs.total_size), inst, gs),
                                       inst.v)
 
     def test_threshold_drops_small_entries(self):
         # s=1, lam0=0.5 gives threshold 1: |0.5| <= 1 dies, |2| survives
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([0.5, 2.0]), s=1.0, lam0=0.5)
-        out = dual_z_step(BlockVector.zeros(gs), inst, gs)
+        out = dual_z_step(np.zeros(gs.total_size), inst, gs)
         np.testing.assert_array_equal(out, [0.0, 2.0])
 
     def test_huge_count_penalty(self):
         gs = GroupStructure(3, [[0, 1, 2]])
         inst = ProxInstance(v=np.array([1.0, -2.0, 3.0]), s=1.0, lam0=1e8)
-        assert np.all(dual_z_step(BlockVector.zeros(gs), inst, gs) == 0.0)
+        assert np.all(dual_z_step(np.zeros(gs.total_size), inst, gs) == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_coordinate_two_candidate_optimality(self, seed):
@@ -47,7 +46,7 @@ class TestDualZStep:
         gs = random_structure(rng)
         inst = random_instance(rng, gs, lam0_range=(0.0, 0.8),
                                lam1_range=(0.0, 1.0))
-        y = BlockVector([inst.lam1 * _unit(rng.normal(size=len(g))) for g in gs.groups])
+        y = _ball_boundary_blocks(rng, gs, inst.lam1)
         z = dual_z_step(y, inst, gs)
         w = inst.v + inst.s * scatter_add(y, gs)
         for g in range(gs.n):
@@ -63,24 +62,29 @@ def _unit(b):
     return b / nrm if nrm > 0 else b
 
 
+def _ball_boundary_blocks(rng, gs, radius):
+    """Stacked dual blocks, each a random point on its radius ball."""
+    return np.concatenate([radius * _unit(rng.normal(size=len(g))) for g in gs.groups])
+
+
 class TestDualYStep:
     def test_zero_direction_maps_to_zero(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, -0.5]), s=1.0, lam1=2.0)
         out = dual_y_step(2.0 * inst.v, inst, gs)
-        assert out.norm() == 0.0
+        assert np.linalg.norm(out) == 0.0
 
     def test_scales_direction_to_ball_boundary(self):
         # z - 2v = (3, 4), radius 2: boundary point (1.2, 1.6)
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.0)
         out = dual_y_step(np.array([3.0, 4.0]), inst, gs)
-        np.testing.assert_allclose(out[0], [1.2, 1.6], atol=1e-15)
+        np.testing.assert_allclose(out, [1.2, 1.6], atol=1e-15)
 
     def test_zero_radius(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 2.0]), s=1.0, lam1=0.0)
-        assert dual_y_step(np.array([3.0, 4.0]), inst, gs).norm() == 0.0
+        assert np.linalg.norm(dual_y_step(np.array([3.0, 4.0]), inst, gs)) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feasible_and_maximal_over_disk(self, seed):
@@ -90,39 +94,47 @@ class TestDualYStep:
                             lam1=float(rng.uniform(0.1, 2)))
         z = rng.normal(size=2)
         out = dual_y_step(z, inst, gs)
-        assert np.linalg.norm(out[0]) <= inst.lam1 + 1e-12
+        assert np.linalg.norm(out) <= inst.lam1 + 1e-12
         d = z - 2 * inst.v
-        attained = out[0] @ d
+        attained = out @ d
         for theta in np.linspace(0, 2 * math.pi, 721):
             p = inst.lam1 * np.array([math.cos(theta), math.sin(theta)])
             assert p @ d <= attained + 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_group_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gs = random_structure(rng, max_n=10, max_m=5)
+        inst = random_instance(rng, gs, lam1_range=(0.1, 2.0))
+        z = rng.normal(size=gs.n)
+        out = np.split(dual_y_step(z, inst, gs), gs.offsets[1:-1])
+        for b, g in zip(out, gs.groups):
+            d = z[g] - 2.0 * inst.v[g]
+            np.testing.assert_allclose(b, inst.lam1 * _unit(d), rtol=1e-14,
+                                       atol=1e-15)
 
     def test_direction_switch(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 0.0]), s=1.0, lam1=1.0)
         z = np.array([3.0, 0.0])
         default = dual_y_step(z, inst, gs)                  # direction (1, 0)
-        alt = dual_y_step(z, inst, gs, direction="z")       # direction (3, 0)
-        np.testing.assert_allclose(default[0], [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(alt[0], [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(default, [1.0, 0.0], atol=1e-15)
         inst2 = ProxInstance(v=np.array([2.0, 0.0]), s=1.0, lam1=1.0)
         flipped = dual_y_step(z, inst2, gs)                 # direction (-1, 0)
-        np.testing.assert_allclose(flipped[0], [-1.0, 0.0], atol=1e-15)
-        with pytest.raises(ValueError, match="direction"):
-            dual_y_step(z, inst, gs, direction="bogus")
+        np.testing.assert_allclose(flipped, [-1.0, 0.0], atol=1e-15)
 
 
 class TestDualObjective:
     def test_at_center_without_count_penalty(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=0.0)
-        val = dual_objective(inst.v, BlockVector.zeros(gs), inst, gs)
+        val = dual_objective(inst.v, np.zeros(gs.total_size), inst, gs)
         assert val == pytest.approx(-np.sum(inst.v**2) / (2 * inst.s), rel=1e-15)
 
     def test_cancellation_at_zero(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=0.3)
-        assert dual_objective(np.zeros(2), BlockVector.zeros(gs), inst, gs) == \
+        assert dual_objective(np.zeros(2), np.zeros(gs.total_size), inst, gs) == \
             pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -131,7 +143,7 @@ class TestDualObjective:
         gs = random_structure(rng)
         inst = random_instance(rng, gs, lam0_range=(0.0, 0.5),
                                lam1_range=(0.1, 1.0))
-        y = BlockVector([inst.lam1 * _unit(rng.normal(size=len(g))) for g in gs.groups])
+        y = _ball_boundary_blocks(rng, gs, inst.lam1)
         z = rng.normal(size=gs.n)
         val = dual_objective(z, y, inst, gs)
         # expand the square: (1/2s)(||z||^2 - 2 z.w) + lam0*nnz
@@ -175,11 +187,11 @@ class TestSolveDual:
         gs = random_structure(rng)
         inst = random_instance(rng, gs, lam0_range=(0.0, 0.5),
                                lam1_range=(0.2, 1.5))
-        y = BlockVector.zeros(gs)
+        y = np.zeros(gs.total_size)
         for _ in range(25):
             z = dual_z_step(y, inst, gs)
             y = dual_y_step(z, inst, gs)
-            for b in y:
+            for b in np.split(y, gs.offsets[1:-1]):
                 assert np.linalg.norm(b) <= inst.lam1 + 1e-12
 
     def test_trace_rows_match_iterations(self):
