@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
-import math
 import os
 import sys
 
@@ -28,6 +28,7 @@ from .instances import (
     ParseError,
     RunRecord,
     ValidationError,
+    _number_array,
     dumps_canonical,
     generate_instance,
     parse_instance,
@@ -50,14 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process. Parsing leaves it unchanged, and
+    no default is a mutable object a command could change."""
     p = _Parser(prog="sogl", description="Prox solvers and value bounds for "
                 "the l0 sparse overlapping group lasso.")
     sub = p.add_subparsers(dest="command", metavar="command",
                            parser_class=_Parser)
 
     solve = sub.add_parser("solve", help="run a solver on an instance")
-    solve.add_argument("instance", nargs="*", default=[],
+    solve.add_argument("instance", nargs="*", default=(),
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
     solve.add_argument("--rho", type=float, default=1.0)
@@ -156,6 +160,9 @@ def _solve_report_dict(report, stamp: bool) -> dict:
 
 def _record(instf, source: str, algorithm: str, config: dict, report: dict,
             stamp: bool) -> RunRecord:
+    for field, value in report.items():
+        if isinstance(value, (float, list)) and not np.isfinite(value).all():
+            raise NonFiniteError(f"report field {field!r} is not finite")
     name = instf.name if instf.name is not None else os.path.basename(source)
     return RunRecord(instance=name, algorithm=algorithm, config=config,
                      report=report, timestamp=_now() if stamp else None,
@@ -269,17 +276,7 @@ def _load_point(path: str, n: int) -> np.ndarray:
         raise ValidationError("point: expected an array, {'x': ...}, or a record")
     if len(data) != n:
         raise ValidationError(f"point: expected length {n}, got {len(data)}")
-    x = np.empty(n)
-    for i, value in enumerate(data):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"point[{i}]: expected a number")
-        try:
-            x[i] = value
-        except OverflowError:  # an integer beyond the float range
-            x[i] = math.inf
-        if not math.isfinite(x[i]):
-            raise ValidationError(f"point[{i}]: expected a finite number")
-    return x
+    return _number_array(data, "point")
 
 
 def _cmd_check(args) -> int:

@@ -7,14 +7,16 @@ across runs.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupStructure, ProxInstance
+from .model import GroupStructure, ProxInstance, _index_defects, _locate
 
 __all__ = [
     "ParseError",
@@ -87,7 +89,70 @@ class InstanceFile:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{where}: expected a finite number")
+    return x
+
+
+def _number_array(values: list, where: str) -> np.ndarray:
+    """The entries of a JSON array as floats; ``ValidationError`` names the
+    first entry ``where[i]`` that is not a finite number."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            x = np.fromiter(values, dtype=float, count=len(values))
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(x).all():
+                return x
+    for i, value in enumerate(values):
+        _require_number(value, f"{where}[{i}]")
+    return np.array(values, dtype=float)  # subclasses of int or float
+
+
+def _first_failing(items: list, ok, exact: type):
+    """Position of the first item that fails ``ok``, or None. Items of type
+    ``exact`` pass by definition, so the usual case is one C-level scan."""
+    if set(map(type, items)) <= {exact}:
+        return None
+    return next((k for k, x in enumerate(items) if not ok(x)), None)
+
+
+def _check_groups(groups: list, n: int):
+    """Raise ``ValidationError`` at the first defect of the index groups in
+    reading order (group by group, each group's entries in turn)."""
+    i = _first_failing(groups, lambda g: isinstance(g, list), list)
+    if i is not None:
+        _check_groups(groups[:i], n)
+        raise ValidationError(f"groups[{i}]: expected an array of indices")
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+    entries = list(itertools.chain.from_iterable(groups))
+    k = _first_failing(
+        entries, lambda x: isinstance(x, int) and not isinstance(x, bool), int)
+    if k is not None:
+        i, j = _locate(k, offsets)
+        _check_groups(groups[:i] + ([groups[i][:j]] if j else []), n)
+        raise ValidationError(f"groups[{i}][{j}]: expected an integer index")
+    try:
+        flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
+    except OverflowError:  # clipping keeps in range exactly the valid indices
+        flat = np.fromiter((min(max(x, -1), n) for x in entries),
+                           dtype=np.int64, count=len(entries))
+    defects = _index_defects(flat, sizes, offsets, n)
+    if defects:
+        i, j, kind = min(defects, key=lambda d: d[:2])
+        if kind == "empty":
+            raise ValidationError(f"groups[{i}]: group is empty")
+        idx = groups[i][j]
+        if kind == "range":
+            raise ValidationError(
+                f"groups[{i}][{j}]: index {idx} out of range for n={n}")
+        raise ValidationError(f"groups[{i}][{j}]: repeated index {idx}")
 
 
 def instance_from_dict(data: dict) -> InstanceFile:
@@ -104,43 +169,27 @@ def instance_from_dict(data: dict) -> InstanceFile:
     v = data["v"]
     if not isinstance(v, list) or not v:
         raise ValidationError("v: expected a non-empty array of numbers")
-    v = [_require_number(x, f"v[{i}]") for i, x in enumerate(v)]
-    n = len(v)
+    v = _number_array(v, "v").tolist()
 
     groups = data["groups"]
     if not isinstance(groups, list):
         raise ValidationError("groups: expected an array of arrays")
-    clean_groups = []
-    for i, g in enumerate(groups):
-        if not isinstance(g, list):
-            raise ValidationError(f"groups[{i}]: expected an array of indices")
-        if not g:
-            raise ValidationError(f"groups[{i}]: group is empty")
-        seen = set()
-        for j, idx in enumerate(g):
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise ValidationError(f"groups[{i}][{j}]: expected an integer index")
-            if idx < 0 or idx >= n:
-                raise ValidationError(
-                    f"groups[{i}][{j}]: index {idx} out of range for n={n}"
-                )
-            if idx in seen:
-                raise ValidationError(f"groups[{i}][{j}]: repeated index {idx}")
-            seen.add(idx)
-        clean_groups.append(list(g))
+    _check_groups(groups, len(v))
 
     weights = data.get("weights")
     if weights is not None:
         if not isinstance(weights, list):
             raise ValidationError("weights: expected an array of numbers")
-        if len(weights) != len(clean_groups):
+        if len(weights) != len(groups):
             raise ValidationError(
-                f"weights: expected {len(clean_groups)} entries, got {len(weights)}"
+                f"weights: expected {len(groups)} entries, got {len(weights)}"
             )
-        weights = [_require_number(w, f"weights[{i}]") for i, w in enumerate(weights)]
-        for i, w in enumerate(weights):
-            if not w > 0:
-                raise ValidationError(f"weights[{i}]: must be strictly positive")
+        w = _number_array(weights, "weights")
+        nonpositive = np.flatnonzero(~(w > 0))
+        if nonpositive.size:
+            raise ValidationError(
+                f"weights[{nonpositive[0]}]: must be strictly positive")
+        weights = w.tolist()
 
     s = _require_number(data["s"], "s")
     if not s > 0:
@@ -159,7 +208,7 @@ def instance_from_dict(data: dict) -> InstanceFile:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ValidationError("seed: expected an integer")
 
-    return InstanceFile(v=v, groups=clean_groups, s=s,
+    return InstanceFile(v=v, groups=list(groups), s=s,
                         lambda0=lambdas["lambda0"], lambda1=lambdas["lambda1"],
                         lambda_=lambdas["lambda"], weights=weights,
                         name=name, seed=seed)

@@ -10,6 +10,7 @@ position to its global index.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,21 +68,23 @@ class GroupStructure:
             )
         if m and not np.all(self.weights > 0):
             raise ValueError("all group weights must be strictly positive")
-        groups, sizes = [], []
-        for i, g in enumerate(self.groups):
-            g = np.asarray(g, dtype=np.intp)
-            if g.size == 0:
-                raise ValueError(f"group {i} is empty")
-            if g.min() < 0 or g.max() >= self.n:
-                raise ValueError(f"group {i} has an index outside [0, {self.n})")
-            if np.unique(g).size != g.size:
-                raise ValueError(f"group {i} has repeated indices")
-            groups.append(g)
-            sizes.append(g.size)
-        self.groups = groups
-        self.sizes = np.array(sizes, dtype=np.intp)
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.intp)
-        self.flat_index = np.concatenate(groups) if m else np.zeros(0, dtype=np.intp)
+        sizes = np.fromiter(map(len, self.groups), dtype=np.intp, count=m)
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        flat = np.fromiter(itertools.chain.from_iterable(self.groups),
+                           dtype=np.intp, count=int(self.offsets[-1]))
+        defects = _index_defects(flat, sizes, self.offsets, self.n)
+        if defects:
+            # the first group with a defect; in it, the first kind listed
+            i, _, kind = min(defects, key=lambda d: d[0])
+            raise ValueError(f"group {i} " + {
+                "empty": "is empty",
+                "range": f"has an index outside [0, {self.n})",
+                "repeat": "has repeated indices",
+            }[kind])
+        bounds = self.offsets.tolist()
+        self.groups = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+        self.sizes = sizes
+        self.flat_index = flat
         self.overlap_counts = np.bincount(self.flat_index, minlength=self.n)
 
     @property
@@ -93,6 +96,45 @@ class GroupStructure:
     def total_size(self) -> int:
         """Sum of group sizes (length of the stacked block vector)."""
         return int(self.offsets[-1])
+
+
+def _index_defects(flat: np.ndarray, sizes: np.ndarray, offsets: np.ndarray,
+                   n: int) -> list:
+    """Locate the first defect of each kind in a stacked index array.
+
+    ``flat`` holds the groups' indices back to back, group i at
+    ``offsets[i]:offsets[i+1]`` (length ``sizes[i]``). Returns a list of
+    ``(i, j, kind)``, at most one per kind and in this order, where entry j
+    of group i is the defect: the first empty group (``j = -1``, kind
+    ``"empty"``), the first index outside ``[0, n)`` (``"range"``), and,
+    before that one, the first index that repeats an earlier index of its
+    group (``"repeat"``). An empty list means every group is a non-empty
+    set of valid indices.
+    """
+    defects = []
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        defects.append((int(empty[0]), -1, "empty"))
+    # repeats are looked for before the first out-of-range index only, so
+    # that an index of n or more cannot alias one of the next group
+    bad = np.flatnonzero((flat < 0) | (flat >= n))
+    end = int(bad[0]) if bad.size else flat.size
+    if bad.size:
+        defects.append(_locate(end, offsets) + ("range",))
+    group_id = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)[:end]
+    key = group_id * n + flat[:end]
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    later = order[1:][ordered[1:] == ordered[:-1]]
+    if later.size:
+        defects.append(_locate(int(later.min()), offsets) + ("repeat",))
+    return defects
+
+
+def _locate(k: int, offsets: np.ndarray) -> tuple:
+    """(group, position within it) of stacked position ``k``."""
+    i = int(np.searchsorted(offsets, k, "right")) - 1
+    return i, k - int(offsets[i])
 
 
 @dataclass

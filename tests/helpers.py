@@ -2,8 +2,9 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from sogl import GroupStructure, ProxInstance, hard_threshold
+from sogl import GroupStructure, ProxInstance, hard_threshold, objective_value
 
 
 def random_structure(rng, n=None, m=None, max_n=8, max_m=3, weighted=False):
@@ -62,3 +63,91 @@ def z_step_scaled_space(x, y, inst, gs, cfg):
     root_c = np.sqrt(c)
     z_scaled = hard_threshold(w / root_c, math.sqrt(2.0 * inst.lam0))
     return z_scaled / root_c
+
+
+def count_term_ok_by_zeroing(x, inst, gs):
+    """Reference for the count-term test of ``sogl.stationarity_check``:
+    zero each nonzero coordinate in turn and evaluate the whole objective
+    again. True unless one of them lowers it by more than 1e-9."""
+    base = objective_value(x, inst, gs)
+    for g in np.flatnonzero(x):
+        x_try = x.copy()
+        x_try[g] = 0.0
+        if objective_value(x_try, inst, gs) < base - 1e-9:
+            return False
+    return True
+
+
+def first_group_defect(groups, n):
+    """Reference for the index checks of ``sogl.instance_from_dict``: the
+    message of the first defect met reading the groups entry by entry, or
+    None when there is none."""
+    for i, g in enumerate(groups):
+        if not isinstance(g, list):
+            return f"groups[{i}]: expected an array of indices"
+        if not g:
+            return f"groups[{i}]: group is empty"
+        seen = set()
+        for j, idx in enumerate(g):
+            if isinstance(idx, bool) or not isinstance(idx, int):
+                return f"groups[{i}][{j}]: expected an integer index"
+            if idx < 0 or idx >= n:
+                return f"groups[{i}][{j}]: index {idx} out of range for n={n}"
+            if idx in seen:
+                return f"groups[{i}][{j}]: repeated index {idx}"
+            seen.add(idx)
+    return None
+
+
+def first_structure_defect(groups, n):
+    """Reference for the index checks of ``sogl.GroupStructure``: the
+    message for the first group that is empty, leaves [0, n) or repeats an
+    index (checked in that order), or None when there is none."""
+    for i, g in enumerate(groups):
+        g = np.asarray(g, dtype=np.intp)
+        if g.size == 0:
+            return f"group {i} is empty"
+        if g.min() < 0 or g.max() >= n:
+            return f"group {i} has an index outside [0, {n})"
+        if np.unique(g).size != g.size:
+            return f"group {i} has repeated indices"
+    return None
+
+
+@st.composite
+def groups_with_defects(draw, kinds, max_defects=1, big=2**70):
+    """Valid index groups over ``n`` variables with defects injected.
+
+    Each defect is one of ``kinds`` at a drawn group i and entry j:
+    ``"not-int"``, ``"bool"``, ``"range"`` (an index outside [0, n), up to
+    ``big`` away), ``"repeat"`` (entry j copies an earlier entry of its
+    group), ``"empty"`` or ``"not-list"`` (group i replaced). Returns
+    ``(n, groups, (kind, i, j))`` with the last defect injected.
+    """
+    n = draw(st.integers(1, 10))
+    groups = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+        min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, max_defects))):
+        kind = draw(st.sampled_from(kinds))
+        i = draw(st.integers(0, len(groups) - 1))
+        if not isinstance(groups[i], list) or not groups[i]:
+            groups[i] = [draw(st.integers(0, n - 1))]
+        g = groups[i]
+        j = draw(st.integers(0, len(g) - 1))
+        if kind == "not-int":
+            g[j] = draw(st.sampled_from([1.5, 2.0, "3", None, [0]]))
+        elif kind == "bool":
+            g[j] = draw(st.booleans())
+        elif kind == "range":
+            g[j] = draw(st.one_of(st.integers(n, n + big), st.integers(-big, -1)))
+        elif kind == "repeat":
+            if len(g) == 1:
+                g.append(g[0])
+            j = max(j, 1)
+            g[j] = g[draw(st.integers(0, j - 1))]
+        elif kind == "empty":
+            groups[i] = []
+        else:
+            groups[i] = draw(st.sampled_from([3, "ab", (0,), None, {"0": 0}]))
+    return n, groups, (kind, i, j)

@@ -118,10 +118,42 @@ class TestExitCodes:
 
     def test_non_finite_solver(self, tmp_path):
         path = tmp_path / "inf.json"
-        path.write_text('{"v": [1e999], "groups": [[0]], "s": 1, "lambda0": 0, '
+        path.write_text('{"v": [1e308], "groups": [[0]], "s": 1, "lambda0": 0, '
                         '"lambda1": 0.1, "lambda": 0}')
         with np.errstate(invalid="ignore"):
             assert run_cli(["solve", str(path)]) == 3
+
+    @pytest.mark.parametrize("command, fields, name", [
+        ("solve", '"v": [1' + '0' * 400 + '], "s": 1, "lambda0": 0', "v[0]"),
+        ("bounds", '"v": [NaN, 1.0], "s": 1, "lambda0": 0', "v[0]"),
+        ("solve", '"v": [1.0, 2.0], "s": Infinity, "lambda0": 0', "s"),
+        ("solve", '"v": [1.0, 2.0], "s": 1, "lambda0": Infinity', "lambda0"),
+        ("solve", '"v": [1e999, 2.0], "s": 1, "lambda0": 0', "v[0]"),
+    ], ids=["int-overflow-v", "nan-v", "inf-s", "inf-lambda0", "float-overflow-v"])
+    def test_non_finite_input_is_validation_error(self, tmp_path, capsys,
+                                                  command, fields, name):
+        path = tmp_path / "inst.json"
+        path.write_text("{" + fields + ', "groups": [[0]], "lambda1": 0.1, '
+                        '"lambda": 0}\n')
+        assert run_cli([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name}: expected a finite number\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["solve", "--algorithm", "dual"], ["bounds"],
+        ["bounds", "--variant", "l1"], ["bounds", "--variant", "l0"], ["oracle"],
+    ], ids=["solve", "dual", "bounds-plain", "bounds-l1", "bounds-l0", "oracle"])
+    def test_overflowing_result_is_non_finite_error(self, tmp_path, capsys, argv):
+        # finite input whose objective overflows: exit 3 before any output
+        path = tmp_path / "big.json"
+        path.write_text('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
+                        '"lambda1": 0.1, "lambda": 0.1}\n')
+        out = tmp_path / "rec.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(argv + [str(path), "--out", str(out)]) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_too_large(self, tmp_path):
         instf = generate_instance(seed=0, n=13, m=2)
@@ -132,6 +164,19 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
+
+
+def test_consecutive_commands_share_nothing(tmp_path, capsys):
+    # the parser is built once per process; no call may leave state in it
+    inst = write_instance(tmp_path)
+    assert run_cli(["solve", str(inst), "--rho", "1.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["rho"] == 1.5
+    assert run_cli(["--help"]) == 0
+    assert "solve" in capsys.readouterr().out
+    assert run_cli(["solve", str(inst), "--rho", "-1"]) == 1
+    assert run_cli(["solve", str(inst)]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["rho"] == 1.0 and config["eps_abs"] == 1e-8
 
 
 class TestBounds:

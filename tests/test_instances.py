@@ -18,6 +18,7 @@ from sogl import (
     trace_to_csv,
 )
 from sogl.instances import write_atomic
+from helpers import first_group_defect, groups_with_defects
 
 MINIMAL = {"v": [1.0], "groups": [[0]], "s": 1, "lambda0": 0, "lambda1": 0,
            "lambda": 0}
@@ -110,6 +111,61 @@ class TestValidation:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             parse_instance(str(tmp_path / "nope.json"))
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("field, value, name", [
+        ("v", [1.0, float("nan")], r"v\[1\]"),
+        ("v", [10**400], r"v\[0\]"),
+        ("weights", [float("inf")], r"weights\[0\]"),
+        ("s", float("inf"), "s"),
+        ("s", float("nan"), "s"),
+        ("lambda0", float("inf"), "lambda0"),
+        ("lambda1", 10**400, "lambda1"),
+        ("lambda", float("-inf"), "lambda"),
+    ], ids=["v-nan", "v-int-overflow", "weights-inf", "s-inf", "s-nan",
+            "lambda0-inf", "lambda1-int-overflow", "lambda-neg-inf"])
+    def test_rejected_naming_the_field(self, field, value, name):
+        with pytest.raises(ValidationError, match=f"^{name}: expected a finite number$"):
+            instance_from_dict(dict(MINIMAL, **{field: value}))
+
+    def test_first_bad_entry_in_order(self):
+        data = dict(MINIMAL, v=[1.0, float("nan"), "x", 2.0])
+        with pytest.raises(ValidationError, match=r"^v\[1\]: expected a finite number$"):
+            instance_from_dict(data)
+
+
+INDEX_DEFECTS = ("not-int", "bool", "range", "repeat", "empty", "not-list")
+
+
+class TestGroupDefects:
+    @given(case=groups_with_defects(INDEX_DEFECTS))
+    @settings(max_examples=300, deadline=None)
+    def test_one_defect_named_at_its_position(self, case):
+        n, groups, (kind, i, j) = case
+        if kind in ("not-int", "bool"):
+            expected = f"groups[{i}][{j}]: expected an integer index"
+        elif kind == "range":
+            expected = f"groups[{i}][{j}]: index {groups[i][j]} out of range for n={n}"
+        elif kind == "repeat":
+            expected = f"groups[{i}][{j}]: repeated index {groups[i][j]}"
+        elif kind == "empty":
+            expected = f"groups[{i}]: group is empty"
+        else:
+            expected = f"groups[{i}]: expected an array of indices"
+        with pytest.raises(ValidationError) as exc:
+            instance_from_dict(dict(MINIMAL, v=[0.0] * n, groups=groups))
+        assert str(exc.value) == expected
+
+    @given(case=groups_with_defects(INDEX_DEFECTS, max_defects=4))
+    @settings(max_examples=300, deadline=None)
+    def test_first_of_several_defects_in_reading_order(self, case):
+        n, groups, _ = case
+        expected = first_group_defect(groups, n)
+        assert expected is not None
+        with pytest.raises(ValidationError) as exc:
+            instance_from_dict(dict(MINIMAL, v=[0.0] * n, groups=groups))
+        assert str(exc.value) == expected
 
 
 class TestCanonicalSerialization:

@@ -15,6 +15,8 @@ from sogl import (
     x_step,
 )
 
+from helpers import first_structure_defect, groups_with_defects
+
 finite = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
 
@@ -214,6 +216,40 @@ class TestGroupStructureValidation:
     def test_no_groups_allowed(self):
         gs = GroupStructure(3, [])
         assert gs.m == 0 and gs.total_size == 0
+
+
+    def test_groups_as_arrays_tuples_or_none(self):
+        lists = GroupStructure(5, [[0, 1], [1, 2, 3], [4]])
+        mixed = GroupStructure(5, [np.array([0, 1]), (1, 2, 3),
+                                   np.array([4], dtype=np.int32)])
+        assert [g.tolist() for g in mixed.groups] == [[0, 1], [1, 2, 3], [4]]
+        for attr in ("sizes", "offsets", "flat_index", "overlap_counts"):
+            np.testing.assert_array_equal(getattr(mixed, attr), getattr(lists, attr))
+        empty = GroupStructure(3, [])
+        assert empty.groups == [] and empty.flat_index.size == 0
+        assert empty.offsets.tolist() == [0] and empty.sizes.size == 0
+
+    @given(case=groups_with_defects(("range", "repeat", "empty"), big=1000))
+    @settings(max_examples=300, deadline=None)
+    def test_one_defect_names_its_group(self, case):
+        n, groups, (kind, i, _) = case
+        expected = {"range": f"group {i} has an index outside [0, {n})",
+                    "repeat": f"group {i} has repeated indices",
+                    "empty": f"group {i} is empty"}[kind]
+        with pytest.raises(ValueError) as exc:
+            GroupStructure(n, groups)
+        assert str(exc.value) == expected
+
+    @given(case=groups_with_defects(("range", "repeat", "empty"), max_defects=4,
+                                    big=1000))
+    @settings(max_examples=300, deadline=None)
+    def test_first_defective_group_of_several(self, case):
+        n, groups, _ = case
+        expected = first_structure_defect(groups, n)
+        assert expected is not None
+        with pytest.raises(ValueError) as exc:
+            GroupStructure(n, groups)
+        assert str(exc.value) == expected
 
 
 class TestProxInstanceValidation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sogl import (
+    CycleDetectedError,
     GroupStructure,
     ProxInstance,
     TooLargeError,
@@ -13,10 +14,18 @@ from sogl import (
     oracle_prox_l0_ogl,
     oracle_ub_l0_subsets,
     oracle_variant,
+    solve_admm,
+    solve_dual,
     stationarity_check,
 )
-from sogl.oracle import _block_shrink, _convex_restricted_min, _dykstra, _shrink
-from helpers import random_instance, random_structure
+from sogl.oracle import (
+    _block_shrink,
+    _convex_restricted_min,
+    _count_term_ok,
+    _dykstra,
+    _shrink,
+)
+from helpers import count_term_ok_by_zeroing, random_instance, random_structure
 
 
 class TestSupportEnumeration:
@@ -199,6 +208,42 @@ class TestStationarityCheck:
         x = np.array([3.0, 0.05])
         ok, _ = stationarity_check(x, inst, gs)
         assert not ok
+
+
+class TestCountTerm:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_zeroing_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            gs = random_structure(rng, max_n=10, max_m=5)
+            inst = random_instance(rng, gs, lam0_range=(0.01, 0.5))
+            points = [solve_admm(inst, gs).x_final, inst.v, rng.normal(size=gs.n)]
+            try:
+                points.append(solve_dual(inst, gs).x_final)
+            except CycleDetectedError:
+                pass
+            for x in list(points):
+                zeroed = x.copy()
+                zeroed[rng.random(gs.n) < 0.3] = 0.0
+                points.append(zeroed)
+            for x in points:
+                expected = count_term_ok_by_zeroing(x, inst, gs)
+                assert _count_term_ok(x, inst, gs) == expected
+                ok, residual = stationarity_check(x, inst, gs)
+                assert ok == (residual <= 1e-6 and expected)
+
+    @pytest.mark.parametrize("margin, expected", [(0.5e-9, True), (-0.5e-9, False)])
+    def test_dominant_entry_block(self, margin, expected):
+        # x_0 carries all but 1e-16 of its block's squared norm, so the
+        # block's norm without x_0 (1e-8) is lost if taken as nrm^2 - x_0^2.
+        # v_0 puts the change on zeroing x_0 at -1e-9 + margin.
+        gs = GroupStructure(2, [[0, 1]])
+        lam0, t = 1e-12, 1e-8
+        v0 = 1.5 + lam0 - t - 1e-9 + margin
+        inst = ProxInstance(v=np.array([v0, 1.0]), s=1.0, lam0=lam0, lam1=1.0)
+        x = np.array([1.0, t])
+        assert count_term_ok_by_zeroing(x, inst, gs) is expected
+        assert _count_term_ok(x, inst, gs) is expected
 
 
 class TestInternals:
