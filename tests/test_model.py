@@ -217,8 +217,7 @@ class TestGroupStructureValidation:
         gs = GroupStructure(3, [])
         assert gs.m == 0 and gs.total_size == 0
 
-
-    def test_groups_as_arrays_tuples_or_none(self):
+    def test_groups_as_arrays_tuples_or_no_groups(self):
         lists = GroupStructure(5, [[0, 1], [1, 2, 3], [4]])
         mixed = GroupStructure(5, [np.array([0, 1]), (1, 2, 3),
                                    np.array([4], dtype=np.int32)])
