@@ -43,7 +43,6 @@ from .dual import (
 from .instances import (
     InstanceFile,
     ParseError,
-    RunRecord,
     ValidationError,
     dumps_canonical,
     generate_instance,
@@ -53,6 +52,7 @@ from .instances import (
     trace_to_csv,
 )
 from .model import (
+    GroupDefectError,
     GroupStructure,
     ProxInstance,
     gather,

@@ -44,7 +44,8 @@ class NonFiniteError(RuntimeError):
 
 @dataclass
 class AdmmConfig:
-    """Solver knobs. ``rho`` is the augmented-Lagrangian penalty."""
+    """Solver knobs. ``rho`` is the augmented-Lagrangian penalty; an infinite
+    tolerance stops the solver after its first iteration."""
 
     rho: float = 1.0
     max_iters: int = 10000
@@ -53,12 +54,12 @@ class AdmmConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
+            raise ValueError("tolerances must be nonnegative numbers")
 
 
 @dataclass

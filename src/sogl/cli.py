@@ -16,6 +16,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,6 @@ from .bounds import sandwich
 from .dual import CycleDetectedError, solve_dual
 from .instances import (
     ParseError,
-    RunRecord,
     ValidationError,
     _number_array,
     dumps_canonical,
@@ -51,6 +51,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """A command-line number that a record can echo: finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built once per process. Parsing leaves it unchanged, and
@@ -64,10 +72,10 @@ def _build_parser() -> _Parser:
     solve.add_argument("instance", nargs="*", default=(),
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
-    solve.add_argument("--rho", type=float, default=1.0)
+    solve.add_argument("--rho", type=_finite_float, default=1.0)
     solve.add_argument("--max-iters", type=int, default=10000)
-    solve.add_argument("--eps-abs", type=float, default=1e-8)
-    solve.add_argument("--eps-rel", type=float, default=1e-6)
+    solve.add_argument("--eps-abs", type=_finite_float, default=1e-8)
+    solve.add_argument("--eps-rel", type=_finite_float, default=1e-6)
     solve.add_argument("--trace", metavar="PATH",
                        help="write per-iteration CSV trace here")
     solve.add_argument("--out", metavar="PATH")
@@ -159,14 +167,14 @@ def _solve_report_dict(report, stamp: bool) -> dict:
 
 
 def _record(instf, source: str, algorithm: str, config: dict, report: dict,
-            stamp: bool) -> RunRecord:
+            stamp: bool) -> dict:
     for field, value in report.items():
         if isinstance(value, (float, list)) and not np.isfinite(value).all():
             raise NonFiniteError(f"report field {field!r} is not finite")
     name = instf.name if instf.name is not None else os.path.basename(source)
-    return RunRecord(instance=name, algorithm=algorithm, config=config,
-                     report=report, timestamp=_now() if stamp else None,
-                     seed=instf.seed)
+    return {"instance": name, "algorithm": algorithm, "config": config,
+            "report": report, "timestamp": _now() if stamp else None,
+            "seed": instf.seed}
 
 
 def _run_solve_single(args, path: str) -> str:
@@ -187,7 +195,7 @@ def _run_solve_single(args, path: str) -> str:
         write_atomic(args.trace, trace_to_csv(report.trace))
     record = _record(instf, source, report.algorithm, config,
                      _solve_report_dict(report, args.stamp), args.stamp)
-    return dumps_canonical(record.to_dict())
+    return dumps_canonical(record)
 
 
 def _cmd_solve(args) -> int:
@@ -240,7 +248,7 @@ def _cmd_bounds(args) -> int:
     }
     config = {"variant": args.variant, "with_oracle": bool(args.with_oracle)}
     record = _record(instf, source, "bounds", config, rep, args.stamp)
-    _emit(dumps_canonical(record.to_dict()), args.out)
+    _emit(dumps_canonical(record), args.out)
     return 0
 
 
@@ -254,7 +262,7 @@ def _cmd_oracle(args) -> int:
     }
     record = _record(instf, source, "oracle", {"limit": args.limit}, rep,
                      args.stamp)
-    _emit(dumps_canonical(record.to_dict()), args.out)
+    _emit(dumps_canonical(record), args.out)
     return 0
 
 
@@ -290,7 +298,7 @@ def _cmd_check(args) -> int:
     }
     record = _record(instf, source, "check", {"point": args.point}, rep,
                      args.stamp)
-    _emit(dumps_canonical(record.to_dict()), args.out)
+    _emit(dumps_canonical(record), args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Instance files, run records, canonical serialization, and a generator.
+"""Instance files, canonical serialization, and a generator.
 
 Instance files are JSON objects with a fixed field set; unknown fields are
 rejected so typos fail loudly. All numbers are emitted with 17 significant
@@ -7,7 +7,6 @@ across runs.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -16,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupStructure, ProxInstance, _index_defects, _locate
+from .model import GroupDefectError, GroupStructure, ProxInstance
 
 __all__ = [
     "ParseError",
     "ValidationError",
     "InstanceFile",
-    "RunRecord",
     "parse_instance",
     "parse_instance_text",
     "instance_from_dict",
@@ -114,49 +112,31 @@ def _number_array(values: list, where: str) -> np.ndarray:
     return np.array(values, dtype=float)  # subclasses of int or float
 
 
-def _first_failing(items: list, ok, exact: type):
-    """Position of the first item that fails ``ok``, or None. Items of type
-    ``exact`` pass by definition, so the usual case is one C-level scan."""
-    if set(map(type, items)) <= {exact}:
-        return None
-    return next((k for k, x in enumerate(items) if not ok(x)), None)
-
-
-def _check_groups(groups: list, n: int):
-    """Raise ``ValidationError`` at the first defect of the index groups in
-    reading order (group by group, each group's entries in turn)."""
-    i = _first_failing(groups, lambda g: isinstance(g, list), list)
-    if i is not None:
-        _check_groups(groups[:i], n)
-        raise ValidationError(f"groups[{i}]: expected an array of indices")
-    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-    entries = list(itertools.chain.from_iterable(groups))
-    k = _first_failing(
-        entries, lambda x: isinstance(x, int) and not isinstance(x, bool), int)
-    if k is not None:
-        i, j = _locate(k, offsets)
-        _check_groups(groups[:i] + ([groups[i][:j]] if j else []), n)
-        raise ValidationError(f"groups[{i}][{j}]: expected an integer index")
+def _group_structure(groups: list, n: int) -> GroupStructure:
+    """The structure of the index groups; ``ValidationError`` names their
+    first defect in reading order (group by group, each group's entries in
+    turn)."""
+    i = None if set(map(type, groups)) <= {list} else next(
+        (i for i, g in enumerate(groups) if not isinstance(g, list)), None)
     try:
-        flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
-    except OverflowError:  # clipping keeps in range exactly the valid indices
-        flat = np.fromiter((min(max(x, -1), n) for x in entries),
-                           dtype=np.int64, count=len(entries))
-    defects = _index_defects(flat, sizes, offsets, n)
-    if defects:
-        i, j, kind = min(defects, key=lambda d: d[:2])
+        gs = GroupStructure(n, groups if i is None else groups[:i])
+    except GroupDefectError as exc:
+        i, j, kind = min(exc.defects, key=lambda d: d[:2])
         if kind == "empty":
-            raise ValidationError(f"groups[{i}]: group is empty")
-        idx = groups[i][j]
-        if kind == "range":
-            raise ValidationError(
-                f"groups[{i}][{j}]: index {idx} out of range for n={n}")
-        raise ValidationError(f"groups[{i}][{j}]: repeated index {idx}")
+            raise ValidationError(f"groups[{i}]: group is empty") from None
+        raise ValidationError(f"groups[{i}][{j}]: " + {
+            "not-int": "expected an integer index",
+            "range": f"index {groups[i][j]} out of range for n={n}",
+            "repeat": f"repeated index {groups[i][j]}",
+        }[kind]) from None
+    if i is not None:
+        raise ValidationError(f"groups[{i}]: expected an array of indices")
+    return gs
 
 
-def instance_from_dict(data: dict) -> InstanceFile:
-    """Validate a decoded JSON object against the instance schema."""
+def _read(data: dict) -> tuple:
+    """Validate a decoded JSON object against the instance schema and build
+    it: ``(InstanceFile, ProxInstance, GroupStructure)``."""
     if not isinstance(data, dict):
         raise ParseError("instance file must be a JSON object")
     for key in data:
@@ -169,12 +149,12 @@ def instance_from_dict(data: dict) -> InstanceFile:
     v = data["v"]
     if not isinstance(v, list) or not v:
         raise ValidationError("v: expected a non-empty array of numbers")
-    v = _number_array(v, "v").tolist()
+    v = _number_array(v, "v")
 
     groups = data["groups"]
     if not isinstance(groups, list):
         raise ValidationError("groups: expected an array of arrays")
-    _check_groups(groups, len(v))
+    gs = _group_structure(groups, v.size)
 
     weights = data.get("weights")
     if weights is not None:
@@ -189,6 +169,7 @@ def instance_from_dict(data: dict) -> InstanceFile:
         if nonpositive.size:
             raise ValidationError(
                 f"weights[{nonpositive[0]}]: must be strictly positive")
+        gs.weights = w  # checked above, with the messages of the file format
         weights = w.tolist()
 
     s = _require_number(data["s"], "s")
@@ -208,10 +189,15 @@ def instance_from_dict(data: dict) -> InstanceFile:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ValidationError("seed: expected an integer")
 
-    return InstanceFile(v=v, groups=list(groups), s=s,
-                        lambda0=lambdas["lambda0"], lambda1=lambdas["lambda1"],
-                        lambda_=lambdas["lambda"], weights=weights,
-                        name=name, seed=seed)
+    # lambdas holds lambda0, lambda1, lambda: the field order of both classes
+    return (InstanceFile(v.tolist(), list(groups), s, *lambdas.values(),
+                         weights=weights, name=name, seed=seed),
+            ProxInstance(v, s, *lambdas.values()), gs)
+
+
+def instance_from_dict(data: dict) -> InstanceFile:
+    """Validate a decoded JSON object against the instance schema."""
+    return _read(data)[0]
 
 
 def parse_instance_text(text: str):
@@ -220,8 +206,7 @@ def parse_instance_text(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    instf = instance_from_dict(data)
-    inst, gs = instf.build()
+    instf, inst, gs = _read(data)
     return inst, gs, instf
 
 
@@ -260,6 +245,11 @@ def generate_instance(seed: int, n: int, m: int,
         raise ValueError("n and m must be >= 1")
     if overlap_mode not in ("chain", "random", "nested"):
         raise ValueError(f"unknown overlap_mode {overlap_mode!r}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+    for key, val in (("lambda0", lambda0), ("lambda1", lambda1), ("lambda", lambda_)):
+        if not 0 <= val < math.inf:
+            raise ValueError(f"{key} must be nonnegative and finite, got {val}")
     lo, hi = group_size_range
     lo = max(1, min(int(lo), n))
     hi = max(lo, min(int(hi), n))
@@ -294,28 +284,6 @@ def generate_instance(seed: int, n: int, m: int,
         name=f"{overlap_mode}-n{n}-m{m}-seed{seed}",
         seed=int(seed),
     )
-
-
-@dataclass
-class RunRecord:
-    """One CLI run: which instance, which algorithm, config echo, report."""
-
-    instance: str
-    algorithm: str
-    config: dict
-    report: dict
-    timestamp: str = None
-    seed: int = None
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "algorithm": self.algorithm,
-            "config": self.config,
-            "report": self.report,
-            "timestamp": self.timestamp,
-            "seed": self.seed,
-        }
 
 
 def _fmt_float(x: float) -> str:

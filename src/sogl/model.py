@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "GroupDefectError",
     "GroupStructure",
     "ProxInstance",
     "hard_threshold",
@@ -26,6 +27,14 @@ __all__ = [
     "weighted_group_norm",
     "objective_value",
 ]
+
+
+class GroupDefectError(ValueError):
+    """Index groups with defects; ``defects`` lists them as ``(i, j, kind)``."""
+
+    def __init__(self, message: str, defects: list):
+        super().__init__(message)
+        self.defects = defects
 
 
 @dataclass
@@ -70,17 +79,16 @@ class GroupStructure:
             raise ValueError("all group weights must be strictly positive")
         sizes = np.fromiter(map(len, self.groups), dtype=np.intp, count=m)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-        flat = np.fromiter(itertools.chain.from_iterable(self.groups),
-                           dtype=np.intp, count=int(self.offsets[-1]))
-        defects = _index_defects(flat, sizes, self.offsets, self.n)
+        flat, defects = _index_defects(self.groups, sizes, self.offsets, self.n)
         if defects:
             # the first group with a defect; in it, the first kind listed
             i, _, kind = min(defects, key=lambda d: d[0])
-            raise ValueError(f"group {i} " + {
+            raise GroupDefectError(f"group {i} " + {
                 "empty": "is empty",
+                "not-int": "has a non-integer index",
                 "range": f"has an index outside [0, {self.n})",
                 "repeat": "has repeated indices",
-            }[kind])
+            }[kind], defects)
         bounds = self.offsets.tolist()
         self.groups = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
         self.sizes = sizes
@@ -98,23 +106,37 @@ class GroupStructure:
         return int(self.offsets[-1])
 
 
-def _index_defects(flat: np.ndarray, sizes: np.ndarray, offsets: np.ndarray,
-                   n: int) -> list:
-    """Locate the first defect of each kind in a stacked index array.
+def _index_defects(groups: list, sizes: np.ndarray, offsets: np.ndarray,
+                   n: int) -> tuple:
+    """Stack the groups' indices and locate the first defect of each kind.
 
-    ``flat`` holds the groups' indices back to back, group i at
-    ``offsets[i]:offsets[i+1]`` (length ``sizes[i]``). Returns a list of
+    Group i goes to ``offsets[i]:offsets[i+1]`` (length ``sizes[i]``) of
+    the stacked array. Returns ``(flat, defects)``: ``defects`` lists
     ``(i, j, kind)``, at most one per kind and in this order, where entry j
     of group i is the defect: the first empty group (``j = -1``, kind
-    ``"empty"``), the first index outside ``[0, n)`` (``"range"``), and,
-    before that one, the first index that repeats an earlier index of its
-    group (``"repeat"``). An empty list means every group is a non-empty
-    set of valid indices.
+    ``"empty"``), the first entry that is not an integer (``"not-int"``;
+    bools are not integers), before that one the first index outside
+    ``[0, n)`` (``"range"``), and before that one the first index that
+    repeats an earlier index of its group (``"repeat"``). When ``defects``
+    is empty every group is a non-empty set of valid indices and ``flat``
+    is their concatenation.
     """
+    entries = list(itertools.chain.from_iterable(groups))
+    odd = {t for t in set(map(type, entries))
+           if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
+    if odd:  # stack the entries before the first non-integer only
+        entries = entries[:next(k for k, x in enumerate(entries) if type(x) in odd)]
+    try:
+        flat = np.fromiter(entries, dtype=np.intp, count=len(entries))
+    except OverflowError:  # clipping keeps in range exactly the valid indices
+        flat = np.fromiter((min(max(x, -1), n) for x in entries),
+                           dtype=np.intp, count=len(entries))
     defects = []
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         defects.append((int(empty[0]), -1, "empty"))
+    if odd:
+        defects.append(_locate(flat.size, offsets) + ("not-int",))
     # repeats are looked for before the first out-of-range index only, so
     # that an index of n or more cannot alias one of the next group
     bad = np.flatnonzero((flat < 0) | (flat >= n))
@@ -128,7 +150,7 @@ def _index_defects(flat: np.ndarray, sizes: np.ndarray, offsets: np.ndarray,
     later = order[1:][ordered[1:] == ordered[:-1]]
     if later.size:
         defects.append(_locate(int(later.min()), offsets) + ("repeat",))
-    return defects
+    return flat, defects
 
 
 def _locate(k: int, offsets: np.ndarray) -> tuple:

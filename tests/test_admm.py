@@ -45,6 +45,16 @@ def blocks(a, gs):
     return np.split(a, gs.offsets[1:-1])
 
 
+class TestAdmmConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("rho", math.inf), ("rho", math.nan), ("rho", 0.0),
+        ("eps_abs", math.nan), ("eps_rel", math.nan), ("eps_rel", -1e-9),
+    ])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            AdmmConfig(**{field: value})
+
+
 class TestXStep:
     def test_zero_threshold_is_projection(self):
         gs = GroupStructure(3, [[0, 1], [1, 2]])

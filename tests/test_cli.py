@@ -107,6 +107,17 @@ class TestExitCodes:
         inst = write_instance(tmp_path)
         assert run_cli(["solve", str(inst), "--rho", "-1"]) == 1
 
+    @pytest.mark.parametrize("option, value", [
+        ("--eps-abs", "nan"), ("--eps-rel", "inf"), ("--rho", "inf"),
+        ("--rho", "nan"), ("--eps-abs", "-1"),
+    ])
+    def test_usage_non_finite_or_negative_option(self, tmp_path, capsys,
+                                                 option, value):
+        inst = write_instance(tmp_path)
+        assert run_cli(["solve", str(inst), option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""
+
     def test_validation_missing_file(self):
         assert run_cli(["solve", "/definitely/not/here.json"]) == 2
 
@@ -288,3 +299,12 @@ class TestGen:
 
     def test_gen_usage_error(self):
         assert run_cli(["gen", "--n", "0"]) == 1
+
+    @pytest.mark.parametrize("option, value", [
+        ("--s", "-1"), ("--s", "0"), ("--s", "inf"), ("--lambda0", "nan"),
+        ("--lambda1", "-2"), ("--lambda", "inf"),
+    ])
+    def test_gen_rejects_what_solve_would(self, capsys, option, value):
+        assert run_cli(["gen", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""

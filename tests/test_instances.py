@@ -8,7 +8,6 @@ from sogl import (
     GroupStructure,
     InstanceFile,
     ParseError,
-    RunRecord,
     ValidationError,
     dumps_canonical,
     generate_instance,
@@ -200,16 +199,16 @@ class TestCanonicalSerialization:
         assert back.s == float(s)
 
     def test_record_round_trip(self):
-        record = RunRecord(
-            instance="demo", algorithm="admm",
-            config={"rho": 1.0, "eps_abs": 1e-8},
-            report={"objective": 0.12345678901234567, "x_final": [0.1, -0.2]},
-            timestamp=None, seed=3,
-        )
-        text = dumps_canonical(record.to_dict())
+        record = {
+            "instance": "demo", "algorithm": "admm",
+            "config": {"rho": 1.0, "eps_abs": 1e-8},
+            "report": {"objective": 0.12345678901234567, "x_final": [0.1, -0.2]},
+            "timestamp": None, "seed": 3,
+        }
+        text = dumps_canonical(record)
         back = json.loads(text)
-        assert back["report"]["objective"] == record.report["objective"]
-        assert back["report"]["x_final"] == record.report["x_final"]
+        assert back["report"]["objective"] == record["report"]["objective"]
+        assert back["report"]["x_final"] == record["report"]["x_final"]
         assert dumps_canonical(back) == text
 
     def test_deterministic_output(self):
@@ -251,6 +250,25 @@ class TestGenerator:
             text = dumps_canonical(instf.to_dict())
             inst, gs, _ = parse_instance_text(text)
             assert gs.n == 8 and gs.m == 3
+
+    @pytest.mark.parametrize("mode", ["chain", "random", "nested"])
+    @pytest.mark.parametrize("s, lambdas", [
+        (1.0, (0.05, 0.1, 0.1)), (1e-3, (0.0, 0.0, 0.0)), (250.0, (3.0, 0.0, 1e6)),
+    ])
+    def test_valid_parameters_give_valid_files(self, mode, s, lambdas):
+        for seed, n in ((0, 1), (1, 5), (2, 12)):
+            instf = generate_instance(seed, n, 4, (1, 6), mode, s, *lambdas)
+            data = json.loads(dumps_canonical(instf.to_dict()))
+            assert instance_from_dict(data).to_dict() == instf.to_dict()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"s": 0.0}, {"s": -1.0}, {"s": float("inf")}, {"s": float("nan")},
+        {"lambda0": -0.1}, {"lambda0": float("nan")},
+        {"lambda1": -2.0}, {"lambda_": float("inf")},
+    ])
+    def test_rejects_parameters_the_reader_would(self, kwargs):
+        with pytest.raises(ValueError):
+            generate_instance(0, 4, 2, **kwargs)
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):

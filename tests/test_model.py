@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sogl import (
     AdmmConfig,
+    GroupDefectError,
     GroupStructure,
     ProxInstance,
     gather,
@@ -197,6 +198,20 @@ class TestGroupStructureValidation:
         with pytest.raises(ValueError, match="repeated"):
             GroupStructure(3, [[1, 1]])
 
+    @pytest.mark.parametrize("group, j, kind", [
+        ([0.5, 1], 0, "not-int"),
+        (["1"], 0, "not-int"),
+        ([True, 2], 0, "not-int"),
+        ([2, np.float64(1.0)], 1, "not-int"),
+        ([10**30], 0, "range"),
+        ([1, -10**30], 1, "range"),
+    ], ids=["float", "str", "bool", "numpy-float", "huge", "huge-negative"])
+    def test_entries_are_not_coerced(self, group, j, kind):
+        with pytest.raises(GroupDefectError) as exc:
+            GroupStructure(3, [[0], group])
+        assert str(exc.value).startswith("group 1 has ")
+        assert exc.value.defects == [(1, j, kind)]
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             GroupStructure(3, [[0]], weights=[0.0])
@@ -228,11 +243,13 @@ class TestGroupStructureValidation:
         assert empty.groups == [] and empty.flat_index.size == 0
         assert empty.offsets.tolist() == [0] and empty.sizes.size == 0
 
-    @given(case=groups_with_defects(("range", "repeat", "empty"), big=1000))
+    @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty")))
     @settings(max_examples=300, deadline=None)
     def test_one_defect_names_its_group(self, case):
         n, groups, (kind, i, _) = case
-        expected = {"range": f"group {i} has an index outside [0, {n})",
+        expected = {"not-int": f"group {i} has a non-integer index",
+                    "bool": f"group {i} has a non-integer index",
+                    "range": f"group {i} has an index outside [0, {n})",
                     "repeat": f"group {i} has repeated indices",
                     "empty": f"group {i} is empty"}[kind]
         with pytest.raises(ValueError) as exc:
