@@ -3,7 +3,7 @@ group lasso.
 
 The composite objective is a prox quadratic around a center plus a nonzero
 count, plus a sum of euclidean norms over (possibly overlapping) index
-groups. The package provides a consensus ADMM solver, a dual alternating
+groups. The package provides a consensus ADMM solver, a dual ascent
 heuristic, closed-form / fixed-point sandwich bounds on the optimal value,
 brute-force oracles to certify everything at desk scale, and a CLI with a
 JSON instance format.
@@ -33,13 +33,7 @@ from .bounds import (
     upper_bound_l1,
     upper_diag,
 )
-from .dual import (
-    CycleDetectedError,
-    dual_objective,
-    dual_y_step,
-    dual_z_step,
-    solve_dual,
-)
+from .dual import dual_y_step, dual_z_step, solve_dual
 from .instances import (
     InstanceFile,
     ParseError,

@@ -44,8 +44,9 @@ class NonFiniteError(RuntimeError):
 
 @dataclass
 class AdmmConfig:
-    """Solver knobs. ``rho`` is the augmented-Lagrangian penalty; an infinite
-    tolerance stops the solver after its first iteration."""
+    """Solver knobs, shared by both solvers. ``rho`` is the ADMM
+    augmented-Lagrangian penalty; the dual solver ignores it. An infinite
+    tolerance stops either solver after its first iteration."""
 
     rho: float = 1.0
     max_iters: int = 10000
@@ -66,11 +67,15 @@ class AdmmConfig:
 class SolveReport:
     """Outcome of a solve: final point, objective, and diagnostics.
 
-    ``trace`` rows are ``(iter, objective, r_norm, s_norm)``; for the dual
-    solver the two norms are the successive changes of z and of the dual
-    blocks. ``oracle_gap`` is filled when a certified optimal value is
-    supplied to the solver; with a positive count penalty the candidate is
-    stationary, not certified global, and the gap quantifies the miss.
+    ``trace`` rows are ``(iter, objective, r_norm, s_norm)``. For the dual
+    solver the rows are ``(iter, objective, bound, gap)``: the objective at
+    the iterate's z, the Lagrangian lower bound at its y, and the best
+    objective so far minus the best bound so far. The dual's ``x_final`` is
+    the best candidate seen, and ``converged`` means that gap, or the rise
+    of the bound in one step, fell within the tolerance. ``oracle_gap`` is
+    filled when a certified optimal value is supplied to the solver; with a
+    positive count penalty the candidate is stationary, not certified
+    global, and the gap quantifies the miss.
     """
 
     x_final: np.ndarray

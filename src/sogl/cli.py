@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: ``solve`` (ADMM or the dual alternation), ``bounds``
+Subcommands: ``solve`` (ADMM or dual ascent), ``bounds``
 (sandwich report per variant), ``oracle`` (exact enumeration on small
 instances), ``check`` (first-order test of a candidate point), ``gen``
 (seeded instance generator). Records go to stdout or ``--out`` as
@@ -24,7 +24,7 @@ import numpy as np
 
 from .admm import AdmmConfig, NonFiniteError, solve_admm
 from .bounds import sandwich
-from .dual import CycleDetectedError, solve_dual
+from .dual import solve_dual
 from .instances import (
     ParseError,
     ValidationError,
@@ -57,6 +57,14 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return x
+
+
+def _positive_int(text: str) -> int:
+    """A command-line count that must be at least 1."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return k
 
 
 @functools.cache
@@ -92,14 +100,14 @@ def _build_parser() -> _Parser:
                         default="plain")
     bounds.add_argument("--with-oracle", action="store_true",
                         help="also compute the exact value by enumeration")
-    bounds.add_argument("--limit", type=int, default=12,
+    bounds.add_argument("--limit", type=_positive_int, default=12,
                         help="enumeration size limit for --with-oracle")
     bounds.add_argument("--out", metavar="PATH")
     bounds.add_argument("--stamp", action="store_true")
 
     oracle = sub.add_parser("oracle", help="exact enumeration solve")
     oracle.add_argument("instance", nargs="?", default="-")
-    oracle.add_argument("--limit", type=int, default=12)
+    oracle.add_argument("--limit", type=_positive_int, default=12)
     oracle.add_argument("--out", metavar="PATH")
     oracle.add_argument("--stamp", action="store_true")
 
@@ -183,14 +191,8 @@ def _run_solve_single(args, path: str) -> str:
     config = {"algorithm": args.algorithm, "rho": cfg.rho,
               "max_iters": cfg.max_iters, "eps_abs": cfg.eps_abs,
               "eps_rel": cfg.eps_rel}
-    if args.algorithm == "admm":
-        report = solve_admm(inst, gs, cfg)
-    else:
-        try:
-            report = solve_dual(inst, gs, cfg)
-        except CycleDetectedError:
-            config["fallback_from"] = "dual"
-            report = solve_admm(inst, gs, cfg)
+    solver = solve_admm if args.algorithm == "admm" else solve_dual
+    report = solver(inst, gs, cfg)
     if args.trace:
         write_atomic(args.trace, trace_to_csv(report.trace))
     record = _record(instf, source, report.algorithm, config,

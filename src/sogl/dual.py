@@ -1,15 +1,23 @@
-"""Alternating scheme on the dual of the consensus splitting.
+"""Projected supergradient ascent on the Lagrangian dual of the consensus
+splitting.
 
-The z-step is an exact global hard-threshold; the dual step maximizes a
-linear form over the product of per-group balls of radius ``lam1`` and so
-lands each block on the ball boundary (or at zero). The alternation has no
-convergence guarantee: it either settles into a repeating discrete state
-(support and signs of z, zero pattern of the dual blocks) or cycles, in
-which case :class:`CycleDetectedError` tells the caller to fall back to
-:func:`sogl.admm.solve_admm`.
+Relax the constraints tying each group's block to ``gather(x)`` with stacked
+multipliers ``y`` whose blocks satisfy ``||y_i|| <= lam1``. Cauchy--Schwarz
+gives ``lam1*||x_{G_i}|| >= -<y_i, x_{G_i}>``, so for every such ``y`` the
+objective is bounded below by the closed-form value
+
+    d(-y) = (1/2s)*||z - v||^2 + lam0*nnz(z) - <y, gather(z)>,
+
+where ``z = dual_z_step(y)`` minimizes the relaxed problem exactly. The
+bound is concave in ``y`` with supergradient ``-gather(z)``; ascent steps of
+length ``1/(s*k_max)`` (``k_max`` the largest overlap count) followed by a
+projection onto the balls raise it. Every ``z`` is also a primal candidate:
+its objective exceeds ``d(-y)`` by ``sum_i (lam1*||z_{G_i}|| + <y_i,
+z_{G_i}>) >= 0``, so the best candidate comes with a certified gap.
 """
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -26,16 +34,10 @@ from .model import (
 )
 
 __all__ = [
-    "CycleDetectedError",
     "dual_z_step",
     "dual_y_step",
-    "dual_objective",
     "solve_dual",
 ]
-
-
-class CycleDetectedError(RuntimeError):
-    """The alternation revisited an earlier non-consecutive discrete state."""
 
 
 def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> np.ndarray:
@@ -47,102 +49,62 @@ def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> np.nda
     return hard_threshold(w, np.sqrt(2.0 * inst.s * inst.lam0))
 
 
-def dual_y_step(z: np.ndarray, inst: ProxInstance,
+def dual_y_step(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
                 gs: GroupStructure) -> np.ndarray:
-    """Maximize the linear form over the product of radius-``lam1`` balls.
+    """Projected ascent step: ``y - gather(z)/(s*k_max)``, each block then
+    projected onto the ball of radius ``lam1``.
 
-    Each block is the unit direction of ``gather(z - 2v)`` scaled to the
-    ball boundary; a zero direction maps to the zero block.
+    ``k_max`` is the largest overlap count (1 when no variable is covered),
+    so the step is the inverse of the bound's curvature in ``y``.
     """
-    d = gather(z - 2.0 * inst.v, gs)
-    nrm = np.repeat(group_norms(d, gs), gs.sizes)
-    return np.divide(inst.lam1 * d, nrm, out=np.zeros_like(d), where=nrm > 0)
-
-
-def dual_objective(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
-                   gs: GroupStructure) -> float:
-    """Value of the dual inner objective at (z, y), constants dropped.
-
-    ``(1/2s)*||z - (v + s*G'y)||^2 + lam0*nnz(z) - (1/2s)*||v + s*G'y||^2``.
-    """
-    w = inst.v + inst.s * scatter_add(y, gs)
-    quad = 0.5 / inst.s * float(np.sum((z - w) ** 2))
-    return quad + inst.lam0 * np.count_nonzero(z) - 0.5 / inst.s * float(np.sum(w**2))
-
-
-def _discrete_state(z: np.ndarray, y: np.ndarray, gs: GroupStructure) -> tuple:
-    signs = np.sign(z).astype(np.int8).tobytes()
-    y_flags = np.logical_or.reduceat(y != 0, gs.offsets[:-1]).tobytes()
-    return signs, y_flags
-
-
-class _CycleMonitor:
-    """Tracks discrete states; classifies each new one.
-
-    Returns "repeat" when the state equals the immediately previous one
-    (the alternation has settled), "cycle" when it equals an older state
-    (a genuine loop), and "new" otherwise.
-    """
-
-    def __init__(self):
-        self._seen = {}
-        self._last = None
-        self._count = 0
-
-    def update(self, state: tuple) -> str:
-        kind = "new"
-        if state == self._last:
-            kind = "repeat"
-        elif state in self._seen:
-            kind = "cycle"
-        self._seen[state] = self._count
-        self._last = state
-        self._count += 1
-        return kind
+    k_max = max(int(gs.overlap_counts.max()), 1)
+    u = y - gather(z, gs) / (inst.s * k_max)
+    nrm = group_norms(u, gs)
+    scale = np.divide(inst.lam1, nrm, out=np.ones_like(nrm),
+                      where=nrm > inst.lam1)
+    return np.repeat(scale, gs.sizes) * u
 
 
 def solve_dual(inst: ProxInstance, gs: GroupStructure,
                cfg: AdmmConfig = None) -> SolveReport:
-    """Alternate the exact z-step and the analytic dual step from y = 0.
+    """Ascend the Lagrangian bound from y = 0, keeping the best z-step point.
 
-    Stops once the discrete state (signs of z, zero pattern of the dual
-    blocks) repeats between consecutive iterations, or at ``max_iters``.
-    The returned candidate is z with its primal objective; treat it as a
-    heuristic companion to the ADMM solver.
-
-    Raises
-    ------
-    CycleDetectedError
-        If the discrete state revisits an earlier non-consecutive state.
+    Converges when the best objective minus the best bound is at most
+    ``eps_abs + eps_rel*|objective|``, or when the bound rose by at most
+    ``eps_abs + eps_rel*|bound|`` in one step; otherwise stops at
+    ``max_iters``, or as soon as the objective or the bound is not finite.
+    ``rho`` is not used.
     """
     cfg = cfg or AdmmConfig()
     if inst.n != gs.n:
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
     t0 = time.perf_counter()
-    y, z = np.zeros(gs.total_size), np.zeros(gs.n)
-    monitor = _CycleMonitor()
+    y = np.zeros(gs.total_size)
+    best_z, best_obj, best_bound, bound = None, math.inf, -math.inf, -math.inf
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        z_new = dual_z_step(y, inst, gs)
-        y_new = dual_y_step(z_new, inst, gs)
-        dz = float(np.linalg.norm(z_new - z))
-        dy = float(np.linalg.norm(y_new - y))
-        z, y = z_new, y_new
+        z = dual_z_step(y, inst, gs)
+        zb = gather(z, gs)
+        q = (0.5 / inst.s * float(np.sum((z - inst.v) ** 2))
+             + inst.lam0 * np.count_nonzero(z))
+        obj = q + inst.lam1 * float(np.sum(group_norms(zb, gs)))
+        prev_bound, bound = bound, q - float(y @ zb)
+        if best_z is None or obj < best_obj:
+            best_z, best_obj = z, obj
+        best_bound = max(best_bound, bound)
         if trace is not None:
-            trace.append((it, objective_value(z, inst, gs), dz, dy))
-        kind = monitor.update(_discrete_state(z, y, gs))
-        if kind == "repeat":
+            trace.append((it, obj, bound, best_obj - best_bound))
+        if not (math.isfinite(obj) and math.isfinite(bound)):
+            break
+        if (best_obj - best_bound <= cfg.eps_abs + cfg.eps_rel * abs(best_obj)
+                or bound - prev_bound <= cfg.eps_abs + cfg.eps_rel * abs(bound)):
             converged = True
             break
-        if kind == "cycle":
-            raise CycleDetectedError(
-                f"dual alternation revisited a state at iteration {it}; "
-                "fall back to solve_admm"
-            )
+        y = dual_y_step(z, y, inst, gs)
     return SolveReport(
-        x_final=z,
-        objective=objective_value(z, inst, gs),
+        x_final=best_z,
+        objective=objective_value(best_z, inst, gs),
         iters=it,
         converged=converged,
         algorithm="dual",

@@ -118,6 +118,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--limit", "-1"], ["bounds", "--with-oracle", "--limit", "0"],
+        ["bounds", "--with-oracle", "--limit", "1.5"],
+    ], ids=["oracle-negative", "bounds-zero", "bounds-fraction"])
+    def test_usage_non_positive_limit(self, tmp_path, capsys, argv):
+        inst = write_instance(tmp_path)
+        assert run_cli(argv + [str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""
+
     def test_validation_missing_file(self):
         assert run_cli(["solve", "/definitely/not/here.json"]) == 2
 

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-import sogl.dual as dual_mod
 from sogl import (
     AdmmConfig,
-    CycleDetectedError,
     GroupStructure,
     ProxInstance,
-    dual_objective,
     dual_y_step,
     dual_z_step,
+    generate_instance,
     hard_threshold,
     oracle_prox_l0_ogl,
     scatter_add,
+    solve_admm,
     solve_dual,
 )
-from sogl.dual import _CycleMonitor
 from helpers import random_instance, random_structure
 
 
@@ -71,85 +69,125 @@ class TestDualYStep:
     def test_zero_direction_maps_to_zero(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, -0.5]), s=1.0, lam1=2.0)
-        out = dual_y_step(2.0 * inst.v, inst, gs)
+        out = dual_y_step(np.zeros(2), np.zeros(gs.total_size), inst, gs)
         assert np.linalg.norm(out) == 0.0
 
+    def test_inside_block_moves_by_scaled_gather(self):
+        rng = np.random.default_rng(7)
+        gs = GroupStructure(5, [[0, 1, 2], [1, 2, 3], [2, 4]])
+        inst = ProxInstance(v=rng.normal(size=5), s=0.7, lam1=10.0)
+        y, z = rng.uniform(-1, 1, gs.total_size), rng.normal(size=5)
+        out = dual_y_step(z, y, inst, gs)
+        # overlap count 3 at index 2; every stepped block stays inside
+        np.testing.assert_array_equal(out, y - z[gs.flat_index] / (0.7 * 3))
+
     def test_scales_direction_to_ball_boundary(self):
-        # z - 2v = (3, 4), radius 2: boundary point (1.2, 1.6)
+        # y = 0, s = 1, one group: stepped point -(3, 4), radius 2
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.0)
-        out = dual_y_step(np.array([3.0, 4.0]), inst, gs)
-        np.testing.assert_allclose(out, [1.2, 1.6], atol=1e-15)
+        out = dual_y_step(np.array([3.0, 4.0]), np.zeros(2), inst, gs)
+        np.testing.assert_allclose(out, [-1.2, -1.6], atol=1e-15)
+        assert np.linalg.norm(out) == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_radius(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 2.0]), s=1.0, lam1=0.0)
-        assert np.linalg.norm(dual_y_step(np.array([3.0, 4.0]), inst, gs)) == 0.0
+        out = dual_y_step(np.array([3.0, 4.0]), np.array([0.5, -0.5]), inst, gs)
+        assert np.linalg.norm(out) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feasible_and_maximal_over_disk(self, seed):
+        # the projection maximizes <p, u> - ||p||^2/2 over the disk, where
+        # u is the stepped point
         rng = np.random.default_rng(seed)
         gs = GroupStructure(2, [[0, 1]])
-        inst = ProxInstance(v=rng.normal(size=2), s=1.0,
+        inst = ProxInstance(v=rng.normal(size=2), s=float(rng.uniform(0.5, 2)),
                             lam1=float(rng.uniform(0.1, 2)))
-        z = rng.normal(size=2)
-        out = dual_y_step(z, inst, gs)
+        y, z = rng.normal(size=2), rng.normal(0, 3, size=2)
+        out = dual_y_step(z, y, inst, gs)
         assert np.linalg.norm(out) <= inst.lam1 + 1e-12
-        d = z - 2 * inst.v
-        attained = out @ d
-        for theta in np.linspace(0, 2 * math.pi, 721):
-            p = inst.lam1 * np.array([math.cos(theta), math.sin(theta)])
-            assert p @ d <= attained + 1e-9
+        u = y - z / inst.s
+
+        def value(p):
+            return p @ u - 0.5 * p @ p
+
+        attained = value(out)
+        for r in np.linspace(0, inst.lam1, 9):
+            for theta in np.linspace(0, 2 * math.pi, 181):
+                p = r * np.array([math.cos(theta), math.sin(theta)])
+                assert value(p) <= attained + 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_group_reference(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng, max_n=10, max_m=5)
         inst = random_instance(rng, gs, lam1_range=(0.1, 2.0))
+        y = _ball_boundary_blocks(rng, gs, inst.lam1) * rng.uniform(0, 1)
         z = rng.normal(size=gs.n)
-        out = np.split(dual_y_step(z, inst, gs), gs.offsets[1:-1])
-        for b, g in zip(out, gs.groups):
-            d = z[g] - 2.0 * inst.v[g]
-            np.testing.assert_allclose(b, inst.lam1 * _unit(d), rtol=1e-14,
-                                       atol=1e-15)
+        k = max(max(sum(j in g for g in gs.groups) for j in range(gs.n)), 1)
+        out = np.split(dual_y_step(z, y, inst, gs), gs.offsets[1:-1])
+        for b, yb, g in zip(out, np.split(y, gs.offsets[1:-1]), gs.groups):
+            u = yb - z[g] / (inst.s * k)
+            nrm = np.linalg.norm(u)
+            ref = u if nrm <= inst.lam1 else inst.lam1 * u / nrm
+            np.testing.assert_allclose(b, ref, rtol=1e-14, atol=1e-15)
 
     def test_direction_switch(self):
+        # the step runs against gather(z): flipping z flips it
         gs = GroupStructure(2, [[0, 1]])
-        inst = ProxInstance(v=np.array([1.0, 0.0]), s=1.0, lam1=1.0)
-        z = np.array([3.0, 0.0])
-        default = dual_y_step(z, inst, gs)                  # direction (1, 0)
-        np.testing.assert_allclose(default, [1.0, 0.0], atol=1e-15)
-        inst2 = ProxInstance(v=np.array([2.0, 0.0]), s=1.0, lam1=1.0)
-        flipped = dual_y_step(z, inst2, gs)                 # direction (-1, 0)
-        np.testing.assert_allclose(flipped, [-1.0, 0.0], atol=1e-15)
+        inst = ProxInstance(v=np.array([1.0, 0.0]), s=2.0, lam1=1.0)
+        y = np.zeros(2)
+        z = np.array([1.0, 0.0])
+        np.testing.assert_array_equal(dual_y_step(z, y, inst, gs), [-0.5, 0.0])
+        np.testing.assert_array_equal(dual_y_step(-z, y, inst, gs), [0.5, 0.0])
+
+
+def _replay_bounds(inst, gs, iters):
+    """The bound at each of the first ``iters`` dual iterates, expanded as
+    ``(1/2s)(z.z - 2 z.w + v.v) + lam0*nnz(z)`` with ``w = v + s*G'y``."""
+    y, bounds = np.zeros(gs.total_size), []
+    for _ in range(iters):
+        z = dual_z_step(y, inst, gs)
+        w = inst.v + inst.s * scatter_add(y, gs)
+        bounds.append(0.5 / inst.s * (z @ z - 2 * z @ w + inst.v @ inst.v)
+                      + inst.lam0 * np.count_nonzero(z))
+        y = dual_y_step(z, y, inst, gs)
+    return bounds
 
 
 class TestDualObjective:
+    """The Lagrangian bound that ``solve_dual`` traces in its third column."""
+
     def test_at_center_without_count_penalty(self):
         gs = GroupStructure(2, [[0, 1]])
-        inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=0.0)
-        val = dual_objective(inst.v, np.zeros(gs.total_size), inst, gs)
-        assert val == pytest.approx(-np.sum(inst.v**2) / (2 * inst.s), rel=1e-15)
+        inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=0.0, lam1=0.5)
+        report = solve_dual(inst, gs, AdmmConfig(trace=True))
+        _, obj, bound, _ = report.trace[0]
+        assert bound == 0.0
+        assert obj == pytest.approx(0.5 * math.sqrt(5.0), rel=1e-15)
 
     def test_cancellation_at_zero(self):
+        # z = 0 at y = 0: the gap terms vanish and the bound is the objective
         gs = GroupStructure(2, [[0, 1]])
-        inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=0.3)
-        assert dual_objective(np.zeros(2), np.zeros(gs.total_size), inst, gs) == \
-            pytest.approx(0.0, abs=1e-15)
+        inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=10.0, lam1=0.3)
+        report = solve_dual(inst, gs, AdmmConfig(trace=True))
+        assert report.converged and report.iters == 1
+        assert report.trace == [(1, 1.25, 1.25, 0.0)]
+        np.testing.assert_array_equal(report.x_final, [0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_expanded_recomputation(self, seed):
         rng = np.random.default_rng(seed)
-        gs = random_structure(rng)
+        gs = random_structure(rng, max_n=6)
         inst = random_instance(rng, gs, lam0_range=(0.0, 0.5),
                                lam1_range=(0.1, 1.0))
-        y = _ball_boundary_blocks(rng, gs, inst.lam1)
-        z = rng.normal(size=gs.n)
-        val = dual_objective(z, y, inst, gs)
-        # expand the square: (1/2s)(||z||^2 - 2 z.w) + lam0*nnz
-        w = inst.v + inst.s * scatter_add(y, gs)
-        expanded = (0.5 / inst.s) * (z @ z - 2 * z @ w) + inst.lam0 * np.count_nonzero(z)
-        assert val == pytest.approx(expanded, rel=1e-10, abs=1e-10)
+        report = solve_dual(inst, gs, AdmmConfig(trace=True))
+        oracle = oracle_prox_l0_ogl(inst, gs).value
+        expected = _replay_bounds(inst, gs, report.iters)
+        for (_, obj, bound, gap), ref in zip(report.trace, expected):
+            assert bound == pytest.approx(ref, rel=1e-10, abs=1e-10)
+            assert bound <= oracle + 1e-9 <= obj + 2e-9  # weak duality
+            assert gap >= 0.0
 
 
 class TestSolveDual:
@@ -175,10 +213,7 @@ class TestSolveDual:
         gs = random_structure(rng, max_n=6)
         inst = random_instance(rng, gs, lam0_range=(0.0, 0.5),
                                lam1_range=(0.0, 1.0))
-        try:
-            report = solve_dual(inst, gs)
-        except CycleDetectedError:
-            return  # legitimate outcome; the caller falls back to ADMM
+        report = solve_dual(inst, gs)
         oracle = oracle_prox_l0_ogl(inst, gs)
         assert report.objective >= oracle.value - 1e-9
 
@@ -190,7 +225,7 @@ class TestSolveDual:
         y = np.zeros(gs.total_size)
         for _ in range(25):
             z = dual_z_step(y, inst, gs)
-            y = dual_y_step(z, inst, gs)
+            y = dual_y_step(z, y, inst, gs)
             for b in np.split(y, gs.offsets[1:-1]):
                 assert np.linalg.norm(b) <= inst.lam1 + 1e-12
 
@@ -202,31 +237,19 @@ class TestSolveDual:
         report = solve_dual(inst, gs, AdmmConfig(trace=True))
         assert len(report.trace) == report.iters
 
+    def test_non_finite_objective_stops_at_first_iterate(self):
+        # the group norm of 1e200 overflows: the first iterate is returned
+        gs = GroupStructure(1, [[0]])
+        inst = ProxInstance(v=np.array([1e200]), s=1.0, lam1=0.1)
+        with np.errstate(over="ignore"):
+            report = solve_dual(inst, gs)
+        assert report.iters == 1 and not report.converged
+        np.testing.assert_array_equal(report.x_final, inst.v)
+        assert report.objective == math.inf
 
-class TestCycleDetection:
-    def test_monitor_classification(self):
-        mon = _CycleMonitor()
-        a, b, c = ("a",), ("b",), ("c",)
-        assert mon.update(a) == "new"
-        assert mon.update(b) == "new"
-        assert mon.update(b) == "repeat"
-        assert mon.update(c) == "new"
-        assert mon.update(a) == "cycle"
-
-    def test_solve_dual_raises_on_forced_cycle(self, monkeypatch):
-        gs = GroupStructure(2, [[0, 1]])
-        inst = ProxInstance(v=np.array([1.0, 1.0]), s=1.0, lam0=0.1, lam1=0.5)
-        flip = {"k": 0}
-
-        def alternating_z(y, inst_, gs_):
-            flip["k"] += 1
-            period = flip["k"] % 3
-            if period == 0:
-                return np.array([1.0, 0.0])
-            if period == 1:
-                return np.array([0.0, 1.0])
-            return np.array([1.0, 1.0])
-
-        monkeypatch.setattr(dual_mod, "dual_z_step", alternating_z)
-        with pytest.raises(CycleDetectedError):
-            solve_dual(inst, gs, AdmmConfig(max_iters=50))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_nested_overlap_close_to_admm(self, seed):
+        inst, gs = generate_instance(seed, n=80, m=40, group_size_range=(2, 8),
+                                     overlap_mode="nested").build()
+        report = solve_dual(inst, gs)
+        assert report.objective <= 1.01 * solve_admm(inst, gs).objective
