@@ -7,12 +7,13 @@ instances), ``check`` (first-order test of a candidate point), ``gen``
 deterministic JSON; timing fields stay null unless ``--stamp`` is given,
 so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 usage, 2 validation, 3 non-finite iterates,
-4 instance too large for the oracle.
+Exit codes: 0 success, 1 usage, 2 validation or unwritable output,
+3 non-finite iterates or results, 4 instance too large for the oracle.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -26,6 +27,7 @@ from .admm import AdmmConfig, NonFiniteError, solve_admm
 from .bounds import sandwich
 from .dual import solve_dual
 from .instances import (
+    NonFiniteNumberError,
     ParseError,
     ValidationError,
     _number_array,
@@ -44,6 +46,11 @@ __all__ = ["run_cli", "main"]
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,11 +147,15 @@ def _read_instance(path: str):
     return parse_instance(path) + (path,)
 
 
-def _emit(text: str, out_path: str):
-    if out_path:
-        write_atomic(out_path, text)
-    else:
+def _emit(text: str, path: str):
+    """Write ``text`` to the file ``path`` atomically, or to stdout."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        write_atomic(path, text)
+    except OSError as exc:
+        raise _WriteError(path, exc) from exc
 
 
 def _now() -> str:
@@ -160,32 +171,24 @@ def _admm_config(args, trace: bool) -> AdmmConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _solve_report_dict(report, stamp: bool) -> dict:
-    return {
-        "x_final": [float(x) for x in report.x_final],
-        "objective": report.objective,
-        "iters": report.iters,
-        "converged": report.converged,
-        "algorithm": report.algorithm,
-        "r_norm": report.r_norm,
-        "s_norm": report.s_norm,
-        "wall_time": report.wall_time if stamp else None,
-        "oracle_gap": report.oracle_gap,
-    }
+def _fields(report) -> dict:
+    """A library report's fields in declaration order: a record's report."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
 def _record(instf, source: str, algorithm: str, config: dict, report: dict,
-            stamp: bool) -> dict:
-    for field, value in report.items():
-        if isinstance(value, (float, list)) and not np.isfinite(value).all():
-            raise NonFiniteError(f"report field {field!r} is not finite")
+            stamp: bool) -> str:
+    """The text of a run record."""
     name = instf.name if instf.name is not None else os.path.basename(source)
-    return {"instance": name, "algorithm": algorithm, "config": config,
-            "report": report, "timestamp": _now() if stamp else None,
-            "seed": instf.seed}
+    return dumps_canonical({"instance": name, "algorithm": algorithm,
+                            "config": config, "report": report,
+                            "timestamp": _now() if stamp else None,
+                            "seed": instf.seed})
 
 
-def _run_solve_single(args, path: str) -> str:
+def _run_solve_single(args, path: str) -> tuple:
+    """The record text of one solve, and its trace CSV (None without
+    ``--trace``)."""
     inst, gs, instf, source = _read_instance(path)
     cfg = _admm_config(args, trace=bool(args.trace))
     config = {"algorithm": args.algorithm, "rho": cfg.rho,
@@ -193,11 +196,11 @@ def _run_solve_single(args, path: str) -> str:
               "eps_rel": cfg.eps_rel}
     solver = solve_admm if args.algorithm == "admm" else solve_dual
     report = solver(inst, gs, cfg)
-    if args.trace:
-        write_atomic(args.trace, trace_to_csv(report.trace))
-    record = _record(instf, source, report.algorithm, config,
-                     _solve_report_dict(report, args.stamp), args.stamp)
-    return dumps_canonical(record)
+    rep = {**_fields(report),
+           "wall_time": report.wall_time if args.stamp else None}
+    del rep["trace"]
+    text = _record(instf, source, report.algorithm, config, rep, args.stamp)
+    return text, trace_to_csv(report.trace) if args.trace else None
 
 
 def _cmd_solve(args) -> int:
@@ -207,20 +210,22 @@ def _cmd_solve(args) -> int:
             raise _UsageError("--batch requires instance paths")
         if not args.out_dir:
             raise _UsageError("--batch requires --out-dir")
-        if args.trace:
-            raise _UsageError("--trace is not supported with --batch")
-        os.makedirs(args.out_dir, exist_ok=True)
+        if args.trace or args.out:
+            raise _UsageError("--trace and --out are not supported with --batch")
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise _WriteError(args.out_dir, exc) from exc
 
         def one(path: str):
-            try:
-                text = _run_solve_single(args, path)
-            except (ParseError, ValidationError) as exc:
-                return 2, f"{path}: error: {exc}"
-            except NonFiniteError as exc:
-                return 3, f"{path}: error: {exc}"
             stem = os.path.splitext(os.path.basename(path))[0]
             out = os.path.join(args.out_dir, f"{stem}.record.json")
-            write_atomic(out, text)
+            try:
+                _emit(_run_solve_single(args, path)[0], out)
+            except (ParseError, ValidationError, _WriteError) as exc:
+                return 2, f"{path}: error: {exc}"
+            except (NonFiniteError, NonFiniteNumberError) as exc:
+                return 3, f"{path}: error: {exc}"
             return 0, f"{path}: ok -> {out}"
 
         results = [one(path) for path in paths]
@@ -228,8 +233,12 @@ def _cmd_solve(args) -> int:
             print(message)
         return max(code for code, _ in results)
 
-    path = paths[0] if paths else "-"
-    _emit(_run_solve_single(args, path), args.out)
+    if args.out_dir:
+        raise _UsageError("--out-dir applies only to --batch; use --out")
+    text, trace = _run_solve_single(args, paths[0] if paths else "-")
+    if trace is not None:
+        _emit(trace, args.trace)
+    _emit(text, args.out)
     return 0
 
 
@@ -239,32 +248,17 @@ def _cmd_bounds(args) -> int:
     if args.with_oracle:
         report.oracle_value = oracle_variant(inst, gs, args.variant,
                                              n_limit=args.limit).value
-    rep = {
-        "variant": report.variant,
-        "lower_value": report.lower_value,
-        "upper_value": report.upper_value,
-        "lower_minimizer": [float(x) for x in report.lower_minimizer],
-        "upper_minimizer": [float(x) for x in report.upper_minimizer],
-        "oracle_value": report.oracle_value,
-        "upper_relaxed_value": report.upper_relaxed_value,
-    }
     config = {"variant": args.variant, "with_oracle": bool(args.with_oracle)}
-    record = _record(instf, source, "bounds", config, rep, args.stamp)
-    _emit(dumps_canonical(record), args.out)
+    _emit(_record(instf, source, "bounds", config, _fields(report),
+                  args.stamp), args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     inst, gs, instf, source = _read_instance(args.instance)
     result = oracle_prox_l0_ogl(inst, gs, n_limit=args.limit)
-    rep = {
-        "value": result.value,
-        "minimizer": [float(x) for x in result.minimizer],
-        "method": result.method,
-    }
-    record = _record(instf, source, "oracle", {"limit": args.limit}, rep,
-                     args.stamp)
-    _emit(dumps_canonical(record), args.out)
+    _emit(_record(instf, source, "oracle", {"limit": args.limit},
+                  _fields(result), args.stamp), args.out)
     return 0
 
 
@@ -293,14 +287,10 @@ def _cmd_check(args) -> int:
     inst, gs, instf, source = _read_instance(args.instance)
     x = _load_point(args.point, gs.n)
     ok, residual = stationarity_check(x, inst, gs)
-    rep = {
-        "stationary": bool(ok),
-        "residual": float(residual),
-        "objective": objective_value(x, inst, gs),
-    }
-    record = _record(instf, source, "check", {"point": args.point}, rep,
-                     args.stamp)
-    _emit(dumps_canonical(record), args.out)
+    rep = {"stationary": bool(ok), "residual": residual,
+           "objective": objective_value(x, inst, gs)}
+    _emit(_record(instf, source, "check", {"point": args.point}, rep,
+                  args.stamp), args.out)
     return 0
 
 
@@ -344,10 +334,10 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, _WriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteError as exc:
+    except (NonFiniteError, NonFiniteNumberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TooLargeError as exc:

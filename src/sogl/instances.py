@@ -20,6 +20,7 @@ from .model import GroupDefectError, GroupStructure, ProxInstance
 __all__ = [
     "ParseError",
     "ValidationError",
+    "NonFiniteNumberError",
     "InstanceFile",
     "parse_instance",
     "parse_instance_text",
@@ -41,6 +42,10 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """A field violates the schema; the message names the field."""
+
+
+class NonFiniteNumberError(ValueError):
+    """A number to serialize is NaN or infinite; the message names its key."""
 
 
 @dataclass
@@ -286,52 +291,52 @@ def generate_instance(seed: int, n: int, m: int,
     )
 
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"cannot serialize non-finite number {x}")
-    return format(x, ".17g")
+def _format_floats(values, where: str) -> list:
+    """The one number formatter: the text of each float in ``values`` (one
+    float or a 1-D sequence), with 17 significant digits, which round-trips
+    float64 exactly. The values are tested for NaN and infinity at once;
+    ``NonFiniteNumberError`` names the first by ``where`` and its index."""
+    x = np.asarray(values, dtype=float)
+    finite = np.isfinite(x)
+    if not (finite.all() if x.ndim else finite):  # .all() of one bool costs 1 us
+        i = int(finite.argmin())
+        at = (f"{where}[{i}]" if x.ndim else where).removeprefix(".")
+        raise NonFiniteNumberError(f"{at or 'value'} is not finite ({x.flat[i]})")
+    return list(map("{:.17g}".format, x.ravel().tolist()))
 
 
-def _emit(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, val) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+def _encode(obj, where: str) -> str:
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_floats(obj, where)[0]
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {_encode(val, f'{where}.{k}')}"
+                 for k, val in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for i, val in enumerate(seq):
-            if i:
-                out.append(", ")
-            _emit(val, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        kinds = set(map(type, seq))
+        if kinds == {float}:  # a whole float list or array: checked once
+            items = _format_floats(seq, where)
+        elif kinds == {int}:
+            items = map(str, seq)
+        else:
+            items = (_encode(val, f"{where}[{i}]") for i, val in enumerate(seq))
+        return "[" + ", ".join(items) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: 17-significant-digit floats, fixed spacing."""
-    out = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text with fixed spacing, for records and instance
+    files. ``obj`` nests dicts, lists, tuples, strings, bools, ``None``, and
+    Python or numpy numbers and arrays; every float goes through one
+    formatter. A NaN or infinity anywhere raises ``NonFiniteNumberError`` (a
+    ``ValueError``) naming its place, e.g. ``report.x_final[3] is not finite
+    (nan)``."""
+    return _encode(obj, "") + "\n"
 
 
 def write_atomic(path: str, text: str):
@@ -349,8 +354,11 @@ def write_atomic(path: str, text: str):
 
 
 def trace_to_csv(trace) -> str:
-    """Render solver trace rows as CSV with a fixed header."""
-    lines = ["iter,objective,r_norm,s_norm"]
-    for it, obj, r, s in trace or []:
-        lines.append(f"{int(it)},{_fmt_float(obj)},{_fmt_float(r)},{_fmt_float(s)}")
-    return "\n".join(lines) + "\n"
+    """Render solver trace rows as CSV with a fixed header; numbers are
+    formatted and checked as by ``dumps_canonical``."""
+    rows = trace or []
+    floats = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 3)
+    columns = [_format_floats(floats[:, k], f"trace.{name}")
+               for k, name in enumerate(("objective", "r_norm", "s_norm"))]
+    lines = map(",".join, zip([str(int(row[0])) for row in rows], *columns))
+    return "\n".join(["iter,objective,r_norm,s_norm", *lines]) + "\n"

@@ -1,4 +1,5 @@
 """Shared random-instance builders and reference kernels for the test suite."""
+import json
 import math
 
 import numpy as np
@@ -151,3 +152,112 @@ def groups_with_defects(draw, kinds, max_defects=1, big=2**70):
         else:
             groups[i] = draw(st.sampled_from([3, "ab", (0,), None, {"0": 0}]))
     return n, groups, (kind, i, j)
+
+
+def _reference_float(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError(f"cannot serialize non-finite number {x}")
+    return format(x, ".17g")
+
+
+def _reference_emit(obj, out: list):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_reference_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, val) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(k)))
+            out.append(": ")
+            _reference_emit(val, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        out.append("[")
+        for i, val in enumerate(seq):
+            if i:
+                out.append(", ")
+            _reference_emit(val, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps_canonical(obj) -> str:
+    """Reference for ``sogl.dumps_canonical``: the element-by-element
+    emitter it replaced, which formats and checks one number at a time."""
+    out = []
+    _reference_emit(obj, out)
+    out.append("\n")
+    return "".join(out)
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308)
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from(EDGE_FLOATS))
+int64s = st.integers(-2**63, 2**63 - 1)
+record_keys = st.text(alphabet="abxyz_0", min_size=1, max_size=4)
+
+# Leaves of a record: JSON scalars, numpy scalars, and whole sequences of
+# one number type (the encoder's array path), empty ones included.
+record_leaves = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(), finite_floats,
+    finite_floats.map(np.float64), int64s.map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.lists(finite_floats, max_size=6), st.lists(st.integers(), max_size=6),
+    st.lists(finite_floats, max_size=6).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(int64s, max_size=6).map(lambda xs: np.array(xs, dtype=np.int64)),
+)
+
+records = st.recursive(
+    record_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(record_keys, children, max_size=4)),
+    max_leaves=24)
+
+
+@st.composite
+def records_with_non_finite(draw):
+    """A finite record with one NaN or infinity placed at a drawn depth.
+    Returns ``(record, place)``, where ``place`` is how the encoder's error
+    names it, such as ``a.b[2]``."""
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    kind = draw(st.sampled_from(["float", "numpy", "list", "array", "mixed"]))
+    if kind in ("float", "numpy"):
+        node, place = (bad if kind == "float" else np.float64(bad)), ""
+    else:
+        values = draw(st.lists(finite_floats, max_size=5))
+        i = draw(st.integers(0, len(values)))
+        values.insert(i, bad)
+        if kind == "mixed":  # a list the encoder walks entry by entry
+            values.insert(0, None)
+            i += 1
+        node = np.array(values) if kind == "array" else values
+        place = f"[{i}]"
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            key = draw(record_keys)
+            siblings = draw(st.dictionaries(record_keys, records, max_size=2))
+            siblings.pop(key, None)
+            items = list(siblings.items())
+            items.insert(draw(st.integers(0, len(items))), (key, node))
+            node, place = dict(items), f".{key}{place}"
+        else:
+            before = draw(st.lists(records, max_size=2))
+            node, place = [*before, node], f"[{len(before)}]{place}"
+    return node, place.removeprefix(".")

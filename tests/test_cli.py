@@ -141,7 +141,7 @@ class TestExitCodes:
         path = tmp_path / "inf.json"
         path.write_text('{"v": [1e308], "groups": [[0]], "s": 1, "lambda0": 0, '
                         '"lambda1": 0.1, "lambda": 0}')
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli(["solve", str(path)]) == 3
 
     @pytest.mark.parametrize("command, fields, name", [
@@ -164,17 +164,58 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["solve"], ["solve", "--algorithm", "dual"], ["bounds"],
         ["bounds", "--variant", "l1"], ["bounds", "--variant", "l0"], ["oracle"],
-    ], ids=["solve", "dual", "bounds-plain", "bounds-l1", "bounds-l0", "oracle"])
+        ["solve", "--trace", "{tmp}/trace.csv"],
+        ["solve", "--algorithm", "dual", "--trace", "{tmp}/trace.csv"],
+    ], ids=["solve", "dual", "bounds-plain", "bounds-l1", "bounds-l0", "oracle",
+            "solve-trace", "dual-trace"])
     def test_overflowing_result_is_non_finite_error(self, tmp_path, capsys, argv):
         # finite input whose objective overflows: exit 3 before any output
         path = tmp_path / "big.json"
         path.write_text('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
                         '"lambda1": 0.1, "lambda": 0.1}\n')
         out = tmp_path / "rec.json"
+        argv = [a.format(tmp=tmp_path) for a in argv]
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli(argv + [str(path), "--out", str(out)]) == 3
         assert "is not finite" in capsys.readouterr().err
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+    @pytest.mark.parametrize("argv, target", [
+        (["solve", "{a}", "--out", "{tmp}/missing/rec.json"], "{tmp}/missing/rec.json"),
+        (["solve", "{a}", "--trace", "{tmp}/missing/t.csv"], "{tmp}/missing/t.csv"),
+        (["bounds", "{a}", "--out", "{tmp}/missing/rec.json"], "{tmp}/missing/rec.json"),
+        (["solve", "{a}", "{b}", "--out-dir", "{a}"], "{a}"),
+        (["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs"], "{tmp}/recs/a.record.json"),
+    ], ids=["out-missing-dir", "trace-missing-dir", "bounds-out-missing-dir",
+            "out-dir-is-file", "batch-record-is-dir"])
+    def test_unwritable_output_is_reported(self, tmp_path, capsys, argv, target):
+        names = {"a": write_instance(tmp_path, name="a.json", seed=1),
+                 "b": write_instance(tmp_path, name="b.json", seed=2), "tmp": tmp_path}
+        (tmp_path / "recs" / "a.record.json").mkdir(parents=True)
+        argv = [x.format(**names) for x in argv]
+        target = target.format(**names)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        if target.endswith("a.record.json"):  # the failed file's line; b still written
+            assert f"{names['a']}: error: cannot write {target}: " in captured.out
+            assert (tmp_path / "recs" / "b.record.json").exists()
+        else:
+            assert captured.err.startswith(f"error: cannot write {target}: ")
+            assert captured.out == ""
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{a}", "--out-dir", "{tmp}/recs"],
+        ["solve", "{a}", "{b}", "--batch", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
+        ["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
+    ], ids=["out-dir-without-batch", "out-with-batch", "out-with-several-files"])
+    def test_ignored_output_option_is_usage_error(self, tmp_path, capsys, argv):
+        names = {"a": write_instance(tmp_path, name="a.json"),
+                 "b": write_instance(tmp_path, name="b.json"), "tmp": tmp_path}
+        assert run_cli([x.format(**names) for x in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_oracle_too_large(self, tmp_path):
         instf = generate_instance(seed=0, n=13, m=2)

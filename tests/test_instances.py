@@ -16,8 +16,15 @@ from sogl import (
     parse_instance_text,
     trace_to_csv,
 )
-from sogl.instances import write_atomic
-from helpers import first_group_defect, groups_with_defects
+from sogl.instances import NonFiniteNumberError, write_atomic
+from helpers import (
+    EDGE_FLOATS,
+    first_group_defect,
+    groups_with_defects,
+    records,
+    records_with_non_finite,
+    reference_dumps_canonical,
+)
 
 MINIMAL = {"v": [1.0], "groups": [[0]], "s": 1, "lambda0": 0, "lambda1": 0,
            "lambda": 0}
@@ -178,6 +185,25 @@ class TestCanonicalSerialization:
         with pytest.raises(ValueError):
             dumps_canonical(float("inf"))
 
+    @given(record=records)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_element_by_element_reference(self, record):
+        assert dumps_canonical(record) == reference_dumps_canonical(record)
+
+    def test_edge_floats_match_reference(self):
+        for record in ({"x": list(EDGE_FLOATS)}, {"x": np.array(EDGE_FLOATS)},
+                       {"x": np.array([]), "y": [], "z": np.array([], dtype=int)}):
+            assert dumps_canonical(record) == reference_dumps_canonical(record)
+
+    @given(case=records_with_non_finite())
+    @settings(max_examples=300, deadline=None)
+    def test_non_finite_at_any_depth_names_its_place(self, case):
+        record, place = case
+        with pytest.raises(NonFiniteNumberError) as exc:
+            dumps_canonical(record)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value).startswith(f"{place} is not finite (")
+
     def test_instance_round_trip(self):
         instf = generate_instance(11, 9, 3, (2, 4), "random", s=0.7,
                                   lambda0=0.2, lambda1=0.3, lambda_=0.4)
@@ -289,6 +315,20 @@ class TestTraceCsv:
 
     def test_empty_trace(self):
         assert trace_to_csv([]) == "iter,objective,r_norm,s_norm\n"
+
+    def test_numbers_formatted_as_in_records(self):
+        trace = [(1, 0.1, np.float64(5e-324), -0.0), (2, 1 / 3, 2.0, 1e300)]
+        rows = trace_to_csv(trace).splitlines()[1:]
+        assert rows == [f"{it}," + ",".join(format(float(x), ".17g") for x in row)
+                        for it, *row in trace]
+
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_non_finite_names_column_and_row(self, column):
+        trace = [(1, 0.5, 0.1, 0.2), (2, 0.25, 0.05, 0.1)]
+        trace[1] = trace[1][:column] + (float("nan"),) + trace[1][column + 1:]
+        name = ("objective", "r_norm", "s_norm")[column - 1]
+        with pytest.raises(NonFiniteNumberError, match=rf"^trace\.{name}\[1\] is not"):
+            trace_to_csv(trace)
 
 
 def test_write_atomic(tmp_path):
