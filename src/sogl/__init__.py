@@ -20,12 +20,10 @@ from .admm import (
 )
 from .bounds import (
     BoundsReport,
-    DiagonalBound,
     FixedPointTrace,
     ZeroCenterError,
     lower_bound_l0,
     lower_bound_l1,
-    lower_bound_plain,
     lower_diag,
     sandwich,
     scaled_l2_prox,

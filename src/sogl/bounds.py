@@ -24,14 +24,12 @@ import numpy as np
 from .model import GroupStructure, ProxInstance
 
 __all__ = [
-    "DiagonalBound",
     "FixedPointTrace",
     "BoundsReport",
     "ZeroCenterError",
     "lower_diag",
     "upper_diag",
     "scaled_l2_prox",
-    "lower_bound_plain",
     "lower_bound_l1",
     "upper_bound_l1",
     "lower_bound_l0",
@@ -45,33 +43,17 @@ class ZeroCenterError(ValueError):
 
 
 @dataclass
-class DiagonalBound:
-    """Diagonal surrogate matrix, stored as its entry vector."""
-
-    kind: str  # "lower" or "upper"
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("lower", "upper"):
-            raise ValueError(f"kind must be 'lower' or 'upper', got {self.kind!r}")
-        self.entries = np.asarray(self.entries, dtype=float)
-        if np.any(self.entries < 0):
-            raise ValueError("diagonal entries must be nonnegative")
-
-
-@dataclass
 class FixedPointTrace:
     """Diagnostics of one fixed-point solve.
 
     ``norms[k]`` is the scaled norm of iterate k (index 0 is the starting
-    point); ``contraction_factors[k]`` holds the per-coordinate factors in
-    (0, 1) applied at step k, restricted to the penalized coordinates.
-    ``c`` is the limit of the norm sequence and ``fp_residual`` how well it
-    solves the scalar fixed-point equation.
+    point); step k multiplies coordinate j of the center by the factor
+    ``norms[k] / (norms[k] + lam*u_j**2)``. ``c`` is the limit of the norm
+    sequence and ``fp_residual`` how well it solves the scalar fixed-point
+    equation.
     """
 
     norms: list = field(default_factory=list)
-    contraction_factors: list = field(default_factory=list)
     c: float = 0.0
     iterations: int = 0
     converged: bool = True
@@ -92,13 +74,7 @@ class BoundsReport:
     upper_relaxed_value: float = None
 
 
-def _entries(diag) -> np.ndarray:
-    if isinstance(diag, DiagonalBound):
-        return diag.entries
-    return np.asarray(diag, dtype=float)
-
-
-def lower_diag(gs: GroupStructure) -> DiagonalBound:
+def lower_diag(gs: GroupStructure) -> np.ndarray:
     """Diagonal under-estimator of the weighted group norm sum.
 
     Entry j sums ``w_i/sqrt(|G_i|)`` over the groups containing j, so that
@@ -106,19 +82,19 @@ def lower_diag(gs: GroupStructure) -> DiagonalBound:
     holds when every group's entries share one magnitude.
     """
     per_entry = np.repeat(gs.weights / np.sqrt(gs.sizes), gs.sizes)
-    l = np.bincount(gs.flat_index, weights=per_entry, minlength=gs.n)
-    return DiagonalBound("lower", l)
+    # float even with no groups, where bincount's zeros are integers
+    return np.bincount(gs.flat_index, weights=per_entry,
+                       minlength=gs.n).astype(float)
 
 
-def upper_diag(gs: GroupStructure) -> DiagonalBound:
+def upper_diag(gs: GroupStructure) -> np.ndarray:
     """Diagonal over-estimator of the weighted group norm sum.
 
     Entry j is ``sqrt(k_j) * ||w||_2`` with k_j the overlap count; the
     scaled l2 norm it induces dominates the group term (Cauchy-Schwarz),
     tightly for a single unit-weight group.
     """
-    u = np.sqrt(gs.overlap_counts.astype(float)) * float(np.linalg.norm(gs.weights))
-    return DiagonalBound("upper", u)
+    return np.sqrt(gs.overlap_counts.astype(float)) * float(np.linalg.norm(gs.weights))
 
 
 def _phi(c: float, uv_sq: np.ndarray, lam_u_sq: np.ndarray) -> float:
@@ -162,7 +138,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
         If an explicit ``x0`` has zero scaled norm (map undefined there).
     """
     v = np.asarray(v, dtype=float)
-    u = _entries(diag)
+    u = np.asarray(diag, dtype=float)
     if u.shape != v.shape:
         raise ValueError("diagonal and center must have matching length")
     penalized = u > 0
@@ -191,9 +167,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
     lam_u_sq = lam * u**2
     converged = False
     for _ in range(max_iters):
-        rho = cn / (cn + lam_u_sq)
-        x = rho * v
-        trace.contraction_factors.append(rho[penalized])
+        x = (cn / (cn + lam_u_sq)) * v
         c_next = float(np.linalg.norm(u * x))
         trace.norms.append(c_next)
         done = abs(c_next - cn) <= tol
@@ -201,7 +175,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
         if done:
             converged = True
             break
-    trace.iterations = len(trace.contraction_factors)
+    trace.iterations = len(trace.norms) - 1
     trace.converged = converged
 
     uv_sq = (u[penalized] * v[penalized]) ** 2
@@ -218,28 +192,17 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
     return x, value_at(x), trace
 
 
-def lower_bound_plain(v: np.ndarray, lam: float, diag):
-    """Closed-form weighted lasso: per-coordinate soft threshold at lam*l_i.
-
-    Returns ``(x, value)`` with value the weighted-l1 objective at x.
-    """
-    v = np.asarray(v, dtype=float)
-    l = _entries(diag)
-    x = np.sign(v) * np.maximum(np.abs(v) - lam * l, 0.0)
-    value = 0.5 * float(np.sum((x - v) ** 2)) + lam * float(np.sum(l * np.abs(x)))
-    return x, value
-
-
 def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     """Weighted lasso with an extra elementwise l1 term.
 
     The combined threshold is ``lam*l_i + lam1`` and surviving coordinates
-    are shrunk by the full combined amount.
+    are shrunk by the full combined amount; ``lam1 = 0`` gives the plain
+    weighted lasso.
 
     Returns ``(x, value)`` with value the full objective at x.
     """
     v = np.asarray(v, dtype=float)
-    l = _entries(diag)
+    l = np.asarray(diag, dtype=float)
     x = np.sign(v) * np.maximum(np.abs(v) - (lam * l + lam1), 0.0)
     value = (
         0.5 * float(np.sum((x - v) ** 2))
@@ -249,8 +212,7 @@ def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     return x, value
 
 
-def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
-                   tol: float = 1e-10):
+def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     """Scaled-l2 surrogate with an extra elementwise l1 term.
 
     Coordinates with ``|v_i| <= lam1`` are zero; the survivors keep the
@@ -260,7 +222,7 @@ def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
     Returns ``(x, value)`` with value the full objective at x.
     """
     v = np.asarray(v, dtype=float)
-    u = _entries(diag)
+    u = np.asarray(diag, dtype=float)
     n = v.size
     x = np.zeros(n)
 
@@ -275,7 +237,7 @@ def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag,
     if not support.any():
         return x, value_at(x)
     v_red = v[support] - lam1 * np.sign(v[support])
-    x_red, _, _ = scaled_l2_prox(v_red, lam, u[support], tol=tol)
+    x_red, _, _ = scaled_l2_prox(v_red, lam, u[support])
     x[support] = x_red
     return x, value_at(x)
 
@@ -289,7 +251,7 @@ def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     Returns ``(x, value)``.
     """
     v = np.asarray(v, dtype=float)
-    l = _entries(diag)
+    l = np.asarray(diag, dtype=float)
     a = np.sign(v) * np.maximum(np.abs(v) - lam * l, 0.0)
     f_a = 0.5 * (a - v) ** 2 + lam * l * np.abs(a) + lam0 * (a != 0)
     f_zero = 0.5 * v**2
@@ -315,25 +277,23 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     ``relaxed_value`` is the optimal value of the relaxed problem.
     """
     v = np.asarray(v, dtype=float)
-    u = _entries(diag)
+    u = np.asarray(diag, dtype=float)
     n = v.size
     sigma = float(u.max()) if n else 0.0
     t = lam * sigma
     order = np.argsort(-np.abs(v), kind="stable")
-    sq = np.concatenate([[0.0], np.cumsum(v[order] ** 2)])
-    total = 0.5 * sq[-1]
-    best_k, best_val = 0, total
-    for k in range(1, n + 1):
-        r = math.sqrt(sq[k])
-        if r > t:
-            val = total - 0.5 * (r - t) ** 2 + lam0 * k
-            if val < best_val:
-                best_k, best_val = k, val
+    sq = np.cumsum(v[order] ** 2)
+    r = np.sqrt(sq)  # r[k-1]: norm of the k largest magnitudes
+    total = 0.5 * float(sq[-1]) if n else 0.0
+    vals = np.where(r > t, total - 0.5 * (r - t) ** 2 + lam0 * np.arange(1, n + 1),
+                    math.inf)
+    k = int(np.argmin(vals)) if n else 0
     x = np.zeros(n)
-    if best_k:
-        idx = order[:best_k]
-        r = math.sqrt(sq[best_k])
-        x[idx] = (1.0 - t / r) * v[idx]
+    best_val = total
+    if n and vals[k] < total:
+        best_val = float(vals[k])
+        idx = order[:k + 1]
+        x[idx] = (1.0 - t / r[k]) * v[idx]
     value = (
         0.5 * float(np.sum((x - v) ** 2))
         + lam * float(np.linalg.norm(u * x))
@@ -342,8 +302,7 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     return x, value, best_val
 
 
-def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str,
-             tol: float = 1e-10) -> BoundsReport:
+def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str) -> BoundsReport:
     """Bracket the optimal value of one prox variant.
 
     The target problems carry a ``1/(2s)`` quadratic; they are solved in
@@ -363,11 +322,11 @@ def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str,
     lam_s = inst.lam * s
     relaxed = None
     if variant == "plain":
-        xl, vl = lower_bound_plain(v, lam_s, ld)
-        xu, vu, _ = scaled_l2_prox(v, lam_s, ud, tol=tol)
+        xl, vl = lower_bound_l1(v, lam_s, 0.0, ld)
+        xu, vu, _ = scaled_l2_prox(v, lam_s, ud)
     elif variant == "l1":
         xl, vl = lower_bound_l1(v, lam_s, inst.lam1 * s, ld)
-        xu, vu = upper_bound_l1(v, lam_s, inst.lam1 * s, ud, tol=tol)
+        xu, vu = upper_bound_l1(v, lam_s, inst.lam1 * s, ud)
     else:
         xl, vl = lower_bound_l0(v, lam_s, inst.lam0 * s, ld)
         xu, vu, rel = upper_bound_l0(v, lam_s, inst.lam0 * s, ud)

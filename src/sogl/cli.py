@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 validation or unwritable output,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import functools
@@ -87,7 +88,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("instance", nargs="*", default=(),
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
-    solve.add_argument("--rho", type=_finite_float, default=1.0)
+    solve.add_argument("--rho", type=_finite_float,
+                       help="ADMM penalty (default 1.0); admm only")
     solve.add_argument("--max-iters", type=int, default=10000)
     solve.add_argument("--eps-abs", type=_finite_float, default=1e-8)
     solve.add_argument("--eps-rel", type=_finite_float, default=1e-6)
@@ -164,7 +166,8 @@ def _now() -> str:
 
 def _admm_config(args, trace: bool) -> AdmmConfig:
     try:
-        return AdmmConfig(rho=args.rho, max_iters=args.max_iters,
+        rho = AdmmConfig.rho if args.rho is None else args.rho
+        return AdmmConfig(rho=rho, max_iters=args.max_iters,
                           eps_abs=args.eps_abs, eps_rel=args.eps_rel,
                           trace=trace)
     except ValueError as exc:
@@ -204,6 +207,8 @@ def _run_solve_single(args, path: str) -> tuple:
 
 
 def _cmd_solve(args) -> int:
+    if args.algorithm == "dual" and args.rho is not None:
+        raise _UsageError("--rho applies only to --algorithm admm")
     paths = args.instance
     if args.batch or len(paths) > 1:
         if not paths:
@@ -238,7 +243,13 @@ def _cmd_solve(args) -> int:
     text, trace = _run_solve_single(args, paths[0] if paths else "-")
     if trace is not None:
         _emit(trace, args.trace)
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except _WriteError:
+        if trace is not None:  # no trace without its record
+            with contextlib.suppress(OSError):
+                os.remove(args.trace)
+        raise
     return 0
 
 

@@ -49,16 +49,16 @@ def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> np.nda
     return hard_threshold(w, np.sqrt(2.0 * inst.s * inst.lam0))
 
 
-def dual_y_step(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
+def dual_y_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
                 gs: GroupStructure) -> np.ndarray:
-    """Projected ascent step: ``y - gather(z)/(s*k_max)``, each block then
-    projected onto the ball of radius ``lam1``.
+    """Projected ascent step: ``y - zb/(s*k_max)``, each block then
+    projected onto the ball of radius ``lam1``; ``zb`` is ``gather(z)``.
 
     ``k_max`` is the largest overlap count (1 when no variable is covered),
     so the step is the inverse of the bound's curvature in ``y``.
     """
     k_max = max(int(gs.overlap_counts.max()), 1)
-    u = y - gather(z, gs) / (inst.s * k_max)
+    u = y - zb / (inst.s * k_max)
     nrm = group_norms(u, gs)
     scale = np.divide(inst.lam1, nrm, out=np.ones_like(nrm),
                       where=nrm > inst.lam1)
@@ -101,7 +101,7 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
                 or bound - prev_bound <= cfg.eps_abs + cfg.eps_rel * abs(bound)):
             converged = True
             break
-        y = dual_y_step(z, y, inst, gs)
+        y = dual_y_step(zb, y, inst, gs)
     return SolveReport(
         x_final=best_z,
         objective=objective_value(best_z, inst, gs),

@@ -294,15 +294,21 @@ def generate_instance(seed: int, n: int, m: int,
 def _format_floats(values, where: str) -> list:
     """The one number formatter: the text of each float in ``values`` (one
     float or a 1-D sequence), with 17 significant digits, which round-trips
-    float64 exactly. The values are tested for NaN and infinity at once;
+    float64 exactly. A sequence is tested for NaN and infinity at once;
     ``NonFiniteNumberError`` names the first by ``where`` and its index."""
+    if isinstance(values, (float, np.floating)):  # one float: no numpy call
+        x = float(values)
+        if not math.isfinite(x):
+            raise NonFiniteNumberError(
+                f"{where.removeprefix('.') or 'value'} is not finite ({x})")
+        return ["{:.17g}".format(x)]
     x = np.asarray(values, dtype=float)
     finite = np.isfinite(x)
-    if not (finite.all() if x.ndim else finite):  # .all() of one bool costs 1 us
+    if not finite.all():
         i = int(finite.argmin())
-        at = (f"{where}[{i}]" if x.ndim else where).removeprefix(".")
-        raise NonFiniteNumberError(f"{at or 'value'} is not finite ({x.flat[i]})")
-    return list(map("{:.17g}".format, x.ravel().tolist()))
+        raise NonFiniteNumberError(
+            f"{where.removeprefix('.')}[{i}] is not finite ({x[i]})")
+    return list(map("{:.17g}".format, x.tolist()))
 
 
 def _encode(obj, where: str) -> str:

@@ -241,7 +241,7 @@ def oracle_c_scan(v: np.ndarray, lam: float, diag) -> OracleResult:
     candidate.
     """
     v = np.asarray(v, dtype=float)
-    u = np.asarray(getattr(diag, "entries", diag), dtype=float)
+    u = np.asarray(diag, dtype=float)
     penalized = u > 0
 
     def objective_at(x):
@@ -287,7 +287,7 @@ def oracle_ub_l0_subsets(v: np.ndarray, lam: float, lam0: float, diag,
     top-k shortcut used by the bounds module.
     """
     v = np.asarray(v, dtype=float)
-    u = np.asarray(getattr(diag, "entries", diag), dtype=float)
+    u = np.asarray(diag, dtype=float)
     n = v.size
     if n > n_limit:
         raise TooLargeError(f"n={n} exceeds enumeration limit {n_limit}")

@@ -107,8 +107,8 @@ def test_c3_norm_bracketing_inequalities():
         assert abs(qe - ae) <= 1e-12
 
         gs = _random_structure(rng, max_n=8, max_m=4, weighted=True)
-        l = lower_diag(gs).entries
-        u = upper_diag(gs).entries
+        l = lower_diag(gs)
+        u = upper_diag(gs)
         y = rng.normal(0, 3, gs.n)
         mid = weighted_group_norm(y, gs)
         assert float(np.sum(l * np.abs(y))) <= mid + 1e-12
@@ -119,7 +119,7 @@ def test_c3_norm_bracketing_inequalities():
     # upper equality: single unit-weight group, every overlap count one
     gs1 = GroupStructure(6, [[0, 2, 3]])
     z = rng.normal(0, 2, 6)
-    assert abs(float(np.linalg.norm(upper_diag(gs1).entries * z))
+    assert abs(float(np.linalg.norm(upper_diag(gs1) * z))
                - weighted_group_norm(z, gs1)) <= 1e-12
     print("ACCEPTANCE C3 (norm bracketing, 1000 draws each): PASS - "
           "all inequalities and equality cases within 1e-12")
@@ -245,7 +245,7 @@ def test_c8_dual_solver_sanity():
                      + inst.lam0 * np.count_nonzero(z) - y @ gather(z, gs))
             worst_excess = max(worst_excess, bound - oracle.value)
             assert bound <= oracle.value + 1e-9
-            y = dual_y_step(z, y, inst, gs)
+            y = dual_y_step(gather(z, gs), y, inst, gs)
             for b in np.split(y, gs.offsets[1:-1]):
                 assert np.linalg.norm(b) <= inst.lam1 + 1e-12
         report = solve_dual(inst, gs)

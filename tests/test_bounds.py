@@ -9,7 +9,6 @@ from sogl import (
     ZeroCenterError,
     lower_bound_l0,
     lower_bound_l1,
-    lower_bound_plain,
     lower_diag,
     oracle_c_scan,
     oracle_ub_l0_subsets,
@@ -29,41 +28,45 @@ class TestDiagonals:
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         ld = lower_diag(gs)
         np.testing.assert_allclose(
-            ld.entries, [1 / math.sqrt(2), 2 / math.sqrt(2), 1 / math.sqrt(2)]
+            ld, [1 / math.sqrt(2), 2 / math.sqrt(2), 1 / math.sqrt(2)]
         )
 
     def test_lower_singleton_is_exact(self):
         gs = GroupStructure(1, [[0]])
         ld = lower_diag(gs)
-        np.testing.assert_allclose(ld.entries, [1.0])
+        np.testing.assert_allclose(ld, [1.0])
         for x in (0.3, -2.0, 0.0):
-            assert abs(ld.entries[0] * abs(x) - weighted_group_norm(np.array([x]), gs)) <= 1e-15
+            assert abs(ld[0] * abs(x) - weighted_group_norm(np.array([x]), gs)) <= 1e-15
 
     def test_no_groups_gives_zero(self):
         gs = GroupStructure(3, [])
-        assert np.all(lower_diag(gs).entries == 0.0)
-        assert np.all(upper_diag(gs).entries == 0.0)
+        assert np.all(lower_diag(gs) == 0.0)
+        assert np.all(upper_diag(gs) == 0.0)
+
+    def test_entries_are_floats_without_groups(self):
+        gs = GroupStructure(3, [])
+        assert lower_diag(gs).dtype == upper_diag(gs).dtype == np.float64
 
     def test_upper_entries_formula(self):
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         ud = upper_diag(gs)
-        np.testing.assert_allclose(ud.entries, [math.sqrt(2), 2.0, math.sqrt(2)])
+        np.testing.assert_allclose(ud, [math.sqrt(2), 2.0, math.sqrt(2)])
 
     def test_upper_single_full_group_is_identity(self):
         gs = GroupStructure(4, [[0, 1, 2, 3]])
-        np.testing.assert_allclose(upper_diag(gs).entries, np.ones(4))
+        np.testing.assert_allclose(upper_diag(gs), np.ones(4))
 
     def test_zero_entries_exactly_on_uncovered(self):
         gs = GroupStructure(4, [[1, 3]], weights=[2.0])
-        assert (lower_diag(gs).entries == 0).tolist() == [True, False, True, False]
-        assert (upper_diag(gs).entries == 0).tolist() == [True, False, True, False]
+        assert (lower_diag(gs) == 0).tolist() == [True, False, True, False]
+        assert (upper_diag(gs) == 0).tolist() == [True, False, True, False]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bracketing_inequalities(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng, weighted=True)
-        l = lower_diag(gs).entries
-        u = upper_diag(gs).entries
+        l = lower_diag(gs)
+        u = upper_diag(gs)
         for _ in range(50):
             x = rng.normal(0, 3, gs.n)
             mid = weighted_group_norm(x, gs)
@@ -74,7 +77,7 @@ class TestDiagonals:
         rng = np.random.default_rng(11)
         gs = random_structure(rng, weighted=True)
         x = 1.7 * rng.choice([-1.0, 1.0], size=gs.n)
-        l = lower_diag(gs).entries
+        l = lower_diag(gs)
         assert float(np.sum(l * np.abs(x))) == pytest.approx(
             weighted_group_norm(x, gs), abs=1e-12
         )
@@ -83,7 +86,7 @@ class TestDiagonals:
         rng = np.random.default_rng(12)
         gs = GroupStructure(5, [[0, 2, 4]])
         x = rng.normal(size=5)
-        u = upper_diag(gs).entries
+        u = upper_diag(gs)
         assert float(np.linalg.norm(u * x)) == pytest.approx(
             weighted_group_norm(x, gs), abs=1e-12
         )
@@ -92,7 +95,7 @@ class TestDiagonals:
 class TestLowerBoundPlain:
     def test_zero_scale_returns_center(self):
         v = np.array([1.0, -2.0])
-        x, val = lower_bound_plain(v, 0.0, np.array([1.0, 1.0]))
+        x, val = lower_bound_l1(v, 0.0, 0.0, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(x, v)
         assert val == 0.0
 
@@ -100,14 +103,14 @@ class TestLowerBoundPlain:
                                                 (-3.0, 1.0, -2.0)])
     def test_scalar_soft_threshold(self, v, thr, expected):
         # frozen from a 1-D grid scan of 0.5*(x-v)^2 + thr*|x|
-        x, _ = lower_bound_plain(np.array([v]), 1.0, np.array([thr]))
+        x, _ = lower_bound_l1(np.array([v]), 1.0, 0.0, np.array([thr]))
         assert x[0] == expected
 
     def test_value_recomputation(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=5)
         l = rng.uniform(0, 2, 5)
-        x, val = lower_bound_plain(v, 0.7, l)
+        x, val = lower_bound_l1(v, 0.7, 0.0, l)
         assert val == pytest.approx(
             0.5 * np.sum((x - v) ** 2) + 0.7 * np.sum(l * np.abs(x)), rel=1e-14
         )
@@ -177,7 +180,8 @@ class TestScaledL2Prox:
         x, _, tr = scaled_l2_prox(v, lam, u)
         diffs = np.diff(tr.norms[1:])
         assert np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)
-        for f in tr.contraction_factors:
+        for cn in tr.norms[:-1]:  # the factors applied at each step
+            f = cn / (cn + lam * u**2)
             assert np.all((f > 0) & (f < 1))
         c = float(np.linalg.norm(u * x))
         assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
@@ -198,15 +202,6 @@ class TestScaledL2Prox:
 
 
 class TestLowerBoundL1:
-    def test_reduces_to_plain(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=6)
-        l = rng.uniform(0, 2, 6)
-        x1, v1 = lower_bound_l1(v, 0.8, 0.0, l)
-        x2, v2 = lower_bound_plain(v, 0.8, l)
-        np.testing.assert_array_equal(x1, x2)
-        assert v1 == v2
-
     def test_combined_threshold_shrinks(self):
         # v=3, group part 1, l1 part 0.5: survivor shrinks to 1.5
         x, _ = lower_bound_l1(np.array([3.0]), 1.0, 0.5, np.array([1.0]))
@@ -354,7 +349,7 @@ class TestLowerBoundL0:
         v = rng.normal(size=6)
         l = rng.uniform(0, 2, 6)
         x1, v1 = lower_bound_l0(v, 0.9, 0.0, l)
-        x2, v2 = lower_bound_plain(v, 0.9, l)
+        x2, v2 = lower_bound_l1(v, 0.9, 0.0, l)
         np.testing.assert_array_equal(x1, x2)
         assert v1 == v2
 

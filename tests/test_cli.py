@@ -186,8 +186,10 @@ class TestExitCodes:
         (["bounds", "{a}", "--out", "{tmp}/missing/rec.json"], "{tmp}/missing/rec.json"),
         (["solve", "{a}", "{b}", "--out-dir", "{a}"], "{a}"),
         (["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs"], "{tmp}/recs/a.record.json"),
+        (["solve", "{a}", "--trace", "{tmp}/t.csv", "--out", "{tmp}/missing/rec.json"],
+         "{tmp}/missing/rec.json"),
     ], ids=["out-missing-dir", "trace-missing-dir", "bounds-out-missing-dir",
-            "out-dir-is-file", "batch-record-is-dir"])
+            "out-dir-is-file", "batch-record-is-dir", "trace-then-out-missing-dir"])
     def test_unwritable_output_is_reported(self, tmp_path, capsys, argv, target):
         names = {"a": write_instance(tmp_path, name="a.json", seed=1),
                  "b": write_instance(tmp_path, name="b.json", seed=2), "tmp": tmp_path}
@@ -203,12 +205,15 @@ class TestExitCodes:
             assert captured.err.startswith(f"error: cannot write {target}: ")
             assert captured.out == ""
         assert not list(tmp_path.rglob(".tmp-*"))
+        assert not (tmp_path / "t.csv").exists()  # no trace without its record
 
     @pytest.mark.parametrize("argv", [
         ["solve", "{a}", "--out-dir", "{tmp}/recs"],
         ["solve", "{a}", "{b}", "--batch", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
         ["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
-    ], ids=["out-dir-without-batch", "out-with-batch", "out-with-several-files"])
+        ["solve", "{a}", "--algorithm", "dual", "--rho", "5"],
+    ], ids=["out-dir-without-batch", "out-with-batch", "out-with-several-files",
+            "rho-with-dual"])
     def test_ignored_output_option_is_usage_error(self, tmp_path, capsys, argv):
         names = {"a": write_instance(tmp_path, name="a.json"),
                  "b": write_instance(tmp_path, name="b.json"), "tmp": tmp_path}

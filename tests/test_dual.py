@@ -9,6 +9,7 @@ from sogl import (
     ProxInstance,
     dual_y_step,
     dual_z_step,
+    gather,
     generate_instance,
     hard_threshold,
     oracle_prox_l0_ogl,
@@ -69,7 +70,8 @@ class TestDualYStep:
     def test_zero_direction_maps_to_zero(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, -0.5]), s=1.0, lam1=2.0)
-        out = dual_y_step(np.zeros(2), np.zeros(gs.total_size), inst, gs)
+        out = dual_y_step(gather(np.zeros(2), gs), np.zeros(gs.total_size),
+                          inst, gs)
         assert np.linalg.norm(out) == 0.0
 
     def test_inside_block_moves_by_scaled_gather(self):
@@ -77,7 +79,7 @@ class TestDualYStep:
         gs = GroupStructure(5, [[0, 1, 2], [1, 2, 3], [2, 4]])
         inst = ProxInstance(v=rng.normal(size=5), s=0.7, lam1=10.0)
         y, z = rng.uniform(-1, 1, gs.total_size), rng.normal(size=5)
-        out = dual_y_step(z, y, inst, gs)
+        out = dual_y_step(gather(z, gs), y, inst, gs)
         # overlap count 3 at index 2; every stepped block stays inside
         np.testing.assert_array_equal(out, y - z[gs.flat_index] / (0.7 * 3))
 
@@ -85,14 +87,15 @@ class TestDualYStep:
         # y = 0, s = 1, one group: stepped point -(3, 4), radius 2
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.0)
-        out = dual_y_step(np.array([3.0, 4.0]), np.zeros(2), inst, gs)
+        out = dual_y_step(gather(np.array([3.0, 4.0]), gs), np.zeros(2), inst, gs)
         np.testing.assert_allclose(out, [-1.2, -1.6], atol=1e-15)
         assert np.linalg.norm(out) == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_radius(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 2.0]), s=1.0, lam1=0.0)
-        out = dual_y_step(np.array([3.0, 4.0]), np.array([0.5, -0.5]), inst, gs)
+        out = dual_y_step(gather(np.array([3.0, 4.0]), gs), np.array([0.5, -0.5]),
+                          inst, gs)
         assert np.linalg.norm(out) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -104,7 +107,7 @@ class TestDualYStep:
         inst = ProxInstance(v=rng.normal(size=2), s=float(rng.uniform(0.5, 2)),
                             lam1=float(rng.uniform(0.1, 2)))
         y, z = rng.normal(size=2), rng.normal(0, 3, size=2)
-        out = dual_y_step(z, y, inst, gs)
+        out = dual_y_step(gather(z, gs), y, inst, gs)
         assert np.linalg.norm(out) <= inst.lam1 + 1e-12
         u = y - z / inst.s
 
@@ -125,7 +128,7 @@ class TestDualYStep:
         y = _ball_boundary_blocks(rng, gs, inst.lam1) * rng.uniform(0, 1)
         z = rng.normal(size=gs.n)
         k = max(max(sum(j in g for g in gs.groups) for j in range(gs.n)), 1)
-        out = np.split(dual_y_step(z, y, inst, gs), gs.offsets[1:-1])
+        out = np.split(dual_y_step(gather(z, gs), y, inst, gs), gs.offsets[1:-1])
         for b, yb, g in zip(out, np.split(y, gs.offsets[1:-1]), gs.groups):
             u = yb - z[g] / (inst.s * k)
             nrm = np.linalg.norm(u)
@@ -138,8 +141,10 @@ class TestDualYStep:
         inst = ProxInstance(v=np.array([1.0, 0.0]), s=2.0, lam1=1.0)
         y = np.zeros(2)
         z = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(dual_y_step(z, y, inst, gs), [-0.5, 0.0])
-        np.testing.assert_array_equal(dual_y_step(-z, y, inst, gs), [0.5, 0.0])
+        np.testing.assert_array_equal(dual_y_step(gather(z, gs), y, inst, gs),
+                                      [-0.5, 0.0])
+        np.testing.assert_array_equal(dual_y_step(gather(-z, gs), y, inst, gs),
+                                      [0.5, 0.0])
 
 
 def _replay_bounds(inst, gs, iters):
@@ -151,7 +156,7 @@ def _replay_bounds(inst, gs, iters):
         w = inst.v + inst.s * scatter_add(y, gs)
         bounds.append(0.5 / inst.s * (z @ z - 2 * z @ w + inst.v @ inst.v)
                       + inst.lam0 * np.count_nonzero(z))
-        y = dual_y_step(z, y, inst, gs)
+        y = dual_y_step(gather(z, gs), y, inst, gs)
     return bounds
 
 
@@ -225,7 +230,7 @@ class TestSolveDual:
         y = np.zeros(gs.total_size)
         for _ in range(25):
             z = dual_z_step(y, inst, gs)
-            y = dual_y_step(z, y, inst, gs)
+            y = dual_y_step(gather(z, gs), y, inst, gs)
             for b in np.split(y, gs.offsets[1:-1]):
                 assert np.linalg.norm(b) <= inst.lam1 + 1e-12
 
