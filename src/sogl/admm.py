@@ -26,16 +26,9 @@ from .model import (
     scatter_add,
 )
 
-__all__ = [
-    "AdmmConfig",
-    "SolveReport",
-    "NonFiniteError",
-    "x_step",
-    "z_step",
-    "y_step",
-    "residual_norms",
-    "solve_admm",
-]
+__all__ = ["AdmmConfig", "SolveReport", "NonFiniteError", "x_step",
+           "consensus_constants", "z_step", "y_step", "residual_norms",
+           "solve_admm"]
 
 
 class NonFiniteError(RuntimeError):
@@ -90,11 +83,11 @@ class SolveReport:
     oracle_gap: float = None
 
 
-def x_step(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
+def x_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
            gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
-    """Block update: soft-threshold each block of ``gather(z) - y/rho`` at
-    level ``lam1/rho``, i.e. shrink its norm by that amount or zero it."""
-    a = gather(z, gs) - y / cfg.rho
+    """Block update: soft-threshold each block of ``zb - y/rho``, zb =
+    gather(z), at level ``lam1/rho``: shrink its norm by that or zero it."""
+    a = zb - y / cfg.rho
     t = inst.lam1 / cfg.rho
     nrm = group_norms(a, gs)
     keep = nrm > t
@@ -103,47 +96,49 @@ def x_step(z: np.ndarray, y: np.ndarray, inst: ProxInstance,
     return np.repeat(scale, gs.sizes) * a
 
 
-def z_step(x: np.ndarray, y: np.ndarray, inst: ProxInstance,
-           gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
-    """Consensus update, coordinate by coordinate.
-
-    With curvature ``c_g = 1/s + k_g*rho`` (``k_g`` = overlap count), each
-    coordinate hard-thresholds its weighted average of the center and the
-    scattered dual/block information at level ``sqrt(2*lam0/c_g)``.
-    """
+def consensus_constants(inst: ProxInstance, gs: GroupStructure,
+                        cfg: AdmmConfig) -> tuple:
+    """Per-solve invariants of :func:`z_step`: ``v/s``, the curvature
+    ``c = 1/s + k*rho`` (k = overlap counts) and ``sqrt(2*lam0/c)``."""
     c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-    num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
-    return hard_threshold(num / c, np.sqrt(2.0 * inst.lam0 / c))
+    return inst.v / inst.s, c, np.sqrt(2.0 * inst.lam0 / c)
 
 
-def y_step(x: np.ndarray, z: np.ndarray, y: np.ndarray, gs: GroupStructure,
+def z_step(x: np.ndarray, y: np.ndarray, consts: tuple, gs: GroupStructure,
            cfg: AdmmConfig) -> np.ndarray:
-    """Dual ascent: ``y += rho * (x - gather(z))`` with freshly updated x, z."""
-    return y + cfg.rho * (x - gather(z, gs))
+    """Consensus update: with ``(v/s, c, thr) = consts``, each coordinate
+    hard-thresholds its weighted average ``(v/s + scatter_add(y + rho*x))/c``
+    of the center and the block/dual information at level ``thr``."""
+    vs, c, thr = consts
+    return hard_threshold((vs + scatter_add(y + cfg.rho * x, gs)) / c, thr)
+
+
+def y_step(d: np.ndarray, y: np.ndarray, cfg: AdmmConfig) -> np.ndarray:
+    """Dual ascent: ``y += rho * d`` with the primal residual
+    ``d = x - gather(z)`` of freshly updated x, z."""
+    return y + cfg.rho * d
 
 
 def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
+                   zb: np.ndarray, d: np.ndarray, y: np.ndarray, floors: tuple,
                    gs: GroupStructure, cfg: AdmmConfig) -> tuple:
-    """Primal and dual residual norms for the consensus constraints.
+    """Residuals and stop thresholds ``(r, s, eps_pri, eps_dual, finite)``.
 
-    r = ||x - gather(z)|| over all blocks; s = rho*||k * (z - prev_z)||
-    where k holds the overlap counts.
+    r = ||d||, d = x - zb, zb = gather(z); s = rho*||k*(z - prev_z)||, k the
+    overlap counts; eps_pri = floors[0] + eps_rel*max(||x||, ||zb||) and
+    eps_dual = floors[1] + eps_rel*||scatter_add(y)||, with the floors
+    ``eps_abs*sqrt(max(p, 1))`` (p stacked entries) and ``eps_abs*sqrt(n)``.
+    ``finite`` is False when x or z holds a NaN or Inf; entries are scanned
+    only when a squared norm overflows.
     """
-    r = float(np.linalg.norm(x - gather(z, gs)))
-    s = cfg.rho * float(np.linalg.norm(gs.overlap_counts * (z - prev_z)))
-    return r, s
-
-
-def _stop_thresholds(x: np.ndarray, z: np.ndarray, y: np.ndarray,
-                     gs: GroupStructure, cfg: AdmmConfig) -> tuple:
-    nt = gs.total_size
-    eps_pri = cfg.eps_abs * math.sqrt(nt if nt else 1) + cfg.eps_rel * max(
-        float(np.linalg.norm(x)), float(np.linalg.norm(gather(z, gs)))
-    )
-    eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * float(
-        np.linalg.norm(scatter_add(y, gs))
-    )
-    return eps_pri, eps_dual
+    xx, zz = x.dot(x), z.dot(z)
+    finite = (math.isfinite(xx) and math.isfinite(zz)) or bool(
+        np.isfinite(x).all() and np.isfinite(z).all())
+    w = gs.overlap_counts * (z - prev_z)
+    sy = scatter_add(y, gs)
+    return (math.sqrt(d.dot(d)), cfg.rho * math.sqrt(w.dot(w)),
+            floors[0] + cfg.eps_rel * max(math.sqrt(xx), math.sqrt(zb.dot(zb))),
+            floors[1] + cfg.eps_rel * math.sqrt(sy.dot(sy)), finite)
 
 
 def solve_admm(inst: ProxInstance, gs: GroupStructure,
@@ -165,20 +160,25 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     if inst.n != gs.n:
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
     t0 = time.perf_counter()
-    x, z, y = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
+    consts = consensus_constants(inst, gs, cfg)
+    floors = (cfg.eps_abs * math.sqrt(gs.total_size or 1),
+              cfg.eps_abs * math.sqrt(gs.n))
+    z, zb, y = inst.v, gather(inst.v, gs), np.zeros(gs.total_size)
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev_z = z
-        x = x_step(z, y, inst, gs, cfg)
-        z = z_step(x, y, inst, gs, cfg)
-        y = y_step(x, z, y, gs, cfg)
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
+        x = x_step(zb, y, inst, gs, cfg)
+        z = z_step(x, y, consts, gs, cfg)
+        zb = gather(z, gs)
+        d = x - zb
+        y = y_step(d, y, cfg)
+        r_norm, s_norm, eps_pri, eps_dual, finite = residual_norms(
+            prev_z, x, z, zb, d, y, floors, gs, cfg)
+        if not finite:
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
-        r_norm, s_norm = residual_norms(prev_z, x, z, gs, cfg)
         if trace is not None:
             trace.append((it, objective_value(z, inst, gs), r_norm, s_norm))
-        eps_pri, eps_dual = _stop_thresholds(x, z, y, gs, cfg)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break

@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -312,14 +313,18 @@ def _format_floats(values, where: str) -> list:
 
 
 def _encode(obj, where: str) -> str:
-    if obj is None or isinstance(obj, (bool, str)):
-        return json.dumps(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_floats(obj, where)[0]
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_encode(val, f'{where}.{k}')}"
+        items = (f"{_quote(str(k))}: {_encode(val, f'{where}.{k}')}"
                  for k, val in obj.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):

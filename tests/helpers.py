@@ -5,7 +5,16 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from sogl import GroupStructure, ProxInstance, hard_threshold, objective_value
+from sogl.admm import AdmmConfig, NonFiniteError, SolveReport
+from sogl.model import (
+    GroupStructure,
+    ProxInstance,
+    gather,
+    group_norms,
+    hard_threshold,
+    objective_value,
+    scatter_add,
+)
 
 
 def random_structure(rng, n=None, m=None, max_n=8, max_m=3, weighted=False):
@@ -64,6 +73,72 @@ def z_step_scaled_space(x, y, inst, gs, cfg):
     root_c = np.sqrt(c)
     z_scaled = hard_threshold(w / root_c, math.sqrt(2.0 * inst.lam0))
     return z_scaled / root_c
+
+
+def _reference_x_step(z, y, inst, gs, cfg):
+    a = gather(z, gs) - y / cfg.rho
+    t = inst.lam1 / cfg.rho
+    nrm = group_norms(a, gs)
+    keep = nrm > t
+    scale = np.zeros(gs.m)
+    scale[keep] = 1.0 - t / nrm[keep]
+    return np.repeat(scale, gs.sizes) * a
+
+
+def _reference_z_step(x, y, inst, gs, cfg):
+    c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
+    num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
+    return hard_threshold(num / c, np.sqrt(2.0 * inst.lam0 / c))
+
+
+def _reference_y_step(x, z, y, gs, cfg):
+    return y + cfg.rho * (x - gather(z, gs))
+
+
+def _reference_residual_norms(prev_z, x, z, gs, cfg):
+    r = float(np.linalg.norm(x - gather(z, gs)))
+    s = cfg.rho * float(np.linalg.norm(gs.overlap_counts * (z - prev_z)))
+    return r, s
+
+
+def _reference_stop_thresholds(x, z, y, gs, cfg):
+    nt = gs.total_size
+    eps_pri = cfg.eps_abs * math.sqrt(nt if nt else 1) + cfg.eps_rel * max(
+        float(np.linalg.norm(x)), float(np.linalg.norm(gather(z, gs)))
+    )
+    eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * float(
+        np.linalg.norm(scatter_add(y, gs))
+    )
+    return eps_pri, eps_dual
+
+
+def solve_admm_reference(inst, gs, cfg=None):
+    """Reference for ``sogl.solve_admm``: the loop it replaced, in which
+    every step gathers z itself, the residual and the stop thresholds are
+    separate passes with ``np.linalg.norm``, the consensus step recomputes
+    its curvature and threshold, and every iterate is scanned for NaN/Inf.
+    ``solve_admm`` must agree with it bit for bit."""
+    cfg = cfg or AdmmConfig()
+    x, z, y = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
+    trace = [] if cfg.trace else None
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        prev_z = z
+        x = _reference_x_step(z, y, inst, gs, cfg)
+        z = _reference_z_step(x, y, inst, gs, cfg)
+        y = _reference_y_step(x, z, y, gs, cfg)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
+            raise NonFiniteError(f"non-finite iterate at iteration {it}")
+        r_norm, s_norm = _reference_residual_norms(prev_z, x, z, gs, cfg)
+        if trace is not None:
+            trace.append((it, objective_value(z, inst, gs), r_norm, s_norm))
+        eps_pri, eps_dual = _reference_stop_thresholds(x, z, y, gs, cfg)
+        if r_norm <= eps_pri and s_norm <= eps_dual:
+            converged = True
+            break
+    return SolveReport(x_final=z, objective=objective_value(z, inst, gs),
+                       iters=it, converged=converged, algorithm="admm",
+                       r_norm=r_norm, s_norm=s_norm, trace=trace)
 
 
 def count_term_ok_by_zeroing(x, inst, gs):

@@ -37,6 +37,7 @@ from sogl import (
     weighted_group_norm,
     z_step,
 )
+from sogl.admm import consensus_constants
 from helpers import stacked_normal, z_step_scaled_space
 
 
@@ -213,8 +214,8 @@ def test_c7_matrix_form_equivalence():
         # the consensus iterate is unused by the step; drawn to keep the draw order
         rng.normal(size=gs.n)
         y = stacked_normal(rng, gs)
-        gap = float(np.max(np.abs(z_step(x, y, inst, gs, cfg)
-                                  - z_step_scaled_space(x, y, inst, gs, cfg))))
+        z = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
+        gap = float(np.max(np.abs(z - z_step_scaled_space(x, y, inst, gs, cfg))))
         worst = max(worst, gap)
         assert gap <= 1e-12
     print(f"ACCEPTANCE C7 (consensus step, plain vs rescaled form): PASS - "

@@ -23,10 +23,13 @@ from sogl import (
     y_step,
     z_step,
 )
+from sogl.admm import consensus_constants
+from sogl.instances import generate_instance
 from helpers import (
     block_soft_threshold,
     random_instance,
     random_structure,
+    solve_admm_reference,
     stacked_normal,
     z_step_scaled_space,
 )
@@ -62,8 +65,8 @@ class TestXStep:
         x, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(3), s=1.0, lam1=0.0)
         cfg = AdmmConfig(rho=2.0)
-        out = x_step(z, y, inst, gs, cfg)
         zb = gather(z, gs)
+        out = x_step(zb, y, inst, gs, cfg)
         np.testing.assert_allclose(out, zb - y / cfg.rho, atol=1e-15)
 
     def test_all_zero_state(self):
@@ -76,7 +79,7 @@ class TestXStep:
         # z=(3,4) on one group, y=0, lam1/rho = 2.5: shrink factor 1/2
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.5)
-        out = x_step(np.array([3.0, 4.0]), np.zeros(2), inst, gs,
+        out = x_step(gather(np.array([3.0, 4.0]), gs), np.zeros(2), inst, gs,
                      AdmmConfig(rho=1.0))
         np.testing.assert_allclose(out, [1.5, 2.0], atol=1e-15)
 
@@ -89,9 +92,8 @@ class TestXStep:
         _, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=float(rng.uniform(0, 2)))
         cfg = AdmmConfig(rho=float(rng.uniform(0.5, 2)))
-        out = x_step(z, y, inst, gs, cfg)
-
         zb = gather(z, gs)
+        out = x_step(zb, y, inst, gs, cfg)
 
         def block_obj(p):
             return (inst.lam1 * np.linalg.norm(p) + p @ y
@@ -111,7 +113,7 @@ class TestXStep:
         _, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(gs.n), lam1=float(rng.uniform(0, 3)))
         cfg = AdmmConfig(rho=float(rng.uniform(0.5, 2)))
-        out = x_step(z, y, inst, gs, cfg)
+        out = x_step(gather(z, gs), y, inst, gs, cfg)
         for i, g in enumerate(gs.groups):
             expected = block_soft_threshold(z[g] - blocks(y, gs)[i] / cfg.rho,
                                             inst.lam1 / cfg.rho)
@@ -123,8 +125,10 @@ class TestZStep:
     def test_uncoupled_quadratic_returns_center(self):
         gs = GroupStructure(2, [])  # no groups: every overlap count is 0
         inst = ProxInstance(v=np.array([0.3, -1.2]), s=1.0, lam0=0.0)
+        cfg = AdmmConfig()
         np.testing.assert_allclose(
-            z_step(np.zeros(0), np.zeros(0), inst, gs, AdmmConfig()),
+            z_step(np.zeros(0), np.zeros(0), consensus_constants(inst, gs, cfg),
+                   gs, cfg),
             inst.v, atol=1e-15)
 
     def test_hand_worked_coordinate(self):
@@ -135,7 +139,8 @@ class TestZStep:
         x = np.array([1.0, 1.0])
         y = np.array([0.5, 0.5])
         inst = ProxInstance(v=np.array([3.0]), s=1.0, lam0=1.0)
-        out = z_step(x, y, inst, gs, AdmmConfig(rho=1.0))
+        cfg = AdmmConfig(rho=1.0)
+        out = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
         np.testing.assert_allclose(out, [2.0], atol=1e-15)
 
     def test_huge_count_penalty_zeroes_everything(self):
@@ -143,7 +148,8 @@ class TestZStep:
         gs = random_structure(rng)
         x, _, y = make_state(rng, gs)
         inst = ProxInstance(v=rng.normal(size=gs.n), s=1.0, lam0=1e6)
-        assert np.all(z_step(x, y, inst, gs, AdmmConfig()) == 0.0)
+        cfg = AdmmConfig()
+        assert np.all(z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg) == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_coordinate_two_candidate_optimality(self, seed):
@@ -152,7 +158,7 @@ class TestZStep:
         x, _, y = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
         cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z = z_step(x, y, inst, gs, cfg)
+        z = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
         c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
         num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
         for g in range(gs.n):
@@ -169,7 +175,7 @@ class TestZStep:
         x, _, y = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
         cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z1 = z_step(x, y, inst, gs, cfg)
+        z1 = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
         z2 = z_step_scaled_space(x, y, inst, gs, cfg)
         assert float(np.max(np.abs(z1 - z2))) <= 1e-12
 
@@ -179,13 +185,12 @@ class TestYStep:
         rng = np.random.default_rng(2)
         gs = random_structure(rng)
         _, z, y = make_state(rng, gs)
-        out = y_step(gather(z, gs), z, y, gs, AdmmConfig(rho=1.7))
+        zb = gather(z, gs)
+        out = y_step(zb - zb, y, AdmmConfig(rho=1.7))
         np.testing.assert_array_equal(out, y)
 
     def test_direct_formula(self):
-        gs = GroupStructure(2, [[0, 1]])
-        out = y_step(np.array([1.0, -1.0]), np.zeros(2), np.zeros(2), gs,
-                     AdmmConfig(rho=2.0))
+        out = y_step(np.array([1.0, -1.0]), np.zeros(2), AdmmConfig(rho=2.0))
         np.testing.assert_array_equal(out, [2.0, -2.0])
 
     def test_duals_stabilize_after_convex_convergence(self):
@@ -203,17 +208,21 @@ class TestResiduals:
     def test_zero_at_consensus(self):
         rng = np.random.default_rng(4)
         gs = random_structure(rng)
-        _, z, _ = make_state(rng, gs)
-        r, s = residual_norms(z.copy(), gather(z, gs), z, gs, AdmmConfig())
+        _, z, y = make_state(rng, gs)
+        zb = gather(z, gs)
+        r, s, *_ = residual_norms(z.copy(), zb, z, zb, zb - zb, y, (0.0, 0.0),
+                                  gs, AdmmConfig())
         assert r == 0.0 and s == 0.0
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(5)
         gs = GroupStructure(3, [[0, 1], [1, 2]])
-        x, z, _ = make_state(rng, gs)
+        x, z, y = make_state(rng, gs)
         prev_z = rng.normal(size=3)
-        cfg = AdmmConfig(rho=1.3)
-        r, s = residual_norms(prev_z, x, z, gs, cfg)
+        cfg = AdmmConfig(rho=1.3, eps_rel=0.1)
+        zb = gather(z, gs)
+        r, s, eps_pri, eps_dual, finite = residual_norms(
+            prev_z, x, z, zb, x - zb, y, (0.25, 0.5), gs, cfg)
         # recompute from scratch with plain loops
         r2 = 0.0
         for i, g in enumerate(gs.groups):
@@ -229,6 +238,41 @@ class TestResiduals:
         )
         assert r == pytest.approx(r2, rel=1e-12)
         assert s == pytest.approx(s2, rel=1e-12)
+        scattered = [0.0] * 3
+        for pos, idx in enumerate(gs.flat_index):
+            scattered[idx] += y[pos]
+        pri2 = 0.25 + 0.1 * max(math.sqrt(sum(v * v for v in x)),
+                                math.sqrt(sum(z[idx] ** 2 for g in gs.groups
+                                              for idx in g)))
+        dual2 = 0.5 + 0.1 * math.sqrt(sum(v * v for v in scattered))
+        assert eps_pri == pytest.approx(pri2, rel=1e-12)
+        assert eps_dual == pytest.approx(dual2, rel=1e-12)
+        assert finite
+
+    @pytest.mark.parametrize("where", ["x", "covered-z", "uncovered-z"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_detected(self, where, bad):
+        gs = GroupStructure(3, [[0, 1]])
+        x, z = np.ones(2), np.ones(3)
+        if where == "x":
+            x[1] = bad
+        else:
+            z[0 if where == "covered-z" else 2] = bad
+        zb = gather(z, gs)
+        with np.errstate(invalid="ignore"):
+            *_, finite = residual_norms(np.ones(3), x, z, zb, x - zb, np.ones(2),
+                                        (0.0, 0.0), gs, AdmmConfig())
+        assert not finite
+
+    def test_overflowing_squares_of_finite_entries_are_finite(self):
+        gs = GroupStructure(2, [[0, 1]])
+        x, z = np.array([1e200, -1e200]), np.array([1e200, 1e200])
+        zb = gather(z, gs)
+        with np.errstate(over="ignore"):
+            r, _, eps_pri, _, finite = residual_norms(
+                np.zeros(2), x, z, zb, x - zb, np.zeros(2), (0.0, 0.0), gs,
+                AdmmConfig())
+        assert finite and r == math.inf and eps_pri == math.inf
 
     def test_infinite_tolerance_stops_immediately(self):
         rng = np.random.default_rng(6)
@@ -367,3 +411,67 @@ class TestLayoutEdges:
                 rep = sandwich(inst, gs, variant)
                 assert rep.lower_value == pytest.approx(value, rel=1e-12, abs=1e-15)
                 assert rep.upper_value == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def _agreement_cases():
+    cases = []
+    for mode, n in (("chain", 120), ("nested", 90), ("random", 30)):
+        for seed in range(3):
+            inst, gs = generate_instance(seed, n=n, m=n // 2, group_size_range=(2, 8),
+                                         overlap_mode=mode).build()
+            cases.append(pytest.param(inst, gs, AdmmConfig(trace=True),
+                                      id=f"{mode}-{seed}"))
+    inst, gs = generate_instance(7, n=60, m=30, lambda0=0.0).build()
+    cases.append(pytest.param(inst, gs, AdmmConfig(trace=True), id="lam0-0"))
+    inst, gs = generate_instance(8, n=60, m=30, lambda1=0.0).build()
+    cases.append(pytest.param(inst, gs, AdmmConfig(trace=True), id="lam1-0"))
+    rng = np.random.default_rng(41)
+    gs = GroupStructure(9, [[1, 2, 3], [3, 4], [6, 7]])
+    inst = ProxInstance(v=rng.normal(0, 2, 9), s=0.7, lam0=0.2, lam1=0.3)
+    cases.append(pytest.param(inst, gs, AdmmConfig(trace=True), id="uncovered"))
+    inst, gs = generate_instance(9, n=80, m=40, group_size_range=(2, 6)).build()
+    for rho in (0.3, 2.5):
+        cases.append(pytest.param(inst, gs, AdmmConfig(rho=rho, trace=True),
+                                  id=f"rho-{rho}"))
+    cases.append(pytest.param(inst, gs, AdmmConfig(max_iters=1, trace=True),
+                              id="max-iters-1"))
+    cases.append(pytest.param(inst, gs, AdmmConfig(eps_abs=math.inf, trace=True),
+                              id="eps-abs-inf"))
+    return cases
+
+
+class TestAgreesWithReferenceLoop:
+    """``solve_admm`` shares temporaries across its steps and stop test;
+    the loop it replaced, kept in helpers, must give the same bits."""
+
+    @staticmethod
+    def assert_same(report, ref):
+        assert (report.iters, report.converged, report.objective, report.r_norm,
+                report.s_norm) == (ref.iters, ref.converged, ref.objective,
+                                   ref.r_norm, ref.s_norm)
+        assert report.x_final.tobytes() == ref.x_final.tobytes()
+        assert report.trace == ref.trace
+
+    @pytest.mark.parametrize("inst, gs, cfg", _agreement_cases())
+    def test_bit_for_bit(self, inst, gs, cfg):
+        self.assert_same(solve_admm(inst, gs, cfg), solve_admm_reference(inst, gs, cfg))
+
+    def test_overflowing_norms_of_finite_iterates(self):
+        # every entry is finite, but the squared norms are not: no raise
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        inst = ProxInstance(v=np.array([1e200, -1e200, 1e200]), s=1.0, lam0=0.05,
+                            lam1=0.1)
+        cfg = AdmmConfig(trace=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_admm(inst, gs, cfg)
+            ref = solve_admm_reference(inst, gs, cfg)
+        assert np.all(np.isfinite(report.x_final))
+        self.assert_same(report, ref)
+
+    def test_overflowing_center_raises_at_first_iteration(self):
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        inst = ProxInstance(v=np.array([1e308, 1.0, 2.0]), s=1e-10)
+        for solve in (solve_admm, solve_admm_reference):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteError, match="at iteration 1$"):
+                    solve(inst, gs)
