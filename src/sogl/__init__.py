@@ -6,32 +6,13 @@ count, plus a sum of euclidean norms over (possibly overlapping) index
 groups. The package provides a consensus ADMM solver, a dual ascent
 heuristic, closed-form / fixed-point sandwich bounds on the optimal value,
 brute-force oracles to certify everything at desk scale, and a CLI with a
-JSON instance format.
+JSON instance format. The solver steps, bound pieces and model primitives
+are imported from their modules (``sogl.admm``, ``sogl.bounds``,
+``sogl.dual``, ``sogl.model``).
 """
-from .admm import (
-    AdmmConfig,
-    NonFiniteError,
-    SolveReport,
-    residual_norms,
-    solve_admm,
-    x_step,
-    y_step,
-    z_step,
-)
-from .bounds import (
-    BoundsReport,
-    FixedPointTrace,
-    ZeroCenterError,
-    lower_bound_l0,
-    lower_bound_l1,
-    lower_diag,
-    sandwich,
-    scaled_l2_prox,
-    upper_bound_l0,
-    upper_bound_l1,
-    upper_diag,
-)
-from .dual import dual_y_step, dual_z_step, solve_dual
+from .admm import AdmmConfig, NonFiniteError, SolveReport, solve_admm
+from .bounds import BoundsReport, sandwich
+from .dual import solve_dual
 from .instances import (
     InstanceFile,
     ParseError,
@@ -41,19 +22,8 @@ from .instances import (
     instance_from_dict,
     parse_instance,
     parse_instance_text,
-    trace_to_csv,
 )
-from .model import (
-    GroupDefectError,
-    GroupStructure,
-    ProxInstance,
-    gather,
-    group_norm_sum,
-    hard_threshold,
-    objective_value,
-    scatter_add,
-    weighted_group_norm,
-)
+from .model import GroupDefectError, GroupStructure, ProxInstance, objective_value
 from .oracle import (
     OracleResult,
     TooLargeError,

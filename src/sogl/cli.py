@@ -143,10 +143,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_instance(path: str):
+def _read_instance(path: str) -> tuple:
+    """The instance at ``path`` ('-' or empty: stdin) and its source name."""
     if path in ("-", ""):
-        return parse_instance_text(sys.stdin.read()) + ("stdin",)
-    return parse_instance(path) + (path,)
+        return parse_instance_text(sys.stdin.read()), "stdin"
+    return parse_instance(path), path
 
 
 def _emit(text: str, path: str):
@@ -192,7 +193,8 @@ def _record(instf, source: str, algorithm: str, config: dict, report: dict,
 def _run_solve_single(args, path: str) -> tuple:
     """The record text of one solve, and its trace CSV (None without
     ``--trace``)."""
-    inst, gs, instf, source = _read_instance(path)
+    instf, source = _read_instance(path)
+    inst, gs = instf.build()
     cfg = _admm_config(args, trace=bool(args.trace))
     config = {"algorithm": args.algorithm, "rho": cfg.rho,
               "max_iters": cfg.max_iters, "eps_abs": cfg.eps_abs,
@@ -217,14 +219,20 @@ def _cmd_solve(args) -> int:
             raise _UsageError("--batch requires --out-dir")
         if args.trace or args.out:
             raise _UsageError("--trace and --out are not supported with --batch")
+        sources = {}  # record path -> the one input that writes it
+        for path in paths:
+            stem = os.path.splitext(os.path.basename(path))[0]
+            out = os.path.join(args.out_dir, f"{stem}.record.json")
+            if out in sources:
+                raise _UsageError(f"{sources[out]} and {path} would both "
+                                  f"write {out}")
+            sources[out] = path
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             raise _WriteError(args.out_dir, exc) from exc
 
-        def one(path: str):
-            stem = os.path.splitext(os.path.basename(path))[0]
-            out = os.path.join(args.out_dir, f"{stem}.record.json")
+        def one(out: str, path: str):
             try:
                 _emit(_run_solve_single(args, path)[0], out)
             except (ParseError, ValidationError, _WriteError) as exc:
@@ -233,7 +241,7 @@ def _cmd_solve(args) -> int:
                 return 3, f"{path}: error: {exc}"
             return 0, f"{path}: ok -> {out}"
 
-        results = [one(path) for path in paths]
+        results = [one(out, path) for out, path in sources.items()]
         for _, message in results:
             print(message)
         return max(code for code, _ in results)
@@ -254,7 +262,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    inst, gs, instf, source = _read_instance(args.instance)
+    instf, source = _read_instance(args.instance)
+    inst, gs = instf.build()
     report = sandwich(inst, gs, args.variant)
     if args.with_oracle:
         report.oracle_value = oracle_variant(inst, gs, args.variant,
@@ -266,7 +275,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst, gs, instf, source = _read_instance(args.instance)
+    instf, source = _read_instance(args.instance)
+    inst, gs = instf.build()
     result = oracle_prox_l0_ogl(inst, gs, n_limit=args.limit)
     _emit(_record(instf, source, "oracle", {"limit": args.limit},
                   _fields(result), args.stamp), args.out)
@@ -295,7 +305,8 @@ def _load_point(path: str, n: int) -> np.ndarray:
 
 
 def _cmd_check(args) -> int:
-    inst, gs, instf, source = _read_instance(args.instance)
+    instf, source = _read_instance(args.instance)
+    inst, gs = instf.build()
     x = _load_point(args.point, gs.n)
     ok, residual = stationarity_check(x, inst, gs)
     rep = {"stationary": bool(ok), "residual": residual,
@@ -341,7 +352,9 @@ def run_cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        # overflow is reported by the non-finite checks (exit 3), not warned
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

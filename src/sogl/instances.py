@@ -51,43 +51,36 @@ class NonFiniteNumberError(ValueError):
 
 @dataclass
 class InstanceFile:
-    """In-memory form of one instance file."""
+    """One validated instance: the solvers' ``(ProxInstance,
+    GroupStructure)`` pair, with the file's optional name and seed."""
 
-    v: list
-    groups: list
-    s: float
-    lambda0: float
-    lambda1: float
-    lambda_: float
-    weights: list = None
+    inst: ProxInstance
+    gs: GroupStructure
     name: str = None
     seed: int = None
 
     def to_dict(self) -> dict:
+        """The fields of the instance file, in file order."""
+        inst, gs = self.inst, self.gs
         d = {
-            "v": list(self.v),
-            "groups": [list(map(int, g)) for g in self.groups],
-            "s": self.s,
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "lambda": self.lambda_,
+            "v": inst.v.tolist(),
+            "groups": [g.tolist() for g in gs.groups],
+            "s": inst.s,
+            "lambda0": inst.lam0,
+            "lambda1": inst.lam1,
+            "lambda": inst.lam,
+            "weights": gs.weights.tolist(),
         }
-        if self.weights is not None:
-            d["weights"] = list(self.weights)
         if self.name is not None:
             d["name"] = self.name
         if self.seed is not None:
             d["seed"] = self.seed
         return d
 
-    def build(self):
-        """Construct the validated (ProxInstance, GroupStructure) pair."""
-        gs = GroupStructure(n=len(self.v), groups=self.groups,
-                            weights=self.weights)
-        inst = ProxInstance(v=np.asarray(self.v, dtype=float), s=self.s,
-                            lam0=self.lambda0, lam1=self.lambda1,
-                            lam=self.lambda_)
-        return inst, gs
+    def build(self) -> tuple:
+        """The validated ``(ProxInstance, GroupStructure)`` pair; the same
+        objects on every call."""
+        return self.inst, self.gs
 
 
 def _require_number(value, where: str) -> float:
@@ -140,9 +133,9 @@ def _group_structure(groups: list, n: int) -> GroupStructure:
     return gs
 
 
-def _read(data: dict) -> tuple:
+def instance_from_dict(data: dict) -> InstanceFile:
     """Validate a decoded JSON object against the instance schema and build
-    it: ``(InstanceFile, ProxInstance, GroupStructure)``."""
+    the instance it describes."""
     if not isinstance(data, dict):
         raise ParseError("instance file must be a JSON object")
     for key in data:
@@ -176,7 +169,6 @@ def _read(data: dict) -> tuple:
             raise ValidationError(
                 f"weights[{nonpositive[0]}]: must be strictly positive")
         gs.weights = w  # checked above, with the messages of the file format
-        weights = w.tolist()
 
     s = _require_number(data["s"], "s")
     if not s > 0:
@@ -195,31 +187,22 @@ def _read(data: dict) -> tuple:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ValidationError("seed: expected an integer")
 
-    # lambdas holds lambda0, lambda1, lambda: the field order of both classes
-    return (InstanceFile(v.tolist(), list(groups), s, *lambdas.values(),
-                         weights=weights, name=name, seed=seed),
-            ProxInstance(v, s, *lambdas.values()), gs)
+    # lambdas holds lambda0, lambda1, lambda: the field order of ProxInstance
+    return InstanceFile(ProxInstance(v, s, *lambdas.values()), gs, name, seed)
 
 
-def instance_from_dict(data: dict) -> InstanceFile:
-    """Validate a decoded JSON object against the instance schema."""
-    return _read(data)[0]
-
-
-def parse_instance_text(text: str):
-    """Parse instance JSON text into (ProxInstance, GroupStructure, InstanceFile)."""
+def parse_instance_text(text: str) -> InstanceFile:
+    """Parse and validate instance JSON text."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    instf, inst, gs = _read(data)
-    return inst, gs, instf
+    return instance_from_dict(data)
 
 
-def parse_instance(path: str):
-    """Read and validate one instance file.
-
-    Returns ``(ProxInstance, GroupStructure, InstanceFile)``.
+def parse_instance(path: str) -> InstanceFile:
+    """Read and validate one instance file; ``build()`` of the result gives
+    the solvers' ``(ProxInstance, GroupStructure)`` pair.
 
     Raises
     ------
@@ -279,17 +262,11 @@ def generate_instance(seed: int, n: int, m: int,
         pool = rng.permutation(n)
         for size in sizes:
             groups.append(sorted(int(i) for i in pool[: int(size)]))
-    return InstanceFile(
-        v=[float(x) for x in v],
-        groups=groups,
-        s=float(s),
-        lambda0=float(lambda0),
-        lambda1=float(lambda1),
-        lambda_=float(lambda_),
-        weights=[1.0] * m,
-        name=f"{overlap_mode}-n{n}-m{m}-seed{seed}",
-        seed=int(seed),
-    )
+    inst = ProxInstance(v, float(s), float(lambda0), float(lambda1),
+                        float(lambda_))
+    return InstanceFile(inst, GroupStructure(n, groups),
+                        name=f"{overlap_mode}-n{n}-m{m}-seed{seed}",
+                        seed=int(seed))
 
 
 def _format_floats(values, where: str) -> list:

@@ -61,8 +61,8 @@ def z_step_scaled_space(x, y, inst, gs, cfg):
 
     Accumulates the stacked ``rho*x + y`` onto the global indices entry by
     entry, then solves the diagonally rescaled problem where the threshold
-    is the constant ``sqrt(2*lam0)``. ``sogl.z_step`` must agree with it to
-    round-off.
+    is the constant ``sqrt(2*lam0)``. ``sogl.admm.z_step`` must agree with
+    it to round-off.
     """
     c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
     stacked = cfg.rho * x + y

@@ -19,25 +19,18 @@ from sogl import (
     AdmmConfig,
     GroupStructure,
     ProxInstance,
-    dual_y_step,
-    dual_z_step,
-    gather,
-    lower_diag,
     oracle_c_scan,
     oracle_prox_l0_ogl,
     oracle_ub_l0_subsets,
     oracle_variant,
     sandwich,
-    scaled_l2_prox,
-    scatter_add,
     solve_admm,
     solve_dual,
-    upper_bound_l0,
-    upper_diag,
-    weighted_group_norm,
-    z_step,
 )
-from sogl.admm import consensus_constants
+from sogl.admm import consensus_constants, z_step
+from sogl.bounds import lower_diag, scaled_l2_prox, upper_bound_l0, upper_diag
+from sogl.dual import dual_y_step, dual_z_step
+from sogl.model import gather, scatter_add, weighted_group_norm
 from helpers import stacked_normal, z_step_scaled_space
 
 

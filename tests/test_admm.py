@@ -8,23 +8,17 @@ from sogl import (
     GroupStructure,
     NonFiniteError,
     ProxInstance,
-    gather,
-    hard_threshold,
     objective_value,
     oracle_prox_l0_ogl,
     oracle_variant,
-    residual_norms,
     sandwich,
-    scatter_add,
     solve_admm,
     solve_dual,
     stationarity_check,
-    x_step,
-    y_step,
-    z_step,
 )
-from sogl.admm import consensus_constants
+from sogl.admm import consensus_constants, residual_norms, x_step, y_step, z_step
 from sogl.instances import generate_instance
+from sogl.model import gather, hard_threshold, scatter_add
 from helpers import (
     block_soft_threshold,
     random_instance,

@@ -6,20 +6,22 @@ import pytest
 from sogl import (
     GroupStructure,
     ProxInstance,
-    ZeroCenterError,
-    lower_bound_l0,
-    lower_bound_l1,
-    lower_diag,
     oracle_c_scan,
     oracle_ub_l0_subsets,
     oracle_variant,
     sandwich,
+)
+from sogl.bounds import (
+    ZeroCenterError,
+    lower_bound_l0,
+    lower_bound_l1,
+    lower_diag,
     scaled_l2_prox,
     upper_bound_l0,
     upper_bound_l1,
     upper_diag,
-    weighted_group_norm,
 )
+from sogl.model import weighted_group_norm
 from helpers import block_soft_threshold, random_instance, random_structure
 
 

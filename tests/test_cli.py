@@ -1,7 +1,6 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from sogl import dumps_canonical, generate_instance
@@ -95,6 +94,23 @@ class TestSolve:
         assert code == 2
         assert (out_dir / "good.record.json").exists()
 
+    @pytest.mark.parametrize("names", [("a/x.json", "b/x.json"), ("a/x.json", "a/x.json")],
+                             ids=["same-name", "same-path"])
+    def test_batch_inputs_sharing_a_record_are_usage_error(self, tmp_path, capsys,
+                                                           monkeypatch, names):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        paths = [str(write_instance(tmp_path, name=name)) for name in names]
+        solved = []
+        monkeypatch.setattr("sogl.cli.solve_admm", lambda *args: solved.append(args))
+        out_dir = tmp_path / "records"
+        assert run_cli(["solve", *paths, "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {paths[0]} and {paths[1]} would both "
+                                f"write {out_dir / 'x.record.json'}\n")
+        assert not out_dir.exists() and solved == []
+
 
 class TestExitCodes:
     def test_usage_unknown_command(self):
@@ -141,8 +157,7 @@ class TestExitCodes:
         path = tmp_path / "inf.json"
         path.write_text('{"v": [1e308], "groups": [[0]], "s": 1, "lambda0": 0, '
                         '"lambda1": 0.1, "lambda": 0}')
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli(["solve", str(path)]) == 3
+        assert run_cli(["solve", str(path)]) == 3
 
     @pytest.mark.parametrize("command, fields, name", [
         ("solve", '"v": [1' + '0' * 400 + '], "s": 1, "lambda0": 0', "v[0]"),
@@ -175,10 +190,26 @@ class TestExitCodes:
                         '"lambda1": 0.1, "lambda": 0.1}\n')
         out = tmp_path / "rec.json"
         argv = [a.format(tmp=tmp_path) for a in argv]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli(argv + [str(path), "--out", str(out)]) == 3
+        assert run_cli(argv + [str(path), "--out", str(out)]) == 3
         assert "is not finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["bounds"], ["check", "--point", "{tmp}/x.json"],
+    ], ids=["solve", "bounds", "check"])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, capsys, argv):
+        # numpy's floating-point warnings would fail here: the suite makes
+        # every RuntimeWarning an error
+        path = tmp_path / "big.json"
+        path.write_text('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
+                        '"lambda1": 0.1, "lambda": 0.1}\n')
+        (tmp_path / "x.json").write_text("[0.0]\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run_cli(argv + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "is not finite" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize("argv, target", [
         (["solve", "{a}", "--out", "{tmp}/missing/rec.json"], "{tmp}/missing/rec.json"),

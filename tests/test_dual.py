@@ -7,16 +7,13 @@ from sogl import (
     AdmmConfig,
     GroupStructure,
     ProxInstance,
-    dual_y_step,
-    dual_z_step,
-    gather,
     generate_instance,
-    hard_threshold,
     oracle_prox_l0_ogl,
-    scatter_add,
     solve_admm,
     solve_dual,
 )
+from sogl.dual import dual_y_step, dual_z_step
+from sogl.model import gather, hard_threshold, scatter_add
 from helpers import random_instance, random_structure
 
 

@@ -8,15 +8,15 @@ from sogl import (
     GroupStructure,
     InstanceFile,
     ParseError,
+    ProxInstance,
     ValidationError,
     dumps_canonical,
     generate_instance,
     instance_from_dict,
     parse_instance,
     parse_instance_text,
-    trace_to_csv,
 )
-from sogl.instances import NonFiniteNumberError, write_atomic
+from sogl.instances import NonFiniteNumberError, trace_to_csv, write_atomic
 from helpers import (
     EDGE_FLOATS,
     first_group_defect,
@@ -33,9 +33,40 @@ safe_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 def test_minimal_file_valid():
-    inst, gs, instf = parse_instance_text(json.dumps(MINIMAL))
+    inst, gs = parse_instance_text(json.dumps(MINIMAL)).build()
     assert gs.n == 1 and gs.m == 1
     assert inst.s == 1.0 and inst.lam0 == 0.0
+
+
+class TestOneRepresentation:
+    def test_text_builds_one_group_structure(self, monkeypatch):
+        built = []
+
+        class Counting(GroupStructure):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr("sogl.instances.GroupStructure", Counting)
+        instf = parse_instance_text(json.dumps(dict(MINIMAL, weights=[2.0])))
+        instf.build()
+        instf.build()
+        assert len(built) == 1
+
+    def test_build_returns_the_same_objects(self):
+        instf = parse_instance_text(json.dumps(MINIMAL))
+        inst, gs = instf.build()
+        again = instf.build()
+        assert again[0] is inst and again[1] is gs
+
+    def test_file_without_weights_round_trips(self):
+        data = dict(MINIMAL, v=[1.0, -2.0], groups=[[0, 1], [1]], seed=4)
+        d = parse_instance_text(json.dumps(data)).to_dict()
+        assert list(d) == ["v", "groups", "s", "lambda0", "lambda1", "lambda",
+                           "weights", "seed"]
+        assert d == dict(data, weights=[1.0, 1.0])
+        back = instance_from_dict(d).to_dict()
+        assert dumps_canonical(back) == dumps_canonical(d)
 
 
 class TestValidation:
@@ -218,11 +249,10 @@ class TestCanonicalSerialization:
     )
     @settings(max_examples=100, deadline=None)
     def test_round_trip_arbitrary_centers(self, v, s):
-        instf = InstanceFile(v=v, groups=[[0]], s=s, lambda0=0.0,
-                             lambda1=0.0, lambda_=0.0)
+        instf = InstanceFile(ProxInstance(v, s), GroupStructure(len(v), [[0]]))
         back = instance_from_dict(json.loads(dumps_canonical(instf.to_dict())))
-        assert back.v == [float(x) for x in v]
-        assert back.s == float(s)
+        assert back.to_dict()["v"] == [float(x) for x in v]
+        assert back.inst.s == float(s)
 
     def test_record_round_trip(self):
         record = {
@@ -257,7 +287,7 @@ class TestGenerator:
         instf = generate_instance(0, 7, 3, (3, 3), "chain")
         _, gs = instf.build()
         assert set(gs.overlap_counts.tolist()) <= {1, 2}
-        assert instf.groups == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
+        assert instf.to_dict()["groups"] == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
 
     def test_single_covering_group(self):
         instf = generate_instance(0, 5, 1, (5, 5), "random")
@@ -266,7 +296,7 @@ class TestGenerator:
 
     def test_nested_mode_nests(self):
         instf = generate_instance(9, 9, 4, (1, 7), "nested")
-        sets = [set(g) for g in instf.groups]
+        sets = [set(g) for g in instf.to_dict()["groups"]]
         assert all(a <= b for a, b in zip(sets, sets[1:]))
 
     def test_generated_instances_always_parse(self):
@@ -274,7 +304,7 @@ class TestGenerator:
             instf = generate_instance(seed, 8, 3, (2, 4),
                                       ("chain", "random", "nested")[seed % 3])
             text = dumps_canonical(instf.to_dict())
-            inst, gs, _ = parse_instance_text(text)
+            inst, gs = parse_instance_text(text).build()
             assert gs.n == 8 and gs.m == 3
 
     @pytest.mark.parametrize("mode", ["chain", "random", "nested"])

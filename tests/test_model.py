@@ -9,12 +9,10 @@ from sogl import (
     GroupDefectError,
     GroupStructure,
     ProxInstance,
-    gather,
-    hard_threshold,
     objective_value,
-    scatter_add,
-    x_step,
 )
+from sogl.admm import x_step
+from sogl.model import gather, hard_threshold, scatter_add
 
 from helpers import first_structure_defect, groups_with_defects
 
