@@ -65,10 +65,9 @@ class SolveReport:
     the iterate's z, the Lagrangian lower bound at its y, and the best
     objective so far minus the best bound so far. The dual's ``x_final`` is
     the best candidate seen, and ``converged`` means that gap, or the rise
-    of the bound in one step, fell within the tolerance. ``oracle_gap`` is
-    filled when a certified optimal value is supplied to the solver; with a
-    positive count penalty the candidate is stationary, not certified
-    global, and the gap quantifies the miss.
+    of the bound in one step, fell within the tolerance. ``objective`` is
+    :func:`sogl.model.objective_value` at ``x_final``, group weights
+    included.
     """
 
     x_final: np.ndarray
@@ -80,19 +79,19 @@ class SolveReport:
     s_norm: float = 0.0
     trace: list = None
     wall_time: float = None
-    oracle_gap: float = None
 
 
 def x_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
            gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
-    """Block update: soft-threshold each block of ``zb - y/rho``, zb =
-    gather(z), at level ``lam1/rho``: shrink its norm by that or zero it."""
+    """Block update: soft-threshold block i of ``zb - y/rho``, zb =
+    gather(z), at level ``lam1*w_i/rho``: shrink its norm by that or zero
+    it."""
     a = zb - y / cfg.rho
-    t = inst.lam1 / cfg.rho
+    t = inst.lam1 * gs.weights / cfg.rho
     nrm = group_norms(a, gs)
     keep = nrm > t
     scale = np.zeros(gs.m)
-    scale[keep] = 1.0 - t / nrm[keep]
+    scale[keep] = 1.0 - t[keep] / nrm[keep]
     return np.repeat(scale, gs.sizes) * a
 
 
@@ -142,14 +141,12 @@ def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
 
 
 def solve_admm(inst: ProxInstance, gs: GroupStructure,
-               cfg: AdmmConfig = None,
-               oracle_value: float = None) -> SolveReport:
+               cfg: AdmmConfig = None) -> SolveReport:
     """Run the ADMM cycle until the residual criteria or ``max_iters``.
 
     Starts from the feasible point x = gather(v), z = v, y = 0 (already
     optimal when all penalties vanish). The report evaluates the objective
-    at the consensus z; pass ``oracle_value`` (a certified optimum) to have
-    the report record the gap to it.
+    at the consensus z.
 
     Raises
     ------
@@ -182,10 +179,9 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
-    objective = objective_value(z, inst, gs)
     return SolveReport(
         x_final=z,
-        objective=objective,
+        objective=objective_value(z, inst, gs),
         iters=it,
         converged=converged,
         algorithm="admm",
@@ -193,5 +189,4 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         s_norm=s_norm,
         trace=trace,
         wall_time=time.perf_counter() - t0,
-        oracle_gap=None if oracle_value is None else objective - oracle_value,
     )

@@ -2,9 +2,10 @@
 splitting.
 
 Relax the constraints tying each group's block to ``gather(x)`` with stacked
-multipliers ``y`` whose blocks satisfy ``||y_i|| <= lam1``. Cauchy--Schwarz
-gives ``lam1*||x_{G_i}|| >= -<y_i, x_{G_i}>``, so for every such ``y`` the
-objective is bounded below by the closed-form value
+multipliers ``y`` whose blocks satisfy ``||y_i|| <= lam1*w_i``, with ``w_i``
+the group weights. Cauchy--Schwarz gives ``lam1*w_i*||x_{G_i}|| >= -<y_i,
+x_{G_i}>``, so for every such ``y`` the objective is bounded below by the
+closed-form value
 
     d(-y) = (1/2s)*||z - v||^2 + lam0*nnz(z) - <y, gather(z)>,
 
@@ -12,7 +13,7 @@ where ``z = dual_z_step(y)`` minimizes the relaxed problem exactly. The
 bound is concave in ``y`` with supergradient ``-gather(z)``; ascent steps of
 length ``1/(s*k_max)`` (``k_max`` the largest overlap count) followed by a
 projection onto the balls raise it. Every ``z`` is also a primal candidate:
-its objective exceeds ``d(-y)`` by ``sum_i (lam1*||z_{G_i}|| + <y_i,
+its objective exceeds ``d(-y)`` by ``sum_i (lam1*w_i*||z_{G_i}|| + <y_i,
 z_{G_i}>) >= 0``, so the best candidate comes with a certified gap.
 """
 from __future__ import annotations
@@ -51,17 +52,17 @@ def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> np.nda
 
 def dual_y_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
                 gs: GroupStructure) -> np.ndarray:
-    """Projected ascent step: ``y - zb/(s*k_max)``, each block then
-    projected onto the ball of radius ``lam1``; ``zb`` is ``gather(z)``.
+    """Projected ascent step: ``y - zb/(s*k_max)``, block i then projected
+    onto the ball of radius ``lam1*w_i``; ``zb`` is ``gather(z)``.
 
     ``k_max`` is the largest overlap count (1 when no variable is covered),
     so the step is the inverse of the bound's curvature in ``y``.
     """
     k_max = max(int(gs.overlap_counts.max()), 1)
     u = y - zb / (inst.s * k_max)
+    radius = inst.lam1 * gs.weights
     nrm = group_norms(u, gs)
-    scale = np.divide(inst.lam1, nrm, out=np.ones_like(nrm),
-                      where=nrm > inst.lam1)
+    scale = np.divide(radius, nrm, out=np.ones_like(nrm), where=nrm > radius)
     return np.repeat(scale, gs.sizes) * u
 
 
@@ -88,7 +89,7 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
         zb = gather(z, gs)
         q = (0.5 / inst.s * float(np.sum((z - inst.v) ** 2))
              + inst.lam0 * np.count_nonzero(z))
-        obj = q + inst.lam1 * float(np.sum(group_norms(zb, gs)))
+        obj = q + inst.lam1 * float(np.sum(gs.weights * group_norms(zb, gs)))
         prev_bound, bound = bound, q - float(y @ zb)
         if best_z is None or obj < best_obj:
             best_z, best_obj = z, obj

@@ -24,7 +24,6 @@ __all__ = [
     "scatter_add",
     "group_norms",
     "group_norm_sum",
-    "weighted_group_norm",
     "objective_value",
 ]
 
@@ -163,9 +162,9 @@ def _locate(k: int, offsets: np.ndarray) -> tuple:
 class ProxInstance:
     """One prox problem: center ``v``, step ``s``, and penalty levels.
 
-    ``lam0`` scales the nonzero count, ``lam1`` the sum of group norms in
-    the main objective, and ``lam`` the weighted group term used by the
-    bound problems.
+    ``lam0`` scales the nonzero count and ``lam1`` the weighted group term
+    ``sum_i w_i*||x_{G_i}||_2`` of the main objective; ``lam`` scales the
+    same group term in the bound problems.
     """
 
     v: np.ndarray
@@ -222,22 +221,14 @@ def group_norms(a: np.ndarray, gs: GroupStructure) -> np.ndarray:
 
 
 def group_norm_sum(x: np.ndarray, gs: GroupStructure) -> float:
-    """Sum of the per-group euclidean norms of ``x`` (unit weights)."""
-    return float(np.sum(group_norms(gather(x, gs), gs)))
-
-
-def weighted_group_norm(x: np.ndarray, gs: GroupStructure) -> float:
-    """Weighted sum of per-group euclidean norms used by the bound problems."""
+    """The group term ``sum_i w_i*||x_{G_i}||_2`` of every objective."""
     return float(np.sum(gs.weights * group_norms(gather(x, gs), gs)))
 
 
 def objective_value(x: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> float:
     """Evaluate the composite objective
 
-    ``(1/2s)*||x - v||^2 + lam0*nnz(x) + lam1*sum_i ||x_{G_i}||_2``.
-
-    The group term is unweighted here; the weighted variant feeding the
-    bound problems is :func:`weighted_group_norm`.
+    ``(1/2s)*||x - v||^2 + lam0*nnz(x) + lam1*sum_i w_i*||x_{G_i}||_2``.
     """
     x = np.asarray(x, dtype=float)
     quad = 0.5 / inst.s * float(np.sum((x - inst.v) ** 2))

@@ -158,17 +158,19 @@ def _support_enumerate(v: np.ndarray, s: float, coeffs: np.ndarray,
 
 def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
                        n_limit: int = 12) -> OracleResult:
-    """Exact global minimum of the main composite objective.
+    """Exact global minimum of the main composite objective
+    ``(1/2s)||x-v||^2 + lam0*nnz(x) + lam1*sum_i w_i*||x_{G_i}||_2``.
 
     Enumerates every support (convex regime short-circuits to the full
-    support) and solves each restricted convex problem to ~1e-12.
+    support) and solves each restricted convex problem to ~1e-12. This is
+    :func:`oracle_variant` ``"l0"`` with ``lam = lam1``.
 
     Raises
     ------
     TooLargeError
         If ``gs.n > n_limit``.
     """
-    coeffs = np.full(gs.m, inst.lam1)
+    coeffs = inst.lam1 * gs.weights
     return _support_enumerate(inst.v, inst.s, coeffs, 0.0, inst.lam0, gs, n_limit)
 
 
@@ -311,17 +313,17 @@ def oracle_ub_l0_subsets(v: np.ndarray, lam: float, lam0: float, diag,
 
 
 def _min_norm_with_ball_multipliers(base: np.ndarray, zero_groups,
-                                    radius: float,
+                                    radii: np.ndarray,
                                     passes: int = 500) -> float:
     """min ||base + sum_i u_i||_2 over blocks u_i supported on each zero
-    group with ||u_i|| <= radius, by cyclic block minimization."""
-    if not zero_groups or radius == 0.0:
+    group with ||u_i|| <= radii[i], by cyclic block minimization."""
+    if not zero_groups:
         return float(np.linalg.norm(base))
     total = base.copy()
     mults = [np.zeros(g.size) for g in zero_groups]
     prev = math.inf
     for _ in range(passes):
-        for i, g in enumerate(zero_groups):
+        for i, (g, radius) in enumerate(zip(zero_groups, radii)):
             w = total[g] - mults[i]
             nrm = float(np.linalg.norm(w))
             target = -w if nrm <= radius else -(radius / nrm) * w
@@ -339,8 +341,9 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     """First-order check of the main objective at ``x``.
 
     The smooth-plus-group part must admit a vanishing subgradient: on the
-    support every coordinate is differentiable; at zero coordinates the
-    group subdifferentials contribute ball-constrained multipliers, except
+    support every coordinate is differentiable, a nonzero block contributing
+    ``lam1*w_i*x_{G_i}/||x_{G_i}||``; at zero coordinates the zero blocks
+    contribute multipliers in the balls of radius ``lam1*w_i``, except
     that a positive count penalty makes any zero coordinate locally optimal
     on its own. The count term on the support is checked in closed form:
     zeroing any one nonzero coordinate must not decrease the objective.
@@ -350,19 +353,20 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     """
     x = np.asarray(x, dtype=float)
     r = (x - inst.v) / inst.s
+    radii = inst.lam1 * gs.weights
     xb = x[gs.flat_index]
     nrm = _block_norms(xb, gs)
     nrm_b = np.repeat(nrm, gs.sizes)
     r += np.bincount(gs.flat_index, minlength=gs.n,
-                     weights=np.divide(inst.lam1 * xb, nrm_b,
+                     weights=np.divide(np.repeat(radii, gs.sizes) * xb, nrm_b,
                                        out=np.zeros_like(xb), where=nrm_b > 0))
-    zero_groups = ([gs.groups[i] for i in np.flatnonzero(nrm == 0)]
-                   if inst.lam1 > 0 else [])
     supp = x != 0
     if inst.lam0 > 0:
         residual = float(np.linalg.norm(r[supp])) if supp.any() else 0.0
     else:
-        residual = _min_norm_with_ball_multipliers(r, zero_groups, inst.lam1)
+        zero = np.flatnonzero((nrm == 0) & (radii > 0))
+        residual = _min_norm_with_ball_multipliers(
+            r, [gs.groups[i] for i in zero], radii[zero])
     ok = residual <= tol
     if ok and inst.lam0 > 0:
         ok = _count_term_ok(x, inst, gs)
@@ -375,8 +379,8 @@ def _count_term_ok(x: np.ndarray, inst: ProxInstance,
     objective by more than 1e-9.
 
     The change is in closed form: ``x_g(2v_g - x_g)/(2s) - lam0`` plus
-    ``lam1`` times, over the blocks holding g, the norm of the block
-    without ``x_g`` minus the norm with it.
+    ``lam1`` times the sum, over the blocks i holding g, of ``w_i`` times
+    the norm of block i without ``x_g`` minus the norm with it.
     """
     xb = x[gs.flat_index]
     sq = xb * xb
@@ -392,7 +396,8 @@ def _count_term_ok(x: np.ndarray, inst: ProxInstance,
         rest2[dominant] = np.repeat(np.add.reduceat(others, starts),
                                     gs.sizes)[dominant]
     change = np.bincount(gs.flat_index, minlength=gs.n, weights=(
-        np.sqrt(np.maximum(rest2, 0.0)) - np.sqrt(nrm2)))
+        np.repeat(gs.weights, gs.sizes)
+        * (np.sqrt(np.maximum(rest2, 0.0)) - np.sqrt(nrm2))))
     delta = (x * (2.0 * inst.v - x) / (2.0 * inst.s) - inst.lam0
              + inst.lam1 * change)
     return not np.any(delta[x != 0] < -1e-9)

@@ -77,11 +77,11 @@ def z_step_scaled_space(x, y, inst, gs, cfg):
 
 def _reference_x_step(z, y, inst, gs, cfg):
     a = gather(z, gs) - y / cfg.rho
-    t = inst.lam1 / cfg.rho
+    t = inst.lam1 * gs.weights / cfg.rho
     nrm = group_norms(a, gs)
     keep = nrm > t
     scale = np.zeros(gs.m)
-    scale[keep] = 1.0 - t / nrm[keep]
+    scale[keep] = 1.0 - t[keep] / nrm[keep]
     return np.repeat(scale, gs.sizes) * a
 
 

@@ -30,7 +30,7 @@ from sogl import (
 from sogl.admm import consensus_constants, z_step
 from sogl.bounds import lower_diag, scaled_l2_prox, upper_bound_l0, upper_diag
 from sogl.dual import dual_y_step, dual_z_step
-from sogl.model import gather, scatter_add, weighted_group_norm
+from sogl.model import gather, scatter_add, group_norm_sum
 from helpers import stacked_normal, z_step_scaled_space
 
 
@@ -45,13 +45,12 @@ def _random_structure(rng, max_n=8, max_m=3, weighted=False):
     return GroupStructure(n=n, groups=groups, weights=weights)
 
 
-def test_c1_convex_oracle_equivalence():
-    rng = np.random.default_rng(20260808)
+def _c1_worst_rel_err(seed, weighted):
+    rng = np.random.default_rng(seed)
     cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-8, max_iters=20000)
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        gs = _random_structure(rng, max_n=8, max_m=3)
+        gs = _random_structure(rng, max_n=8, max_m=3, weighted=weighted)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.5, 2)),
                             lam0=0.0, lam1=float(rng.uniform(0, 1)))
@@ -60,17 +59,25 @@ def test_c1_convex_oracle_equivalence():
         rel = abs(report.objective - oracle.value) / max(1.0, abs(oracle.value))
         worst = max(worst, rel)
         assert rel <= 1e-6, (inst, rel)
+    return worst
+
+
+def test_c1_convex_oracle_equivalence():
+    t0 = time.perf_counter()
+    worst = _c1_worst_rel_err(20260808, weighted=False)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
+    worst_w = _c1_worst_rel_err(20260818, weighted=True)
     print(f"ACCEPTANCE C1 (convex oracle equivalence, 200 instances): PASS - "
-          f"worst rel err {worst:.2e}, {elapsed:.1f}s")
+          f"worst rel err {worst:.2e}, {elapsed:.1f}s; weighted (200): "
+          f"worst rel err {worst_w:.2e}")
 
 
-def test_c2_nonconvex_oracle_dominance():
-    rng = np.random.default_rng(20260809)
+def _c2_match_rate(seed, weighted):
+    rng = np.random.default_rng(seed)
     matches = 0
     for _ in range(200):
-        gs = _random_structure(rng, max_n=6, max_m=3)
+        gs = _random_structure(rng, max_n=6, max_m=3, weighted=weighted)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.5, 1.0)),
                             lam0=float(rng.uniform(0.02, 0.2)),
@@ -82,8 +89,15 @@ def test_c2_nonconvex_oracle_dominance():
             matches += 1
     rate = matches / 200.0
     assert rate >= 0.60, rate
+    return rate
+
+
+def test_c2_nonconvex_oracle_dominance():
+    rate = _c2_match_rate(20260809, weighted=False)
+    rate_w = _c2_match_rate(20260819, weighted=True)
     print(f"ACCEPTANCE C2 (nonconvex dominance, 200 instances): PASS - "
-          f"global-match rate {rate:.1%} (guard 60%)")
+          f"global-match rate {rate:.1%} (guard 60%); weighted (200): "
+          f"{rate_w:.1%}")
 
 
 def test_c3_norm_bracketing_inequalities():
@@ -104,17 +118,17 @@ def test_c3_norm_bracketing_inequalities():
         l = lower_diag(gs)
         u = upper_diag(gs)
         y = rng.normal(0, 3, gs.n)
-        mid = weighted_group_norm(y, gs)
+        mid = group_norm_sum(y, gs)
         assert float(np.sum(l * np.abs(y))) <= mid + 1e-12
         assert mid <= float(np.linalg.norm(u * y)) + 1e-12
         # lower equality: one shared magnitude with random signs
         ye = float(rng.uniform(0, 2)) * rng.choice([-1.0, 1.0], size=gs.n)
-        assert abs(float(np.sum(l * np.abs(ye))) - weighted_group_norm(ye, gs)) <= 1e-12
+        assert abs(float(np.sum(l * np.abs(ye))) - group_norm_sum(ye, gs)) <= 1e-12
     # upper equality: single unit-weight group, every overlap count one
     gs1 = GroupStructure(6, [[0, 2, 3]])
     z = rng.normal(0, 2, 6)
     assert abs(float(np.linalg.norm(upper_diag(gs1) * z))
-               - weighted_group_norm(z, gs1)) <= 1e-12
+               - group_norm_sum(z, gs1)) <= 1e-12
     print("ACCEPTANCE C3 (norm bracketing, 1000 draws each): PASS - "
           "all inequalities and equality cases within 1e-12")
 
@@ -215,11 +229,11 @@ def test_c7_matrix_form_equivalence():
           f"worst gap {worst:.2e}")
 
 
-def test_c8_dual_solver_sanity():
-    rng = np.random.default_rng(20260815)
+def _c8_worst_excess(seed, weighted):
+    rng = np.random.default_rng(seed)
     worst_excess = -math.inf
     for _ in range(100):
-        gs = _random_structure(rng, max_n=6, max_m=3)
+        gs = _random_structure(rng, max_n=6, max_m=3, weighted=weighted)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.5, 2)),
                             lam0=float(rng.uniform(0.0, 0.5)),
@@ -240,12 +254,19 @@ def test_c8_dual_solver_sanity():
             worst_excess = max(worst_excess, bound - oracle.value)
             assert bound <= oracle.value + 1e-9
             y = dual_y_step(gather(z, gs), y, inst, gs)
-            for b in np.split(y, gs.offsets[1:-1]):
-                assert np.linalg.norm(b) <= inst.lam1 + 1e-12
+            for b, w_i in zip(np.split(y, gs.offsets[1:-1]), gs.weights):
+                assert np.linalg.norm(b) <= inst.lam1 * w_i + 1e-12
         report = solve_dual(inst, gs)
         assert report.objective >= oracle.value - 1e-9
+    return worst_excess
+
+
+def test_c8_dual_solver_sanity():
+    worst_excess = _c8_worst_excess(20260815, weighted=False)
+    worst_w = _c8_worst_excess(20260825, weighted=True)
     print(f"ACCEPTANCE C8 (dual solver sanity, 100 instances): PASS - "
-          f"feasible throughout, worst bound minus optimum {worst_excess:.2e}")
+          f"feasible throughout, worst bound minus optimum {worst_excess:.2e}; "
+          f"weighted (100): {worst_w:.2e}")
 
 
 def test_c9_cli_round_trips(tmp_path):

@@ -21,7 +21,7 @@ from sogl.bounds import (
     upper_bound_l1,
     upper_diag,
 )
-from sogl.model import weighted_group_norm
+from sogl.model import group_norm_sum
 from helpers import block_soft_threshold, random_instance, random_structure
 
 
@@ -38,7 +38,7 @@ class TestDiagonals:
         ld = lower_diag(gs)
         np.testing.assert_allclose(ld, [1.0])
         for x in (0.3, -2.0, 0.0):
-            assert abs(ld[0] * abs(x) - weighted_group_norm(np.array([x]), gs)) <= 1e-15
+            assert abs(ld[0] * abs(x) - group_norm_sum(np.array([x]), gs)) <= 1e-15
 
     def test_no_groups_gives_zero(self):
         gs = GroupStructure(3, [])
@@ -71,7 +71,7 @@ class TestDiagonals:
         u = upper_diag(gs)
         for _ in range(50):
             x = rng.normal(0, 3, gs.n)
-            mid = weighted_group_norm(x, gs)
+            mid = group_norm_sum(x, gs)
             assert float(np.sum(l * np.abs(x))) <= mid + 1e-12
             assert mid <= float(np.linalg.norm(u * x)) + 1e-12
 
@@ -81,7 +81,7 @@ class TestDiagonals:
         x = 1.7 * rng.choice([-1.0, 1.0], size=gs.n)
         l = lower_diag(gs)
         assert float(np.sum(l * np.abs(x))) == pytest.approx(
-            weighted_group_norm(x, gs), abs=1e-12
+            group_norm_sum(x, gs), abs=1e-12
         )
 
     def test_upper_equality_single_unit_group(self):
@@ -90,7 +90,7 @@ class TestDiagonals:
         x = rng.normal(size=5)
         u = upper_diag(gs)
         assert float(np.linalg.norm(u * x)) == pytest.approx(
-            weighted_group_norm(x, gs), abs=1e-12
+            group_norm_sum(x, gs), abs=1e-12
         )
 
 

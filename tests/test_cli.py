@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from sogl import dumps_canonical, generate_instance
@@ -26,6 +27,26 @@ class TestSolve:
         assert record["report"]["objective"] == 0.0
         assert record["report"]["converged"] is True
         assert record["algorithm"] == "admm"
+
+    @pytest.mark.parametrize("algorithm", ["admm", "dual"])
+    def test_weights_change_the_record(self, tmp_path, capsys, algorithm):
+        # weights 5 and 0.1 in turn: another problem than all ones, and the
+        # record's objective is the weighted one
+        data = generate_instance(3, 30, 15, (2, 5), "random").to_dict()
+        reports = []
+        for name, weights in (("ones", [1.0] * 15), ("weighted", [5.0, 0.1] * 7 + [5.0])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps_canonical(dict(data, weights=weights)))
+            assert run_cli(["solve", str(path), "--algorithm", algorithm]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["report"])
+        ones, rep = reports
+        assert rep != ones
+        x, v = np.array(rep["x_final"]), np.array(data["v"])
+        expected = (0.5 / data["s"] * np.sum((x - v) ** 2)
+                    + data["lambda0"] * np.count_nonzero(x)
+                    + data["lambda1"] * sum(w * np.linalg.norm(x[g]) for w, g in
+                                            zip(weights, data["groups"])))
+        assert rep["objective"] == pytest.approx(expected, rel=1e-12)
 
     def test_out_file_and_flags(self, tmp_path, capsys):
         inst = write_instance(tmp_path)
@@ -287,6 +308,19 @@ class TestBounds:
         rep = record["report"]
         assert rep["lower_value"] - 1e-9 <= rep["oracle_value"] <= \
             rep["upper_value"] + 1e-9
+
+    def test_l0_brackets_oracle_on_weighted_file(self, tmp_path, capsys):
+        # with lambda == lambda1 the l0 target is the problem oracle solves
+        data = generate_instance(4, 8, 4, lambda0=0.2, lambda1=0.3,
+                                 lambda_=0.3).to_dict()
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_canonical(dict(data, weights=[2.5, 0.4, 1.0, 0.7])))
+        assert run_cli(["oracle", str(path)]) == 0
+        value = json.loads(capsys.readouterr().out)["report"]["value"]
+        assert run_cli(["bounds", str(path), "--variant", "l0", "--with-oracle"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["oracle_value"] == value
+        assert rep["lower_value"] - 1e-9 <= value <= rep["upper_value"] + 1e-9
 
     def test_without_oracle_field_is_null(self, tmp_path, capsys):
         inst = write_instance(tmp_path)

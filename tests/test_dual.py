@@ -125,12 +125,15 @@ class TestDualYStep:
         y = _ball_boundary_blocks(rng, gs, inst.lam1) * rng.uniform(0, 1)
         z = rng.normal(size=gs.n)
         k = max(max(sum(j in g for g in gs.groups) for j in range(gs.n)), 1)
-        out = np.split(dual_y_step(gather(z, gs), y, inst, gs), gs.offsets[1:-1])
-        for b, yb, g in zip(out, np.split(y, gs.offsets[1:-1]), gs.groups):
-            u = yb - z[g] / (inst.s * k)
-            nrm = np.linalg.norm(u)
-            ref = u if nrm <= inst.lam1 else inst.lam1 * u / nrm
-            np.testing.assert_allclose(b, ref, rtol=1e-14, atol=1e-15)
+        weighted = GroupStructure(gs.n, gs.groups, weights=rng.uniform(0.3, 2.0, gs.m))
+        for gs in (gs, weighted):  # block i's ball has radius lam1*w_i
+            out = np.split(dual_y_step(gather(z, gs), y, inst, gs), gs.offsets[1:-1])
+            for b, yb, g, w in zip(out, np.split(y, gs.offsets[1:-1]), gs.groups,
+                                   gs.weights):
+                u = yb - z[g] / (inst.s * k)
+                nrm = np.linalg.norm(u)
+                ref = u if nrm <= inst.lam1 * w else inst.lam1 * w * u / nrm
+                np.testing.assert_allclose(b, ref, rtol=1e-14, atol=1e-15)
 
     def test_direction_switch(self):
         # the step runs against gather(z): flipping z flips it
@@ -161,12 +164,13 @@ class TestDualObjective:
     """The Lagrangian bound that ``solve_dual`` traces in its third column."""
 
     def test_at_center_without_count_penalty(self):
-        gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.array([1.0, 2.0]), s=2.0, lam0=0.0, lam1=0.5)
-        report = solve_dual(inst, gs, AdmmConfig(trace=True))
-        _, obj, bound, _ = report.trace[0]
-        assert bound == 0.0
-        assert obj == pytest.approx(0.5 * math.sqrt(5.0), rel=1e-15)
+        for w in (1.0, 3.0):
+            gs = GroupStructure(2, [[0, 1]], weights=[w])
+            report = solve_dual(inst, gs, AdmmConfig(trace=True))
+            _, obj, bound, _ = report.trace[0]
+            assert bound == 0.0
+            assert obj == pytest.approx(0.5 * w * math.sqrt(5.0), rel=1e-15)
 
     def test_cancellation_at_zero(self):
         # z = 0 at y = 0: the gap terms vanish and the bound is the objective

@@ -161,6 +161,13 @@ class TestObjective:
             2.0 + math.sqrt(5.0), rel=1e-15
         )
 
+    def test_group_weights_scale_their_norms(self):
+        # group norms 5 and 4, weighted 2 and 0.5: a group term of 12
+        gs = GroupStructure(3, [[0, 1], [1, 2]], weights=[2.0, 0.5])
+        x = np.array([3.0, 4.0, 0.0])
+        inst = ProxInstance(v=x, s=1.0, lam1=1.5)
+        assert objective_value(x, inst, gs) == 18.0
+
 
 class TestQuadraticVsArithmeticMean:
     @given(x=st.lists(finite, min_size=1, max_size=10))

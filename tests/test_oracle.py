@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from sogl import (
     oracle_prox_l0_ogl,
     oracle_ub_l0_subsets,
     oracle_variant,
+    sandwich,
     solve_admm,
     solve_dual,
     stationarity_check,
@@ -108,7 +110,7 @@ class TestSupportEnumeration:
 
 
 class TestVariantOracle:
-    def test_matches_main_when_weights_unit(self):
+    def test_matches_main_at_lam1(self):
         rng = np.random.default_rng(3)
         gs = random_structure(rng, max_n=5)
         v = rng.normal(size=gs.n)
@@ -117,6 +119,18 @@ class TestVariantOracle:
         res_a = oracle_variant(a, gs, "l0")
         res_b = oracle_prox_l0_ogl(b, gs)
         assert res_a.value == pytest.approx(res_b.value, rel=1e-10)
+        # for any weights, the l0 target at lam = lam1 is the main problem,
+        # so the l0 sandwich brackets the main optimum
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            gs = random_structure(rng, max_n=6, weighted=True)
+            inst = random_instance(rng, gs, lam0_range=(0.0, 0.5),
+                                   lam1_range=(0.05, 0.8))
+            inst.lam = inst.lam1
+            main = oracle_prox_l0_ogl(inst, gs).value
+            assert oracle_variant(inst, gs, "l0").value == main
+            rep = sandwich(inst, gs, "l0")
+            assert rep.lower_value - 1e-9 <= main <= rep.upper_value + 1e-9
 
     def test_unknown_variant_rejected(self):
         gs = GroupStructure(2, [[0, 1]])
@@ -199,6 +213,26 @@ class TestStationarityCheck:
         inst = ProxInstance(v=np.array([0.1, 0.05, -0.1]), s=1.0, lam1=0.5)
         ok, residual = stationarity_check(np.zeros(3), inst, gs)
         assert ok, residual
+        # the balls have radius lam1*w_i: at w_i = 0.1 they cannot cancel v_0
+        gs = GroupStructure(3, [[0, 1], [1, 2]], weights=[0.1, 0.1])
+        ok, residual = stationarity_check(np.zeros(3), inst, gs)
+        assert not ok and residual >= 0.05 - 1e-12
+
+    @pytest.mark.parametrize("lam0", [0.0, 0.01])
+    @pytest.mark.parametrize("w", [0.2, 3.0])
+    def test_weighted_block_shrink(self, w, lam0):
+        # on one group of weight w the minimizer shrinks v by s*lam1*w;
+        # shrinking by s*lam1 leaves a residual of lam1*|w - 1|
+        gs = GroupStructure(3, [[0, 1, 2]], weights=[w])
+        inst = ProxInstance(v=np.array([3.0, -4.0, 12.0]), s=0.8, lam0=lam0,
+                            lam1=0.5)
+        ok, residual = stationarity_check(
+            _block_shrink(inst.v, inst.s * inst.lam1 * w), inst, gs)
+        assert ok, residual
+        ok, residual = stationarity_check(
+            _block_shrink(inst.v, inst.s * inst.lam1), inst, gs)
+        assert not ok
+        assert residual == pytest.approx(inst.lam1 * abs(w - 1.0), rel=1e-12)
 
     def test_flags_improvable_support(self):
         # zeroing the second coordinate strictly improves the objective
@@ -213,6 +247,7 @@ class TestCountTerm:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_zeroing_reference(self, seed):
         rng = np.random.default_rng(seed)
+        weights_rng = np.random.default_rng(100 + seed)
         for _ in range(8):
             gs = random_structure(rng, max_n=10, max_m=5)
             inst = random_instance(rng, gs, lam0_range=(0.01, 0.5))
@@ -222,7 +257,9 @@ class TestCountTerm:
                 zeroed = x.copy()
                 zeroed[rng.random(gs.n) < 0.3] = 0.0
                 points.append(zeroed)
-            for x in points:
+            weighted = GroupStructure(gs.n, gs.groups,
+                                      weights=weights_rng.uniform(0.3, 2.0, gs.m))
+            for gs, x in itertools.product((gs, weighted), points):
                 expected = count_term_ok_by_zeroing(x, inst, gs)
                 assert _count_term_ok(x, inst, gs) == expected
                 ok, residual = stationarity_check(x, inst, gs)
