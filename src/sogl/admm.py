@@ -5,14 +5,26 @@ runs a group soft-threshold block step, a per-coordinate hard-threshold
 consensus step whose curvature folds in the overlap counts, and a dual
 ascent step. Termination follows the usual primal/dual residual rule.
 
+The penalty ``rho`` starts at ``0.3/s`` unless the caller sets it: scaling
+the objective by ``s`` turns ADMM at ``rho`` into ADMM at ``rho*s``, so this
+is one scaled penalty for every ``s``. It doubles after every 100 iterations
+that end without convergence (the varying penalty of Boyd et al. 2011,
+sec. 3.4.1; a large enough penalty is what the nonconvex convergence result
+of Wang, Yin & Zeng 2019 asks for), up to ``2**60`` times its start. There
+``v/s`` weighs less than a rounding unit of ``rho*x`` in the consensus step
+(for ``|x|`` near ``|v|``), so doubling further would change nothing but the
+distance to overflow.
+
 For ``lam0 > 0`` the problem is nonconvex: the returned point is a
 stationary candidate, not a certified global minimum.
 """
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +38,13 @@ from .model import (
     scatter_add,
 )
 
-__all__ = ["AdmmConfig", "SolveReport", "NonFiniteError", "x_step",
-           "consensus_constants", "z_step", "y_step", "residual_norms",
-           "solve_admm"]
+__all__ = ["AdmmConfig", "SolveReport", "NonFiniteError", "Penalty",
+           "start_rho", "penalty_constants", "x_step", "z_step", "y_step",
+           "residual_norms", "solve_admm"]
+
+RHO_TIMES_S = 0.3     # the default starting penalty is RHO_TIMES_S / s
+DOUBLE_EVERY = 100    # unconverged iterations between doublings
+MAX_DOUBLINGS = 60    # the penalty stays within 2**60 times its start
 
 
 class NonFiniteError(RuntimeError):
@@ -37,18 +53,22 @@ class NonFiniteError(RuntimeError):
 
 @dataclass
 class AdmmConfig:
-    """Solver knobs, shared by both solvers. ``rho`` is the ADMM
-    augmented-Lagrangian penalty; the dual solver ignores it. An infinite
-    tolerance stops either solver after its first iteration."""
+    """Solver knobs, shared by both solvers. ``rho`` is the starting ADMM
+    augmented-Lagrangian penalty; ``None`` means ``0.3/s``, resolved by
+    :func:`start_rho`. ADMM doubles it after every 100 iterations that end
+    without convergence, up to ``2**60`` times the start, so a solve that
+    stops after ``iters`` iterations ends at ``start * 2**((iters-1)//100)``
+    below that cap. The dual solver ignores it. An infinite tolerance stops
+    either solver after its first iteration."""
 
-    rho: float = 1.0
+    rho: float | None = None
     max_iters: int = 10000
     eps_abs: float = 1e-8
     eps_rel: float = 1e-6
     trace: bool = False
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
+        if self.rho is not None and not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -81,46 +101,64 @@ class SolveReport:
     wall_time: float = None
 
 
-def x_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
-           gs: GroupStructure, cfg: AdmmConfig) -> np.ndarray:
+class Penalty(NamedTuple):
+    """The step constants at one penalty ``rho``: the block thresholds
+    ``t = lam1*w_i/rho``, the center term ``vs = v/s``, the curvature
+    ``c = 1/s + k*rho`` (k = overlap counts) and the consensus threshold
+    ``thr = sqrt(2*lam0/c)``."""
+
+    rho: float
+    t: np.ndarray
+    vs: np.ndarray
+    c: np.ndarray
+    thr: np.ndarray
+
+
+def start_rho(inst: ProxInstance, cfg: AdmmConfig) -> float:
+    """The penalty a solve starts at: ``cfg.rho``, or ``0.3/s`` when that is
+    None."""
+    return RHO_TIMES_S / inst.s if cfg.rho is None else cfg.rho
+
+
+def penalty_constants(inst: ProxInstance, gs: GroupStructure,
+                      rho: float) -> Penalty:
+    """The :class:`Penalty` of ``rho``: computed once per penalty, not per
+    iteration."""
+    c = 1.0 / inst.s + gs.overlap_counts * rho
+    return Penalty(rho, inst.lam1 * gs.weights / rho, inst.v / inst.s, c,
+                   np.sqrt(2.0 * inst.lam0 / c))
+
+
+def x_step(zb: np.ndarray, y: np.ndarray, gs: GroupStructure,
+           pen: Penalty) -> np.ndarray:
     """Block update: soft-threshold block i of ``zb - y/rho``, zb =
-    gather(z), at level ``lam1*w_i/rho``: shrink its norm by that or zero
-    it."""
-    a = zb - y / cfg.rho
-    t = inst.lam1 * gs.weights / cfg.rho
+    gather(z), at level ``pen.t[i] = lam1*w_i/rho``: shrink its norm by
+    that or zero it."""
+    a = zb - y / pen.rho
     nrm = group_norms(a, gs)
-    keep = nrm > t
-    scale = np.zeros(gs.m)
-    scale[keep] = 1.0 - t[keep] / nrm[keep]
-    return np.repeat(scale, gs.sizes) * a
+    # t/nrm on the kept blocks, 1 (a zero scale) on the others
+    ratio = np.divide(pen.t, nrm, out=np.ones(gs.m), where=nrm > pen.t)
+    return np.repeat(1.0 - ratio, gs.sizes) * a
 
 
-def consensus_constants(inst: ProxInstance, gs: GroupStructure,
-                        cfg: AdmmConfig) -> tuple:
-    """Per-solve invariants of :func:`z_step`: ``v/s``, the curvature
-    ``c = 1/s + k*rho`` (k = overlap counts) and ``sqrt(2*lam0/c)``."""
-    c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-    return inst.v / inst.s, c, np.sqrt(2.0 * inst.lam0 / c)
+def z_step(x: np.ndarray, y: np.ndarray, gs: GroupStructure,
+           pen: Penalty) -> np.ndarray:
+    """Consensus update: each coordinate hard-thresholds its weighted
+    average ``(v/s + scatter_add(y + rho*x))/c`` of the center and the
+    block/dual information at level ``pen.thr``."""
+    return hard_threshold((pen.vs + scatter_add(y + pen.rho * x, gs)) / pen.c,
+                          pen.thr)
 
 
-def z_step(x: np.ndarray, y: np.ndarray, consts: tuple, gs: GroupStructure,
-           cfg: AdmmConfig) -> np.ndarray:
-    """Consensus update: with ``(v/s, c, thr) = consts``, each coordinate
-    hard-thresholds its weighted average ``(v/s + scatter_add(y + rho*x))/c``
-    of the center and the block/dual information at level ``thr``."""
-    vs, c, thr = consts
-    return hard_threshold((vs + scatter_add(y + cfg.rho * x, gs)) / c, thr)
-
-
-def y_step(d: np.ndarray, y: np.ndarray, cfg: AdmmConfig) -> np.ndarray:
+def y_step(d: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     """Dual ascent: ``y += rho * d`` with the primal residual
     ``d = x - gather(z)`` of freshly updated x, z."""
-    return y + cfg.rho * d
+    return y + rho * d
 
 
 def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
                    zb: np.ndarray, d: np.ndarray, y: np.ndarray, floors: tuple,
-                   gs: GroupStructure, cfg: AdmmConfig) -> tuple:
+                   gs: GroupStructure, rho: float, eps_rel: float) -> tuple:
     """Residuals and stop thresholds ``(r, s, eps_pri, eps_dual, finite)``.
 
     r = ||d||, d = x - zb, zb = gather(z); s = rho*||k*(z - prev_z)||, k the
@@ -135,9 +173,9 @@ def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
         np.isfinite(x).all() and np.isfinite(z).all())
     w = gs.overlap_counts * (z - prev_z)
     sy = scatter_add(y, gs)
-    return (math.sqrt(d.dot(d)), cfg.rho * math.sqrt(w.dot(w)),
-            floors[0] + cfg.eps_rel * max(math.sqrt(xx), math.sqrt(zb.dot(zb))),
-            floors[1] + cfg.eps_rel * math.sqrt(sy.dot(sy)), finite)
+    return (math.sqrt(d.dot(d)), rho * math.sqrt(w.dot(w)),
+            floors[0] + eps_rel * max(math.sqrt(xx), math.sqrt(zb.dot(zb))),
+            floors[1] + eps_rel * math.sqrt(sy.dot(sy)), finite)
 
 
 def solve_admm(inst: ProxInstance, gs: GroupStructure,
@@ -145,8 +183,13 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     """Run the ADMM cycle until the residual criteria or ``max_iters``.
 
     Starts from the feasible point x = gather(v), z = v, y = 0 (already
-    optimal when all penalties vanish). The report evaluates the objective
-    at the consensus z.
+    optimal when all penalties vanish) at the penalty :func:`start_rho`
+    (``cfg.rho``, or ``0.3/s``). After every 100 iterations that end
+    without convergence the penalty doubles, while the doubled value is
+    finite and at most ``2**60`` times the start, and the step constants
+    are recomputed. A solve of ``iters`` iterations ends at the penalty
+    ``start * 2**((iters-1)//100)`` below that cap. The report evaluates
+    the objective at the consensus z.
 
     Raises
     ------
@@ -157,7 +200,8 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     if inst.n != gs.n:
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
     t0 = time.perf_counter()
-    consts = consensus_constants(inst, gs, cfg)
+    pen = penalty_constants(inst, gs, start_rho(inst, cfg))
+    rho_cap = min(pen.rho * 2.0 ** MAX_DOUBLINGS, sys.float_info.max)
     floors = (cfg.eps_abs * math.sqrt(gs.total_size or 1),
               cfg.eps_abs * math.sqrt(gs.n))
     z, zb, y = inst.v, gather(inst.v, gs), np.zeros(gs.total_size)
@@ -165,13 +209,13 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev_z = z
-        x = x_step(zb, y, inst, gs, cfg)
-        z = z_step(x, y, consts, gs, cfg)
+        x = x_step(zb, y, gs, pen)
+        z = z_step(x, y, gs, pen)
         zb = gather(z, gs)
         d = x - zb
-        y = y_step(d, y, cfg)
+        y = y_step(d, y, pen.rho)
         r_norm, s_norm, eps_pri, eps_dual, finite = residual_norms(
-            prev_z, x, z, zb, d, y, floors, gs, cfg)
+            prev_z, x, z, zb, d, y, floors, gs, pen.rho, cfg.eps_rel)
         if not finite:
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
         if trace is not None:
@@ -179,6 +223,8 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
+        if it % DOUBLE_EVERY == 0 and 2.0 * pen.rho <= rho_cap:
+            pen = penalty_constants(inst, gs, 2.0 * pen.rho)
     return SolveReport(
         x_final=z,
         objective=objective_value(z, inst, gs),

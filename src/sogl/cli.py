@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .admm import AdmmConfig, NonFiniteError, solve_admm
+from .admm import AdmmConfig, NonFiniteError, solve_admm, start_rho
 from .bounds import sandwich
 from .dual import solve_dual
 from .instances import (
@@ -89,7 +89,9 @@ def _build_parser() -> _Parser:
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
     solve.add_argument("--rho", type=_finite_float,
-                       help="ADMM penalty (default 1.0); admm only")
+                       help="starting ADMM penalty (default 0.3/s), doubled "
+                       "after every 100 unconverged iterations up to 2**60 "
+                       "times the start; admm only")
     solve.add_argument("--max-iters", type=int, default=10000)
     solve.add_argument("--eps-abs", type=_finite_float, default=1e-8)
     solve.add_argument("--eps-rel", type=_finite_float, default=1e-6)
@@ -167,8 +169,7 @@ def _now() -> str:
 
 def _admm_config(args, trace: bool) -> AdmmConfig:
     try:
-        rho = AdmmConfig.rho if args.rho is None else args.rho
-        return AdmmConfig(rho=rho, max_iters=args.max_iters,
+        return AdmmConfig(rho=args.rho, max_iters=args.max_iters,
                           eps_abs=args.eps_abs, eps_rel=args.eps_rel,
                           trace=trace)
     except ValueError as exc:
@@ -196,7 +197,8 @@ def _run_solve_single(args, path: str) -> tuple:
     instf, source = _read_instance(path)
     inst, gs = instf.build()
     cfg = _admm_config(args, trace=bool(args.trace))
-    config = {"algorithm": args.algorithm, "rho": cfg.rho,
+    rho = start_rho(inst, cfg) if args.algorithm == "admm" else None
+    config = {"algorithm": args.algorithm, "rho": rho,
               "max_iters": cfg.max_iters, "eps_abs": cfg.eps_abs,
               "eps_rel": cfg.eps_rel}
     solver = solve_admm if args.algorithm == "admm" else solve_dual

@@ -75,9 +75,9 @@ def z_step_scaled_space(x, y, inst, gs, cfg):
     return z_scaled / root_c
 
 
-def _reference_x_step(z, y, inst, gs, cfg):
-    a = gather(z, gs) - y / cfg.rho
-    t = inst.lam1 * gs.weights / cfg.rho
+def _reference_x_step(z, y, inst, gs, rho):
+    a = gather(z, gs) - y / rho
+    t = inst.lam1 * gs.weights / rho
     nrm = group_norms(a, gs)
     keep = nrm > t
     scale = np.zeros(gs.m)
@@ -85,19 +85,19 @@ def _reference_x_step(z, y, inst, gs, cfg):
     return np.repeat(scale, gs.sizes) * a
 
 
-def _reference_z_step(x, y, inst, gs, cfg):
-    c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-    num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
+def _reference_z_step(x, y, inst, gs, rho):
+    c = 1.0 / inst.s + gs.overlap_counts * rho
+    num = inst.v / inst.s + scatter_add(y + rho * x, gs)
     return hard_threshold(num / c, np.sqrt(2.0 * inst.lam0 / c))
 
 
-def _reference_y_step(x, z, y, gs, cfg):
-    return y + cfg.rho * (x - gather(z, gs))
+def _reference_y_step(x, z, y, gs, rho):
+    return y + rho * (x - gather(z, gs))
 
 
-def _reference_residual_norms(prev_z, x, z, gs, cfg):
+def _reference_residual_norms(prev_z, x, z, gs, rho):
     r = float(np.linalg.norm(x - gather(z, gs)))
-    s = cfg.rho * float(np.linalg.norm(gs.overlap_counts * (z - prev_z)))
+    s = rho * float(np.linalg.norm(gs.overlap_counts * (z - prev_z)))
     return r, s
 
 
@@ -112,24 +112,35 @@ def _reference_stop_thresholds(x, z, y, gs, cfg):
     return eps_pri, eps_dual
 
 
+def _reference_rho(rho0, it):
+    """The penalty of iteration ``it`` under the documented schedule, in
+    closed form: ``rho0`` doubled once per 100 earlier iterations, at most
+    60 times."""
+    return rho0 * 2.0 ** min((it - 1) // 100, 60)
+
+
 def solve_admm_reference(inst, gs, cfg=None):
     """Reference for ``sogl.solve_admm``: the loop it replaced, in which
-    every step gathers z itself, the residual and the stop thresholds are
-    separate passes with ``np.linalg.norm``, the consensus step recomputes
-    its curvature and threshold, and every iterate is scanned for NaN/Inf.
-    ``solve_admm`` must agree with it bit for bit."""
+    every step gathers z itself and recomputes its penalty constants, the
+    residual and the stop thresholds are separate passes with
+    ``np.linalg.norm``, every iterate is scanned for NaN/Inf, and the
+    penalty of each iteration comes from :func:`_reference_rho` with the
+    start ``cfg.rho`` or ``0.3/s``. ``solve_admm`` must agree with it bit
+    for bit."""
     cfg = cfg or AdmmConfig()
+    rho0 = 0.3 / inst.s if cfg.rho is None else cfg.rho
     x, z, y = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
+        rho = _reference_rho(rho0, it)
         prev_z = z
-        x = _reference_x_step(z, y, inst, gs, cfg)
-        z = _reference_z_step(x, y, inst, gs, cfg)
-        y = _reference_y_step(x, z, y, gs, cfg)
+        x = _reference_x_step(z, y, inst, gs, rho)
+        z = _reference_z_step(x, y, inst, gs, rho)
+        y = _reference_y_step(x, z, y, gs, rho)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
-        r_norm, s_norm = _reference_residual_norms(prev_z, x, z, gs, cfg)
+        r_norm, s_norm = _reference_residual_norms(prev_z, x, z, gs, rho)
         if trace is not None:
             trace.append((it, objective_value(z, inst, gs), r_norm, s_norm))
         eps_pri, eps_dual = _reference_stop_thresholds(x, z, y, gs, cfg)

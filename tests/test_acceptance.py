@@ -27,7 +27,7 @@ from sogl import (
     solve_admm,
     solve_dual,
 )
-from sogl.admm import consensus_constants, z_step
+from sogl.admm import penalty_constants, z_step
 from sogl.bounds import lower_diag, scaled_l2_prox, upper_bound_l0, upper_diag
 from sogl.dual import dual_y_step, dual_z_step
 from sogl.model import gather, scatter_add, group_norm_sum
@@ -221,7 +221,7 @@ def test_c7_matrix_form_equivalence():
         # the consensus iterate is unused by the step; drawn to keep the draw order
         rng.normal(size=gs.n)
         y = stacked_normal(rng, gs)
-        z = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
+        z = z_step(x, y, gs, penalty_constants(inst, gs, cfg.rho))
         gap = float(np.max(np.abs(z - z_step_scaled_space(x, y, inst, gs, cfg))))
         worst = max(worst, gap)
         assert gap <= 1e-12

@@ -16,7 +16,7 @@ from sogl import (
     solve_dual,
     stationarity_check,
 )
-from sogl.admm import consensus_constants, residual_norms, x_step, y_step, z_step
+from sogl.admm import penalty_constants, residual_norms, x_step, y_step, z_step
 from sogl.instances import generate_instance
 from sogl.model import gather, hard_threshold, scatter_add
 from helpers import (
@@ -58,23 +58,22 @@ class TestXStep:
         rng = np.random.default_rng(0)
         x, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(3), s=1.0, lam1=0.0)
-        cfg = AdmmConfig(rho=2.0)
         zb = gather(z, gs)
-        out = x_step(zb, y, inst, gs, cfg)
-        np.testing.assert_allclose(out, zb - y / cfg.rho, atol=1e-15)
+        out = x_step(zb, y, gs, penalty_constants(inst, gs, 2.0))
+        np.testing.assert_allclose(out, zb - y / 2.0, atol=1e-15)
 
     def test_all_zero_state(self):
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=0.7)
-        out = x_step(np.zeros(2), np.zeros(2), inst, gs, AdmmConfig())
+        out = x_step(np.zeros(2), np.zeros(2), gs, penalty_constants(inst, gs, 1.0))
         assert np.linalg.norm(out) == 0.0
 
     def test_block_shrink_example(self):
         # z=(3,4) on one group, y=0, lam1/rho = 2.5: shrink factor 1/2
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.5)
-        out = x_step(gather(np.array([3.0, 4.0]), gs), np.zeros(2), inst, gs,
-                     AdmmConfig(rho=1.0))
+        out = x_step(gather(np.array([3.0, 4.0]), gs), np.zeros(2), gs,
+                     penalty_constants(inst, gs, 1.0))
         np.testing.assert_allclose(out, [1.5, 2.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -85,13 +84,13 @@ class TestXStep:
         gs = GroupStructure(2, [[0, 1]])
         _, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=float(rng.uniform(0, 2)))
-        cfg = AdmmConfig(rho=float(rng.uniform(0.5, 2)))
+        rho = float(rng.uniform(0.5, 2))
         zb = gather(z, gs)
-        out = x_step(zb, y, inst, gs, cfg)
+        out = x_step(zb, y, gs, penalty_constants(inst, gs, rho))
 
         def block_obj(p):
             return (inst.lam1 * np.linalg.norm(p) + p @ y
-                    + 0.5 * cfg.rho * np.sum((p - zb) ** 2))
+                    + 0.5 * rho * np.sum((p - zb) ** 2))
 
         best = block_obj(out)
         grid = np.linspace(-4, 4, 81)
@@ -106,13 +105,13 @@ class TestXStep:
         gs = random_structure(rng, max_n=10, max_m=5)
         _, z, y = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(gs.n), lam1=float(rng.uniform(0, 3)))
-        cfg = AdmmConfig(rho=float(rng.uniform(0.5, 2)))
+        rho = float(rng.uniform(0.5, 2))
         weighted = GroupStructure(gs.n, gs.groups, weights=rng.uniform(0.3, 2.0, gs.m))
         for gs in (gs, weighted):  # block i is thresholded at lam1*w_i/rho
-            out = x_step(gather(z, gs), y, inst, gs, cfg)
+            out = x_step(gather(z, gs), y, gs, penalty_constants(inst, gs, rho))
             for i, g in enumerate(gs.groups):
-                expected = block_soft_threshold(z[g] - blocks(y, gs)[i] / cfg.rho,
-                                                inst.lam1 * gs.weights[i] / cfg.rho)
+                expected = block_soft_threshold(z[g] - blocks(y, gs)[i] / rho,
+                                                inst.lam1 * gs.weights[i] / rho)
                 np.testing.assert_allclose(blocks(out, gs)[i], expected,
                                            rtol=1e-14, atol=1e-15)
 
@@ -121,10 +120,8 @@ class TestZStep:
     def test_uncoupled_quadratic_returns_center(self):
         gs = GroupStructure(2, [])  # no groups: every overlap count is 0
         inst = ProxInstance(v=np.array([0.3, -1.2]), s=1.0, lam0=0.0)
-        cfg = AdmmConfig()
         np.testing.assert_allclose(
-            z_step(np.zeros(0), np.zeros(0), consensus_constants(inst, gs, cfg),
-                   gs, cfg),
+            z_step(np.zeros(0), np.zeros(0), gs, penalty_constants(inst, gs, 1.0)),
             inst.v, atol=1e-15)
 
     def test_hand_worked_coordinate(self):
@@ -135,8 +132,7 @@ class TestZStep:
         x = np.array([1.0, 1.0])
         y = np.array([0.5, 0.5])
         inst = ProxInstance(v=np.array([3.0]), s=1.0, lam0=1.0)
-        cfg = AdmmConfig(rho=1.0)
-        out = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
+        out = z_step(x, y, gs, penalty_constants(inst, gs, 1.0))
         np.testing.assert_allclose(out, [2.0], atol=1e-15)
 
     def test_huge_count_penalty_zeroes_everything(self):
@@ -144,8 +140,7 @@ class TestZStep:
         gs = random_structure(rng)
         x, _, y = make_state(rng, gs)
         inst = ProxInstance(v=rng.normal(size=gs.n), s=1.0, lam0=1e6)
-        cfg = AdmmConfig()
-        assert np.all(z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg) == 0.0)
+        assert np.all(z_step(x, y, gs, penalty_constants(inst, gs, 1.0)) == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_coordinate_two_candidate_optimality(self, seed):
@@ -153,10 +148,10 @@ class TestZStep:
         gs = random_structure(rng)
         x, _, y = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
-        cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
-        c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-        num = inst.v / inst.s + scatter_add(y + cfg.rho * x, gs)
+        rho = float(rng.uniform(0.3, 3))
+        z = z_step(x, y, gs, penalty_constants(inst, gs, rho))
+        c = 1.0 / inst.s + gs.overlap_counts * rho
+        num = inst.v / inst.s + scatter_add(y + rho * x, gs)
         for g in range(gs.n):
             def sub(val):
                 return (0.5 * c[g] * val**2 - num[g] * val
@@ -171,7 +166,7 @@ class TestZStep:
         x, _, y = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
         cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z1 = z_step(x, y, consensus_constants(inst, gs, cfg), gs, cfg)
+        z1 = z_step(x, y, gs, penalty_constants(inst, gs, cfg.rho))
         z2 = z_step_scaled_space(x, y, inst, gs, cfg)
         assert float(np.max(np.abs(z1 - z2))) <= 1e-12
 
@@ -182,11 +177,11 @@ class TestYStep:
         gs = random_structure(rng)
         _, z, y = make_state(rng, gs)
         zb = gather(z, gs)
-        out = y_step(zb - zb, y, AdmmConfig(rho=1.7))
+        out = y_step(zb - zb, y, 1.7)
         np.testing.assert_array_equal(out, y)
 
     def test_direct_formula(self):
-        out = y_step(np.array([1.0, -1.0]), np.zeros(2), AdmmConfig(rho=2.0))
+        out = y_step(np.array([1.0, -1.0]), np.zeros(2), 2.0)
         np.testing.assert_array_equal(out, [2.0, -2.0])
 
     def test_duals_stabilize_after_convex_convergence(self):
@@ -207,7 +202,7 @@ class TestResiduals:
         _, z, y = make_state(rng, gs)
         zb = gather(z, gs)
         r, s, *_ = residual_norms(z.copy(), zb, z, zb, zb - zb, y, (0.0, 0.0),
-                                  gs, AdmmConfig())
+                                  gs, 1.0, 1e-6)
         assert r == 0.0 and s == 0.0
 
     def test_matches_independent_recomputation(self):
@@ -215,10 +210,10 @@ class TestResiduals:
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         x, z, y = make_state(rng, gs)
         prev_z = rng.normal(size=3)
-        cfg = AdmmConfig(rho=1.3, eps_rel=0.1)
+        rho = 1.3
         zb = gather(z, gs)
         r, s, eps_pri, eps_dual, finite = residual_norms(
-            prev_z, x, z, zb, x - zb, y, (0.25, 0.5), gs, cfg)
+            prev_z, x, z, zb, x - zb, y, (0.25, 0.5), gs, rho, 0.1)
         # recompute from scratch with plain loops
         r2 = 0.0
         for i, g in enumerate(gs.groups):
@@ -229,7 +224,7 @@ class TestResiduals:
         for g in gs.groups:
             for idx in g:
                 counts[idx] += 1
-        s2 = cfg.rho * math.sqrt(
+        s2 = rho * math.sqrt(
             sum((counts[g] * (z[g] - prev_z[g])) ** 2 for g in range(3))
         )
         assert r == pytest.approx(r2, rel=1e-12)
@@ -257,7 +252,7 @@ class TestResiduals:
         zb = gather(z, gs)
         with np.errstate(invalid="ignore"):
             *_, finite = residual_norms(np.ones(3), x, z, zb, x - zb, np.ones(2),
-                                        (0.0, 0.0), gs, AdmmConfig())
+                                        (0.0, 0.0), gs, 1.0, 1e-6)
         assert not finite
 
     def test_overflowing_squares_of_finite_entries_are_finite(self):
@@ -267,7 +262,7 @@ class TestResiduals:
         with np.errstate(over="ignore"):
             r, _, eps_pri, _, finite = residual_norms(
                 np.zeros(2), x, z, zb, x - zb, np.zeros(2), (0.0, 0.0), gs,
-                AdmmConfig())
+                1.0, 1e-6)
         assert finite and r == math.inf and eps_pri == math.inf
 
     def test_infinite_tolerance_stops_immediately(self):
@@ -342,6 +337,38 @@ class TestSolveAdmm:
         cfg = AdmmConfig(rho=1.0, eps_abs=0.0, eps_rel=0.0, max_iters=10000)
         report = solve_admm(inst, gs, cfg)
         assert report.r_norm <= 1e-6 and report.s_norm <= 1e-6
+
+    def test_default_schedule_converges_on_wide_sweep(self):
+        # 40 instances over three modes with s, lam0 and lam1 each drawn
+        # log-uniformly over two or more decades; a fixed rho = 1 leaves
+        # some of these unconverged after 10000 iterations
+        rng = np.random.default_rng(12)
+        for i in range(40):
+            n = int(rng.integers(12, 61))
+            s, lam0, lam1 = (float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+                             for lo, hi in ((0.1, 10), (1e-3, 1), (1e-2, 3.2)))
+            inst, gs = generate_instance(
+                int(rng.integers(2**31)), n=n, m=n // 2, group_size_range=(2, 8),
+                overlap_mode=("chain", "nested", "random")[i % 3], s=s,
+                lambda0=lam0, lambda1=lam1).build()
+            report = solve_admm(inst, gs)
+            assert report.converged, (i, n, s, lam0, lam1, report.iters)
+
+    def test_penalty_doubling_stops_at_its_cap(self):
+        # entries of 1e280 overflow the squared norms, so with zero
+        # tolerances the stop test never passes and the solve runs all
+        # 12000 iterations. The penalty stops doubling at 2**60 times its
+        # start; doubling on, rho*x would overflow near 2**96
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        inst = ProxInstance(v=np.array([1e280, -1e280, 1e280]), s=1.0, lam0=0.05,
+                            lam1=0.1)
+        cfg = AdmmConfig(eps_abs=0.0, eps_rel=0.0, max_iters=12000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_admm(inst, gs, cfg)
+            ref = solve_admm_reference(inst, gs, cfg)
+        assert report.iters == 12000 and not report.converged
+        assert np.all(np.isfinite(report.x_final))
+        assert report.x_final.tobytes() == ref.x_final.tobytes()
 
     def test_mismatched_sizes_rejected(self):
         gs = GroupStructure(3, [[0, 1]])
@@ -418,6 +445,9 @@ def _agreement_cases():
     for rho in (0.3, 2.5):
         cases.append(pytest.param(inst, gs, AdmmConfig(rho=rho, trace=True),
                                   id=f"rho-{rho}"))
+    # converges after 310 iterations: three doublings of the penalty
+    cases.append(pytest.param(inst, gs, AdmmConfig(rho=0.03, trace=True),
+                              id="rho-0.03-doubled"))
     cases.append(pytest.param(inst, gs, AdmmConfig(max_iters=1, trace=True),
                               id="max-iters-1"))
     cases.append(pytest.param(inst, gs, AdmmConfig(eps_abs=math.inf, trace=True),
@@ -447,6 +477,11 @@ class TestAgreesWithReferenceLoop:
     @pytest.mark.parametrize("inst, gs, cfg", _agreement_cases())
     def test_bit_for_bit(self, inst, gs, cfg):
         self.assert_same(solve_admm(inst, gs, cfg), solve_admm_reference(inst, gs, cfg))
+
+    def test_doubled_case_crosses_two_doublings(self):
+        inst, gs = generate_instance(9, n=80, m=40, group_size_range=(2, 6)).build()
+        report = solve_admm(inst, gs, AdmmConfig(rho=0.03))
+        assert report.converged and report.iters > 200
 
     def test_overflowing_norms_of_finite_iterates(self):
         # every entry is finite, but the squared norms are not: no raise

@@ -61,6 +61,14 @@ class TestSolve:
         assert record["timestamp"] is None
         assert record["report"]["wall_time"] is None
 
+    def test_record_holds_the_starting_penalty(self, tmp_path, capsys):
+        # the default start is 0.3/s; --rho sets it; the dual uses none
+        inst = write_instance(tmp_path, s=2.0)
+        for flags, rho in (([], 0.15), (["--rho", "1.5"], 1.5),
+                           (["--algorithm", "dual"], None)):
+            assert run_cli(["solve", str(inst), *flags]) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["rho"] == rho
+
     def test_dual_algorithm_labelled(self, tmp_path, capsys):
         inst = write_instance(tmp_path)
         assert run_cli(["solve", str(inst), "--algorithm", "dual"]) == 0
@@ -295,7 +303,7 @@ def test_consecutive_commands_share_nothing(tmp_path, capsys):
     assert run_cli(["solve", str(inst), "--rho", "-1"]) == 1
     assert run_cli(["solve", str(inst)]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config["rho"] == 1.0 and config["eps_abs"] == 1e-8
+    assert config["rho"] == 0.3 and config["eps_abs"] == 1e-8  # 0.3/s, s = 1
 
 
 class TestBounds:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sogl import (
-    AdmmConfig,
     GroupDefectError,
     GroupStructure,
     ProxInstance,
     objective_value,
 )
-from sogl.admm import x_step
+from sogl.admm import penalty_constants, x_step
 from sogl.model import gather, hard_threshold, scatter_add
 
 from helpers import first_structure_defect, groups_with_defects
@@ -25,7 +24,7 @@ def group_soft_threshold(a, t):
     a = np.asarray(a, dtype=float)
     gs = GroupStructure(a.size, [list(range(a.size))])
     inst = ProxInstance(v=np.zeros(a.size), lam1=t)
-    return x_step(a, np.zeros(a.size), inst, gs, AdmmConfig(rho=1.0))
+    return x_step(a, np.zeros(a.size), gs, penalty_constants(inst, gs, 1.0))
 
 
 class TestGroupSoftThreshold:
