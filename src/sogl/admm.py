@@ -5,15 +5,7 @@ runs a group soft-threshold block step, a per-coordinate hard-threshold
 consensus step whose curvature folds in the overlap counts, and a dual
 ascent step. Termination follows the usual primal/dual residual rule.
 
-The penalty ``rho`` starts at ``0.3/s`` unless the caller sets it: scaling
-the objective by ``s`` turns ADMM at ``rho`` into ADMM at ``rho*s``, so this
-is one scaled penalty for every ``s``. It doubles after every 100 iterations
-that end without convergence (the varying penalty of Boyd et al. 2011,
-sec. 3.4.1; a large enough penalty is what the nonconvex convergence result
-of Wang, Yin & Zeng 2019 asks for), up to ``2**60`` times its start. There
-``v/s`` weighs less than a rounding unit of ``rho*x`` in the consensus step
-(for ``|x|`` near ``|v|``), so doubling further would change nothing but the
-distance to overflow.
+The penalty ``rho`` follows one schedule, described in :func:`solve_admm`.
 
 For ``lam0 > 0`` the problem is nonconvex: the returned point is a
 stationary candidate, not a certified global minimum.
@@ -42,9 +34,9 @@ __all__ = ["AdmmConfig", "SolveReport", "NonFiniteError", "Penalty",
            "start_rho", "penalty_constants", "x_step", "z_step", "y_step",
            "residual_norms", "solve_admm"]
 
-RHO_TIMES_S = 0.3     # the default starting penalty is RHO_TIMES_S / s
-DOUBLE_EVERY = 100    # unconverged iterations between doublings
-MAX_DOUBLINGS = 60    # the penalty stays within 2**60 times its start
+RHO_TIMES_S = 0.3        # the default starting penalty is RHO_TIMES_S / s
+DOUBLE_EVERY = 100       # iterations between chances to double the penalty
+ROUNDING_MARGIN = 1024   # eps_dual over the largest admitted rounding error
 
 
 class NonFiniteError(RuntimeError):
@@ -54,12 +46,10 @@ class NonFiniteError(RuntimeError):
 @dataclass
 class AdmmConfig:
     """Solver knobs, shared by both solvers. ``rho`` is the starting ADMM
-    augmented-Lagrangian penalty; ``None`` means ``0.3/s``, resolved by
-    :func:`start_rho`. ADMM doubles it after every 100 iterations that end
-    without convergence, up to ``2**60`` times the start, so a solve that
-    stops after ``iters`` iterations ends at ``start * 2**((iters-1)//100)``
-    below that cap. The dual solver ignores it. An infinite tolerance stops
-    either solver after its first iteration."""
+    augmented-Lagrangian penalty; ``None`` means the default start of
+    :func:`start_rho`, and :func:`solve_admm` describes how the penalty
+    moves from there. The dual solver ignores it. An infinite tolerance
+    stops either solver after its first iteration."""
 
     rho: float | None = None
     max_iters: int = 10000
@@ -115,8 +105,8 @@ class Penalty(NamedTuple):
 
 
 def start_rho(inst: ProxInstance, cfg: AdmmConfig) -> float:
-    """The penalty a solve starts at: ``cfg.rho``, or ``0.3/s`` when that is
-    None."""
+    """The penalty a solve starts at: ``cfg.rho``, or ``RHO_TIMES_S/s`` when
+    that is None."""
     return RHO_TIMES_S / inst.s if cfg.rho is None else cfg.rho
 
 
@@ -183,13 +173,27 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     """Run the ADMM cycle until the residual criteria or ``max_iters``.
 
     Starts from the feasible point x = gather(v), z = v, y = 0 (already
-    optimal when all penalties vanish) at the penalty :func:`start_rho`
-    (``cfg.rho``, or ``0.3/s``). After every 100 iterations that end
-    without convergence the penalty doubles, while the doubled value is
-    finite and at most ``2**60`` times the start, and the step constants
-    are recomputed. A solve of ``iters`` iterations ends at the penalty
-    ``start * 2**((iters-1)//100)`` below that cap. The report evaluates
-    the objective at the consensus z.
+    optimal when all penalties vanish) at the penalty :func:`start_rho`:
+    ``cfg.rho``, or ``0.3/s`` (``RHO_TIMES_S``). Scaling the objective by
+    ``s`` turns ADMM at ``rho`` into ADMM at ``rho*s``, so the default is
+    one scaled penalty for every ``s``. After every 100 iterations
+    (``DOUBLE_EVERY``) that end with the primal residual above
+    ``eps_pri``, the penalty doubles and the step constants are recomputed
+    (the varying penalty of Boyd et al. 2011, sec. 3.4.1, raises ``rho``
+    when the primal residual lags; a large enough penalty is what the
+    nonconvex convergence result of Wang, Yin & Zeng 2019 asks for). A
+    larger penalty only slows the dual residual ``s = rho*||k*(z -
+    prev_z)||``, so the penalty does not double when only that test fails.
+    Nor does it double when, at the doubled penalty, the rounding error of
+    ``s``, estimated as ``2*rho*eps*sqrt(max k)*max(||x||, ||zb||)``
+    (``eps`` the float rounding unit), could exceed ``eps_dual/1024``
+    (``ROUNDING_MARGIN``): past that point the true update of z could fall
+    below a rounding unit, and z would stop moving in floating point and
+    pass the stop test at a point that is not stationary. This guard bounds
+    the penalty, and with zero tolerances the penalty never doubles. A
+    solve of ``iters`` iterations ends at a penalty of at most ``start *
+    2**((iters-1)//100)``. The report evaluates the objective at the
+    consensus z.
 
     Raises
     ------
@@ -201,7 +205,6 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
     t0 = time.perf_counter()
     pen = penalty_constants(inst, gs, start_rho(inst, cfg))
-    rho_cap = min(pen.rho * 2.0 ** MAX_DOUBLINGS, sys.float_info.max)
     floors = (cfg.eps_abs * math.sqrt(gs.total_size or 1),
               cfg.eps_abs * math.sqrt(gs.n))
     z, zb, y = inst.v, gather(inst.v, gs), np.zeros(gs.total_size)
@@ -223,8 +226,13 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
-        if it % DOUBLE_EVERY == 0 and 2.0 * pen.rho <= rho_cap:
-            pen = penalty_constants(inst, gs, 2.0 * pen.rho)
+        if it % DOUBLE_EVERY == 0 and r_norm > eps_pri:
+            # the rounding error of s_norm at the doubled penalty, times
+            # the margin it must keep below eps_dual
+            err = 2.0 * pen.rho * ROUNDING_MARGIN * sys.float_info.epsilon * math.sqrt(
+                gs.overlap_counts.max(initial=1) * max(x.dot(x), zb.dot(zb)))
+            if err <= eps_dual:
+                pen = penalty_constants(inst, gs, 2.0 * pen.rho)
     return SolveReport(
         x_final=z,
         objective=objective_value(z, inst, gs),

@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .admm import AdmmConfig, NonFiniteError, solve_admm, start_rho
+from .admm import (DOUBLE_EVERY, RHO_TIMES_S, AdmmConfig, NonFiniteError,
+                   solve_admm, start_rho)
 from .bounds import sandwich
 from .dual import solve_dual
 from .instances import (
@@ -89,9 +90,10 @@ def _build_parser() -> _Parser:
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
     solve.add_argument("--rho", type=_finite_float,
-                       help="starting ADMM penalty (default 0.3/s), doubled "
-                       "after every 100 unconverged iterations up to 2**60 "
-                       "times the start; admm only")
+                       help=f"starting ADMM penalty (default {RHO_TIMES_S}/s), "
+                       f"doubled after every {DOUBLE_EVERY} iterations while "
+                       "the primal residual lags (sogl.solve_admm gives the "
+                       "full rule); admm only")
     solve.add_argument("--max-iters", type=int, default=10000)
     solve.add_argument("--eps-abs", type=_finite_float, default=1e-8)
     solve.add_argument("--eps-rel", type=_finite_float, default=1e-6)

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sogl.admm import AdmmConfig, NonFiniteError, SolveReport
+from sogl.instances import generate_instance
 from sogl.model import (
     GroupStructure,
     ProxInstance,
@@ -47,6 +48,22 @@ def stacked_normal(rng, gs):
     """One standard normal block per group, in group order, stacked into the
     flat layout of ``gs`` (the same draws as a list of per-group blocks)."""
     return np.concatenate([rng.normal(size=len(g)) for g in gs.groups] + [np.zeros(0)])
+
+
+def wide_instances(seed, count, n_range):
+    """``count`` built instances cycling through the chain, nested and
+    random modes: n uniform on ``n_range`` (inclusive), m = n//2 groups of
+    2-8 indices, and ``s``, ``lam0``, ``lam1`` log-uniform on [0.1, 10],
+    [1e-3, 1] and [1e-2, 3.2]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        s, lam0, lam1 = (float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+                         for lo, hi in ((0.1, 10), (1e-3, 1), (1e-2, 3.2)))
+        yield generate_instance(
+            int(rng.integers(2**31)), n=n, m=max(n // 2, 1),
+            group_size_range=(2, 8), overlap_mode=("chain", "nested", "random")[i % 3],
+            s=s, lambda0=lam0, lambda1=lam1).build()
 
 
 def block_soft_threshold(a, t):
@@ -112,28 +129,21 @@ def _reference_stop_thresholds(x, z, y, gs, cfg):
     return eps_pri, eps_dual
 
 
-def _reference_rho(rho0, it):
-    """The penalty of iteration ``it`` under the documented schedule, in
-    closed form: ``rho0`` doubled once per 100 earlier iterations, at most
-    60 times."""
-    return rho0 * 2.0 ** min((it - 1) // 100, 60)
-
-
 def solve_admm_reference(inst, gs, cfg=None):
     """Reference for ``sogl.solve_admm``: the loop it replaced, in which
     every step gathers z itself and recomputes its penalty constants, the
     residual and the stop thresholds are separate passes with
-    ``np.linalg.norm``, every iterate is scanned for NaN/Inf, and the
-    penalty of each iteration comes from :func:`_reference_rho` with the
-    start ``cfg.rho`` or ``0.3/s``. ``solve_admm`` must agree with it bit
-    for bit."""
+    ``np.linalg.norm``, and every iterate is scanned for NaN/Inf. The
+    penalty starts at ``cfg.rho`` or ``0.3/s`` and doubles after every
+    100th iteration that ends with ``r_norm > eps_pri`` and
+    ``2*rho*1024*eps*sqrt(max k)*max(||x||, ||gather(z)||) <= eps_dual``.
+    ``solve_admm`` must agree with it bit for bit."""
     cfg = cfg or AdmmConfig()
-    rho0 = 0.3 / inst.s if cfg.rho is None else cfg.rho
+    rho = 0.3 / inst.s if cfg.rho is None else cfg.rho
     x, z, y = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        rho = _reference_rho(rho0, it)
         prev_z = z
         x = _reference_x_step(z, y, inst, gs, rho)
         z = _reference_z_step(x, y, inst, gs, rho)
@@ -147,6 +157,12 @@ def solve_admm_reference(inst, gs, cfg=None):
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
+        if it % 100 == 0 and r_norm > eps_pri:
+            scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(gather(z, gs))))
+            kmax = max(int(gs.overlap_counts.max(initial=0)), 1)
+            err = 2.0 * rho * 1024 * np.finfo(float).eps * math.sqrt(kmax * scale**2)
+            if err <= eps_dual:
+                rho *= 2.0
     return SolveReport(x_final=z, objective=objective_value(z, inst, gs),
                        iters=it, converged=converged, algorithm="admm",
                        r_norm=r_norm, s_norm=s_norm, trace=trace)
