@@ -146,6 +146,15 @@ def y_step(d: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     return y + rho * d
 
 
+def _norm(a: np.ndarray, sq: float) -> float:
+    """``||a||`` from ``sq = a.dot(a)``; when that square overflows on
+    finite entries, ``a`` is divided by its largest magnitude first."""
+    if math.isfinite(sq) or not np.isfinite(a).all():
+        return math.sqrt(sq)
+    big = float(np.abs(a).max())
+    return big * math.sqrt(np.square(a / big).sum())
+
+
 def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
                    zb: np.ndarray, d: np.ndarray, y: np.ndarray, floors: tuple,
                    gs: GroupStructure, rho: float, eps_rel: float) -> tuple:
@@ -155,17 +164,17 @@ def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
     overlap counts; eps_pri = floors[0] + eps_rel*max(||x||, ||zb||) and
     eps_dual = floors[1] + eps_rel*||scatter_add(y)||, with the floors
     ``eps_abs*sqrt(max(p, 1))`` (p stacked entries) and ``eps_abs*sqrt(n)``.
-    ``finite`` is False when x or z holds a NaN or Inf; entries are scanned
-    only when a squared norm overflows.
+    ``finite`` is False when x or z holds a NaN or Inf; entries are scanned,
+    and a norm is computed with scaling, only when a squared norm overflows.
     """
     xx, zz = x.dot(x), z.dot(z)
     finite = (math.isfinite(xx) and math.isfinite(zz)) or bool(
         np.isfinite(x).all() and np.isfinite(z).all())
     w = gs.overlap_counts * (z - prev_z)
     sy = scatter_add(y, gs)
-    return (math.sqrt(d.dot(d)), rho * math.sqrt(w.dot(w)),
-            floors[0] + eps_rel * max(math.sqrt(xx), math.sqrt(zb.dot(zb))),
-            floors[1] + eps_rel * math.sqrt(sy.dot(sy)), finite)
+    return (_norm(d, d.dot(d)), rho * _norm(w, w.dot(w)),
+            floors[0] + eps_rel * max(_norm(x, xx), _norm(zb, zb.dot(zb))),
+            floors[1] + eps_rel * _norm(sy, sy.dot(sy)), finite)
 
 
 def solve_admm(inst: ProxInstance, gs: GroupStructure,

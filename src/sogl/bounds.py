@@ -8,11 +8,13 @@ surrogate yields solvable problems whose optimal values bracket the true
 optimum, in three flavors: the plain prox, the prox with an extra
 elementwise l1 term, and the prox with an extra nonzero-count term.
 
-The lower problems are separable closed forms. The upper problems reduce to
-the prox of a scaled l2 norm, solved by a contraction fixed point whose
-limit norm also solves a scalar equation (used as a bisection fallback and
-final polish). The l0-flavored upper problem is relaxed through the largest
-diagonal entry and solved exactly by top-k support enumeration.
+The plain variant is the l1 variant at ``lam1 = 0``. The lower problems are
+separable closed forms. The l1 upper problem is the scaled-l2 prox at the
+soft-thresholded center (Yu 2013, "On Decomposing the Proximal Map"),
+solved by a contraction fixed point whose limit norm also solves a scalar
+equation (used as a bisection fallback and final polish). The l0-flavored
+upper problem is relaxed through the largest diagonal entry and solved
+exactly by top-k support enumeration.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GroupStructure, ProxInstance
+from .model import GroupStructure, ProxInstance, scatter_add
 
 __all__ = [
     "FixedPointTrace",
@@ -81,10 +83,7 @@ def lower_diag(gs: GroupStructure) -> np.ndarray:
     the weighted l1 norm it induces never exceeds the group term; equality
     holds when every group's entries share one magnitude.
     """
-    per_entry = np.repeat(gs.weights / np.sqrt(gs.sizes), gs.sizes)
-    # float even with no groups, where bincount's zeros are integers
-    return np.bincount(gs.flat_index, weights=per_entry,
-                       minlength=gs.n).astype(float)
+    return scatter_add(np.repeat(gs.weights / np.sqrt(gs.sizes), gs.sizes), gs)
 
 
 def upper_diag(gs: GroupStructure) -> np.ndarray:
@@ -97,16 +96,19 @@ def upper_diag(gs: GroupStructure) -> np.ndarray:
     return np.sqrt(gs.overlap_counts.astype(float)) * float(np.linalg.norm(gs.weights))
 
 
+def _soft(v: np.ndarray, t) -> np.ndarray:
+    """Soft threshold ``sign(v)*max(|v| - t, 0)``; ``t`` is a scalar or a
+    per-entry array."""
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def _phi(c: float, uv_sq: np.ndarray, lam_u_sq: np.ndarray) -> float:
     return float(np.sum(uv_sq / (c + lam_u_sq) ** 2)) - 1.0
 
 
-def _bisect_c(v: np.ndarray, lam: float, u: np.ndarray,
-              penalized: np.ndarray) -> float:
-    """Root of the scalar fixed-point equation on (0, ||u*v||]."""
-    uv_sq = (u[penalized] * v[penalized]) ** 2
-    lam_u_sq = lam * u[penalized] ** 2
-    lo, hi = 0.0, float(np.linalg.norm(u * v))
+def _bisect_c(uv_sq: np.ndarray, lam_u_sq: np.ndarray, hi: float) -> float:
+    """Root of ``_phi(c, uv_sq, lam_u_sq) = 0`` on (0, hi], hi = ||u*v||."""
+    lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -160,18 +162,18 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
         return x, value_at(x), trace
 
     x = v.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    cn = float(np.linalg.norm(u * x))
-    if cn == 0.0:
+    c = float(np.linalg.norm(u * x))
+    if c == 0.0:
         raise ZeroCenterError("starting point has zero scaled norm")
-    trace.norms.append(cn)
+    trace.norms.append(c)
     lam_u_sq = lam * u**2
     converged = False
     for _ in range(max_iters):
-        x = (cn / (cn + lam_u_sq)) * v
+        x = (c / (c + lam_u_sq)) * v
         c_next = float(np.linalg.norm(u * x))
         trace.norms.append(c_next)
-        done = abs(c_next - cn) <= tol
-        cn = c_next
+        done = abs(c_next - c) <= tol
+        c = c_next
         if done:
             converged = True
             break
@@ -179,13 +181,13 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
     trace.converged = converged
 
     uv_sq = (u[penalized] * v[penalized]) ** 2
-    c = cn
-    resid = abs(_phi(c, uv_sq, lam * u[penalized] ** 2))
+    lam_u_sq_pen = lam_u_sq[penalized]
+    resid = abs(_phi(c, uv_sq, lam_u_sq_pen))
     station = float(np.linalg.norm(x - v + lam_u_sq * x / c))
     if not converged or resid > 10.0 * tol or station > 1e-9:
-        c = _bisect_c(v, lam, u, penalized)
+        c = _bisect_c(uv_sq, lam_u_sq_pen, float(np.linalg.norm(u * v)))
         x = (c / (c + lam_u_sq)) * v
-        resid = abs(_phi(c, uv_sq, lam * u[penalized] ** 2))
+        resid = abs(_phi(c, uv_sq, lam_u_sq_pen))
         trace.used_bisection = True
     trace.c = c
     trace.fp_residual = resid
@@ -203,7 +205,7 @@ def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     """
     v = np.asarray(v, dtype=float)
     l = np.asarray(diag, dtype=float)
-    x = np.sign(v) * np.maximum(np.abs(v) - (lam * l + lam1), 0.0)
+    x = _soft(v, lam * l + lam1)
     value = (
         0.5 * float(np.sum((x - v) ** 2))
         + lam * float(np.sum(l * np.abs(x)))
@@ -215,31 +217,21 @@ def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
 def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     """Scaled-l2 surrogate with an extra elementwise l1 term.
 
-    Coordinates with ``|v_i| <= lam1`` are zero; the survivors keep the
-    sign of v and solve a reduced scaled-l2 prox with the center pulled
-    toward zero by ``lam1``.
+    The minimizer is the scaled-l2 prox of the soft-thresholded center
+    ``sign(v)*max(|v| - lam1, 0)``: that prox scales each coordinate by a
+    factor in [0, 1], so the soft threshold's l1 subgradients stay valid.
 
     Returns ``(x, value)`` with value the full objective at x.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
-    n = v.size
-    x = np.zeros(n)
-
-    def value_at(xx):
-        return (
-            0.5 * float(np.sum((xx - v) ** 2))
-            + lam * float(np.linalg.norm(u * xx))
-            + lam1 * float(np.sum(np.abs(xx)))
-        )
-
-    support = np.abs(v) > lam1
-    if not support.any():
-        return x, value_at(x)
-    v_red = v[support] - lam1 * np.sign(v[support])
-    x_red, _, _ = scaled_l2_prox(v_red, lam, u[support])
-    x[support] = x_red
-    return x, value_at(x)
+    x, _, _ = scaled_l2_prox(_soft(v, lam1), lam, u)
+    value = (
+        0.5 * float(np.sum((x - v) ** 2))
+        + lam * float(np.linalg.norm(u * x))
+        + lam1 * float(np.sum(np.abs(x)))
+    )
+    return x, value
 
 
 def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
@@ -252,7 +244,7 @@ def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     """
     v = np.asarray(v, dtype=float)
     l = np.asarray(diag, dtype=float)
-    a = np.sign(v) * np.maximum(np.abs(v) - lam * l, 0.0)
+    a = _soft(v, lam * l)
     f_a = 0.5 * (a - v) ** 2 + lam * l * np.abs(a) + lam0 * (a != 0)
     f_zero = 0.5 * v**2
     x = np.where(f_a < f_zero, a, 0.0)
@@ -321,16 +313,14 @@ def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str) -> BoundsRepo
     v, s = inst.v, inst.s
     lam_s = inst.lam * s
     relaxed = None
-    if variant == "plain":
-        xl, vl = lower_bound_l1(v, lam_s, 0.0, ld)
-        xu, vu, _ = scaled_l2_prox(v, lam_s, ud)
-    elif variant == "l1":
-        xl, vl = lower_bound_l1(v, lam_s, inst.lam1 * s, ld)
-        xu, vu = upper_bound_l1(v, lam_s, inst.lam1 * s, ud)
-    else:
+    if variant == "l0":
         xl, vl = lower_bound_l0(v, lam_s, inst.lam0 * s, ld)
         xu, vu, rel = upper_bound_l0(v, lam_s, inst.lam0 * s, ud)
         relaxed = rel / s
+    else:  # plain is the l1 variant at lam1 = 0
+        lam1_s = inst.lam1 * s if variant == "l1" else 0.0
+        xl, vl = lower_bound_l1(v, lam_s, lam1_s, ld)
+        xu, vu = upper_bound_l1(v, lam_s, lam1_s, ud)
     return BoundsReport(
         variant=variant,
         lower_value=vl / s,

@@ -113,8 +113,8 @@ def _build_parser() -> _Parser:
                         default="plain")
     bounds.add_argument("--with-oracle", action="store_true",
                         help="also compute the exact value by enumeration")
-    bounds.add_argument("--limit", type=_positive_int, default=12,
-                        help="enumeration size limit for --with-oracle")
+    bounds.add_argument("--limit", type=_positive_int,
+                        help="enumeration size limit for --with-oracle (default 12)")
     bounds.add_argument("--out", metavar="PATH")
     bounds.add_argument("--stamp", action="store_true")
 
@@ -209,7 +209,7 @@ def _run_solve_single(args, path: str) -> tuple:
            "wall_time": report.wall_time if args.stamp else None}
     del rep["trace"]
     text = _record(instf, source, report.algorithm, config, rep, args.stamp)
-    return text, trace_to_csv(report.trace) if args.trace else None
+    return text, trace_to_csv(report) if args.trace else None
 
 
 def _cmd_solve(args) -> int:
@@ -266,12 +266,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.limit is not None and not args.with_oracle:
+        raise _UsageError("--limit applies only to --with-oracle")
     instf, source = _read_instance(args.instance)
     inst, gs = instf.build()
     report = sandwich(inst, gs, args.variant)
     if args.with_oracle:
         report.oracle_value = oracle_variant(inst, gs, args.variant,
-                                             n_limit=args.limit).value
+                                             n_limit=args.limit or 12).value
     config = {"variant": args.variant, "with_oracle": bool(args.with_oracle)}
     _emit(_record(instf, source, "bounds", config, _fields(report),
                   args.stamp), args.out)

@@ -120,14 +120,7 @@ def _group_structure(groups: list, n: int) -> GroupStructure:
     try:
         gs = GroupStructure(n, groups if i is None else groups[:i])
     except GroupDefectError as exc:
-        i, j, kind = min(exc.defects, key=lambda d: d[:2])
-        if kind == "empty":
-            raise ValidationError(f"groups[{i}]: group is empty") from None
-        raise ValidationError(f"groups[{i}][{j}]: " + {
-            "not-int": "expected an integer index",
-            "range": f"index {groups[i][j]} out of range for n={n}",
-            "repeat": f"repeated index {groups[i][j]}",
-        }[kind]) from None
+        raise ValidationError(str(exc)) from None
     if i is not None:
         raise ValidationError(f"groups[{i}]: expected an array of indices")
     return gs
@@ -341,12 +334,16 @@ def write_atomic(path: str, text: str):
         raise
 
 
-def trace_to_csv(trace) -> str:
-    """Render solver trace rows as CSV with a fixed header; numbers are
-    formatted and checked as by ``dumps_canonical``."""
-    rows = trace or []
+def trace_to_csv(report) -> str:
+    """Render a solve report's trace rows as CSV. The header is
+    ``iter,objective,r_norm,s_norm`` for ADMM and ``iter,objective,bound,gap``
+    for the dual solver; numbers are formatted and checked as by
+    ``dumps_canonical``."""
+    names = ("objective", *{"admm": ("r_norm", "s_norm"),
+                            "dual": ("bound", "gap")}[report.algorithm])
+    rows = report.trace or []
     floats = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 3)
     columns = [_format_floats(floats[:, k], f"trace.{name}")
-               for k, name in enumerate(("objective", "r_norm", "s_norm"))]
+               for k, name in enumerate(names)]
     lines = map(",".join, zip([str(int(row[0])) for row in rows], *columns))
-    return "\n".join(["iter,objective,r_norm,s_norm", *lines]) + "\n"
+    return "\n".join([",".join(("iter", *names)), *lines]) + "\n"

@@ -29,7 +29,8 @@ __all__ = [
 
 
 class GroupDefectError(ValueError):
-    """Index groups with defects; ``defects`` lists them as ``(i, j, kind)``."""
+    """Index groups with defects; ``defects`` lists them as ``(i, j, kind)``,
+    and the message names the first, e.g. ``groups[1][0]: repeated index 4``."""
 
     def __init__(self, message: str, defects: list):
         super().__init__(message)
@@ -79,14 +80,14 @@ class GroupStructure:
         sizes = np.fromiter(map(len, self.groups), dtype=np.intp, count=m)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         flat, defects = _index_defects(self.groups, sizes, self.offsets, self.n)
-        if defects:
-            # the first group with a defect; in it, the first kind listed
-            i, _, kind = min(defects, key=lambda d: d[0])
-            raise GroupDefectError(f"group {i} " + {
-                "empty": "is empty",
-                "not-int": "has a non-integer index",
-                "range": f"has an index outside [0, {self.n})",
-                "repeat": "has repeated indices",
+        if defects:  # the first in reading order: by group, then by entry
+            i, j, kind = min(defects, key=lambda d: d[:2])
+            idx = None if kind == "empty" else list(self.groups[i])[j]
+            raise GroupDefectError({
+                "empty": f"groups[{i}]: group is empty",
+                "not-int": f"groups[{i}][{j}]: expected an integer index",
+                "range": f"groups[{i}][{j}]: index {idx} out of range for n={self.n}",
+                "repeat": f"groups[{i}][{j}]: repeated index {idx}",
             }[kind], defects)
         bounds = self.offsets.tolist()
         self.groups = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sogl.admm import AdmmConfig, NonFiniteError, SolveReport
+from sogl.bounds import scaled_l2_prox
 from sogl.instances import generate_instance
 from sogl.model import (
     GroupStructure,
@@ -112,19 +113,29 @@ def _reference_y_step(x, z, y, gs, rho):
     return y + rho * (x - gather(z, gs))
 
 
+def _reference_norm(a):
+    """``np.linalg.norm(a)``; when that overflows on finite entries, the
+    norm of ``a`` divided by its largest magnitude, scaled back."""
+    nrm = float(np.linalg.norm(a))
+    big = float(np.max(np.abs(a), initial=0.0))
+    if nrm == math.inf and math.isfinite(big):
+        return big * float(np.linalg.norm(a / big))
+    return nrm
+
+
 def _reference_residual_norms(prev_z, x, z, gs, rho):
-    r = float(np.linalg.norm(x - gather(z, gs)))
-    s = rho * float(np.linalg.norm(gs.overlap_counts * (z - prev_z)))
+    r = _reference_norm(x - gather(z, gs))
+    s = rho * _reference_norm(gs.overlap_counts * (z - prev_z))
     return r, s
 
 
 def _reference_stop_thresholds(x, z, y, gs, cfg):
     nt = gs.total_size
     eps_pri = cfg.eps_abs * math.sqrt(nt if nt else 1) + cfg.eps_rel * max(
-        float(np.linalg.norm(x)), float(np.linalg.norm(gather(z, gs)))
+        _reference_norm(x), _reference_norm(gather(z, gs))
     )
-    eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * float(
-        np.linalg.norm(scatter_add(y, gs))
+    eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * _reference_norm(
+        scatter_add(y, gs)
     )
     return eps_pri, eps_dual
 
@@ -133,7 +144,8 @@ def solve_admm_reference(inst, gs, cfg=None):
     """Reference for ``sogl.solve_admm``: the loop it replaced, in which
     every step gathers z itself and recomputes its penalty constants, the
     residual and the stop thresholds are separate passes with
-    ``np.linalg.norm``, and every iterate is scanned for NaN/Inf. The
+    ``np.linalg.norm`` (rescaled where it overflows on finite entries), and
+    every iterate is scanned for NaN/Inf. The
     penalty starts at ``cfg.rho`` or ``0.3/s`` and doubles after every
     100th iteration that ends with ``r_norm > eps_pri`` and
     ``2*rho*1024*eps*sqrt(max k)*max(||x||, ||gather(z)||) <= eps_dual``.
@@ -168,6 +180,23 @@ def solve_admm_reference(inst, gs, cfg=None):
                        r_norm=r_norm, s_norm=s_norm, trace=trace)
 
 
+def upper_bound_l1_masked(v, lam, lam1, diag):
+    """Reference for ``sogl.bounds.upper_bound_l1``: the masked form it
+    replaced. Coordinates with ``|v_i| <= lam1`` are zero; the survivors
+    solve a reduced scaled-l2 prox at the center pulled toward zero by
+    ``lam1``, scattered back. Returns ``(x, value)``."""
+    v = np.asarray(v, dtype=float)
+    u = np.asarray(diag, dtype=float)
+    x = np.zeros(v.size)
+    support = np.abs(v) > lam1
+    if support.any():
+        v_red = v[support] - lam1 * np.sign(v[support])
+        x[support], _, _ = scaled_l2_prox(v_red, lam, u[support])
+    value = (0.5 * float(np.sum((x - v) ** 2)) + lam * float(np.linalg.norm(u * x))
+             + lam1 * float(np.sum(np.abs(x))))
+    return x, value
+
+
 def count_term_ok_by_zeroing(x, inst, gs):
     """Reference for the count-term test of ``sogl.stationarity_check``:
     zero each nonzero coordinate in turn and evaluate the whole objective
@@ -182,9 +211,9 @@ def count_term_ok_by_zeroing(x, inst, gs):
 
 
 def first_group_defect(groups, n):
-    """Reference for the index checks of ``sogl.instance_from_dict``: the
-    message of the first defect met reading the groups entry by entry, or
-    None when there is none."""
+    """Reference for the index checks of ``sogl.instance_from_dict`` and
+    ``sogl.GroupStructure``: the message of the first defect met reading
+    the groups entry by entry, or None when there is none."""
     for i, g in enumerate(groups):
         if not isinstance(g, list):
             return f"groups[{i}]: expected an array of indices"
@@ -199,21 +228,6 @@ def first_group_defect(groups, n):
             if idx in seen:
                 return f"groups[{i}][{j}]: repeated index {idx}"
             seen.add(idx)
-    return None
-
-
-def first_structure_defect(groups, n):
-    """Reference for the index checks of ``sogl.GroupStructure``: the
-    message for the first group that is empty, leaves [0, n) or repeats an
-    index (checked in that order), or None when there is none."""
-    for i, g in enumerate(groups):
-        g = np.asarray(g, dtype=np.intp)
-        if g.size == 0:
-            return f"group {i} is empty"
-        if g.min() < 0 or g.max() >= n:
-            return f"group {i} has an index outside [0, {n})"
-        if np.unique(g).size != g.size:
-            return f"group {i} has repeated indices"
     return None
 
 

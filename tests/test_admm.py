@@ -289,7 +289,9 @@ class TestResiduals:
             r, _, eps_pri, _, finite = residual_norms(
                 np.zeros(2), x, z, zb, x - zb, np.zeros(2), (0.0, 0.0), gs,
                 1.0, 1e-6)
-        assert finite and r == math.inf and eps_pri == math.inf
+        # each overflowing norm is computed with scaling, not left infinite
+        assert finite and r == pytest.approx(2e200, rel=1e-15)
+        assert eps_pri == pytest.approx(1e-6 * math.sqrt(2.0) * 1e200, rel=1e-15)
 
     def test_infinite_tolerance_stops_immediately(self):
         rng = np.random.default_rng(6)
@@ -412,6 +414,19 @@ class TestSolveAdmm:
         monkeypatch.setattr(admm, "ROUNDING_MARGIN", 0)
         report = solve_admm(inst, gs, cfg)
         assert rhos == [0.3 / inst.s, 0.6 / inst.s] and report.iters == 211
+
+    @pytest.mark.parametrize("eps_rel", [1e-6, 0.0], ids=["default", "eps-rel-0"])
+    def test_overflowing_squares_stop_on_finite_residuals(self, eps_rel):
+        # ||x||^2 overflows on finite iterates: an infinite eps_pri stopped
+        # the default run at iteration 1 with infinite residuals, and
+        # eps_pri = 0*inf = nan kept the eps_rel = 0 run from ever stopping
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        inst = ProxInstance(v=np.array([1e280, -1e280, 1e280]), s=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_admm(inst, gs, AdmmConfig(eps_rel=eps_rel, max_iters=500))
+        assert report.converged and report.iters < 500
+        assert math.isfinite(report.r_norm) and math.isfinite(report.s_norm)
+        np.testing.assert_allclose(report.x_final, inst.v, rtol=1e-12)
 
     def test_mismatched_sizes_rejected(self):
         gs = GroupStructure(3, [[0, 1]])

@@ -22,7 +22,12 @@ from sogl.bounds import (
     upper_diag,
 )
 from sogl.model import group_norm_sum
-from helpers import block_soft_threshold, random_instance, random_structure
+from helpers import (
+    block_soft_threshold,
+    random_instance,
+    random_structure,
+    upper_bound_l1_masked,
+)
 
 
 class TestDiagonals:
@@ -333,6 +338,28 @@ class TestUpperBoundL1:
         np.testing.assert_allclose(x, [2.5, 0.0], atol=1e-12)
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_masked_reference(self, seed):
+        # centers with exact zeros, negative zeros and negative entries at
+        # or below lam1, some of them at exactly -lam1
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 40))
+        lam1 = 0.0 if seed % 5 == 0 else float(rng.uniform(0.0, 1.5))
+        lam = float(rng.uniform(0.0, 3.0))
+        v = rng.normal(0, 2, n)
+        kind = rng.integers(0, 5, n)
+        v[kind == 0] = 0.0
+        v[kind == 1] = -0.0
+        v[kind == 2] = -rng.uniform(0.0, lam1, int(np.sum(kind == 2)))
+        v[(kind == 3) & (rng.random(n) < 0.5)] = -lam1
+        u = rng.uniform(0.2, 2.5, n)
+        u[rng.random(n) < 0.1] = 0.0  # unpenalized coordinates
+        x, val = upper_bound_l1(v, lam, lam1, u)
+        x_ref, val_ref = upper_bound_l1_masked(v, lam, lam1, u)
+        assert np.all(np.abs(x - x_ref) <= 1e-14 * np.maximum(1.0, np.abs(x_ref)))
+        assert abs(val - val_ref) <= 1e-14 * max(1.0, abs(val_ref))
+
+
 class TestLowerBoundL0:
     def test_survivor_case(self):
         # f(2) = 0.5 + 2 + 1 = 3.5 beats f(0) = 4.5
@@ -441,6 +468,18 @@ class TestSandwich:
         rep = sandwich(inst, gs, "plain")
         assert rep.lower_minimizer[0] == 4.0 and rep.lower_minimizer[2] == -3.0
         assert rep.upper_minimizer[0] == 4.0 and rep.upper_minimizer[2] == -3.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plain_is_l1_at_zero_lam1_bit_for_bit(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        gs = random_structure(rng, max_n=12, max_m=5, weighted=True)
+        inst = random_instance(rng, gs, lam1_range=(0.0, 0.0), lam_range=(0.0, 2.0))
+        inst.v[rng.random(gs.n) < 0.2] = -0.0
+        plain, l1 = sandwich(inst, gs, "plain"), sandwich(inst, gs, "l1")
+        for key in ("lower_value", "upper_value"):
+            assert getattr(plain, key).hex() == getattr(l1, key).hex()
+        for key in ("lower_minimizer", "upper_minimizer"):
+            assert getattr(plain, key).tobytes() == getattr(l1, key).tobytes()
 
     def test_unknown_variant_rejected(self):
         gs = GroupStructure(2, [[0, 1]])

@@ -90,6 +90,18 @@ class TestSolve:
         assert lines[0] == "iter,objective,r_norm,s_norm"
         assert len(lines) - 1 == record["report"]["iters"]
 
+    def test_dual_trace_names_its_columns(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, lambda0=0.1, lambda1=0.3)
+        trace_path = tmp_path / "trace.csv"
+        assert run_cli(["solve", str(inst), "--algorithm", "dual",
+                        "--trace", str(trace_path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        lines = trace_path.read_text().strip().split("\n")
+        assert lines[0] == "iter,objective,bound,gap"
+        assert len(lines) - 1 == record["report"]["iters"]
+        for line in lines[1:]:  # the gap is best objective minus best bound
+            assert float(line.split(",")[3]) >= 0.0
+
     def test_stamp_fills_timing(self, tmp_path, capsys):
         inst = write_instance(tmp_path)
         assert run_cli(["solve", str(inst), "--stamp"]) == 0
@@ -272,8 +284,9 @@ class TestExitCodes:
         ["solve", "{a}", "{b}", "--batch", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
         ["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
         ["solve", "{a}", "--algorithm", "dual", "--rho", "5"],
+        ["bounds", "{a}", "--limit", "5"],
     ], ids=["out-dir-without-batch", "out-with-batch", "out-with-several-files",
-            "rho-with-dual"])
+            "rho-with-dual", "limit-without-oracle"])
     def test_ignored_output_option_is_usage_error(self, tmp_path, capsys, argv):
         names = {"a": write_instance(tmp_path, name="a.json"),
                  "b": write_instance(tmp_path, name="b.json"), "tmp": tmp_path}

@@ -16,6 +16,7 @@ from sogl import (
     parse_instance,
     parse_instance_text,
 )
+from sogl.admm import SolveReport
 from sogl.instances import NonFiniteNumberError, trace_to_csv, write_atomic
 from helpers import (
     EDGE_FLOATS,
@@ -205,6 +206,18 @@ class TestGroupDefects:
         assert str(exc.value) == expected
 
 
+    @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty"),
+                                    max_defects=4))
+    @settings(max_examples=300, deadline=None)
+    def test_library_names_the_same_defect(self, case):
+        n, groups, _ = case
+        with pytest.raises(ValueError) as lib:
+            GroupStructure(n, groups)
+        with pytest.raises(ValidationError) as reader:
+            instance_from_dict(dict(MINIMAL, v=[0.0] * n, groups=groups))
+        assert str(lib.value) == str(reader.value)
+
+
 class TestCanonicalSerialization:
     @given(x=safe_floats)
     @settings(max_examples=400, deadline=None)
@@ -335,20 +348,32 @@ class TestGenerator:
             generate_instance(0, 4, 1, overlap_mode="spiral")
 
 
+def trace_csv(trace, algorithm="admm"):
+    """The CSV of a report of ``algorithm`` that carries ``trace``."""
+    return trace_to_csv(SolveReport(np.zeros(1), 0.0, len(trace), False,
+                                    algorithm, trace=trace))
+
+
 class TestTraceCsv:
     def test_header_and_rows(self):
         trace = [(1, 0.5, 0.1, 0.2), (2, 0.25, 0.05, 0.1)]
-        text = trace_to_csv(trace)
+        text = trace_csv(trace)
         lines = text.strip().split("\n")
         assert lines[0] == "iter,objective,r_norm,s_norm"
         assert len(lines) == 3
 
     def test_empty_trace(self):
-        assert trace_to_csv([]) == "iter,objective,r_norm,s_norm\n"
+        assert trace_csv([]) == "iter,objective,r_norm,s_norm\n"
+        assert trace_csv([], "dual") == "iter,objective,bound,gap\n"
+
+    def test_dual_columns_are_bound_and_gap(self):
+        trace = [(1, 0.5, 0.25, 0.25), (2, 0.5, 0.375, 0.125)]
+        assert trace_csv(trace, "dual").splitlines() == [
+            "iter,objective,bound,gap", "1,0.5,0.25,0.25", "2,0.5,0.375,0.125"]
 
     def test_numbers_formatted_as_in_records(self):
         trace = [(1, 0.1, np.float64(5e-324), -0.0), (2, 1 / 3, 2.0, 1e300)]
-        rows = trace_to_csv(trace).splitlines()[1:]
+        rows = trace_csv(trace).splitlines()[1:]
         assert rows == [f"{it}," + ",".join(format(float(x), ".17g") for x in row)
                         for it, *row in trace]
 
@@ -356,9 +381,12 @@ class TestTraceCsv:
     def test_non_finite_names_column_and_row(self, column):
         trace = [(1, 0.5, 0.1, 0.2), (2, 0.25, 0.05, 0.1)]
         trace[1] = trace[1][:column] + (float("nan"),) + trace[1][column + 1:]
-        name = ("objective", "r_norm", "s_norm")[column - 1]
-        with pytest.raises(NonFiniteNumberError, match=rf"^trace\.{name}\[1\] is not"):
-            trace_to_csv(trace)
+        for algorithm, names in (("admm", ("objective", "r_norm", "s_norm")),
+                                 ("dual", ("objective", "bound", "gap"))):
+            name = names[column - 1]
+            with pytest.raises(NonFiniteNumberError,
+                               match=rf"^trace\.{name}\[1\] is not"):
+                trace_csv(trace, algorithm)
 
 
 def test_write_atomic(tmp_path):

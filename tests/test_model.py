@@ -13,7 +13,7 @@ from sogl import (
 from sogl.admm import penalty_constants, x_step
 from sogl.model import gather, hard_threshold, scatter_add
 
-from helpers import first_structure_defect, groups_with_defects
+from helpers import first_group_defect, groups_with_defects
 
 finite = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
@@ -195,7 +195,7 @@ class TestGroupStructureValidation:
             GroupStructure(3, [[0], []])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="out of range"):
             GroupStructure(3, [[0, 3]])
 
     def test_repeated_index_rejected(self):
@@ -213,7 +213,7 @@ class TestGroupStructureValidation:
     def test_entries_are_not_coerced(self, group, j, kind):
         with pytest.raises(GroupDefectError) as exc:
             GroupStructure(3, [[0], group])
-        assert str(exc.value).startswith("group 1 has ")
+        assert str(exc.value).startswith(f"groups[1][{j}]: ")
         assert exc.value.defects == [(1, j, kind)]
 
     def test_nonpositive_weight_rejected(self):
@@ -250,22 +250,25 @@ class TestGroupStructureValidation:
     @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty")))
     @settings(max_examples=300, deadline=None)
     def test_one_defect_names_its_group(self, case):
-        n, groups, (kind, i, _) = case
-        expected = {"not-int": f"group {i} has a non-integer index",
-                    "bool": f"group {i} has a non-integer index",
-                    "range": f"group {i} has an index outside [0, {n})",
-                    "repeat": f"group {i} has repeated indices",
-                    "empty": f"group {i} is empty"}[kind]
+        n, groups, (kind, i, j) = case
+        if kind == "empty":
+            expected = f"groups[{i}]: group is empty"
+        else:
+            expected = f"groups[{i}][{j}]: " + {
+                "not-int": "expected an integer index",
+                "bool": "expected an integer index",
+                "range": f"index {groups[i][j]} out of range for n={n}",
+                "repeat": f"repeated index {groups[i][j]}"}[kind]
         with pytest.raises(ValueError) as exc:
             GroupStructure(n, groups)
         assert str(exc.value) == expected
 
-    @given(case=groups_with_defects(("range", "repeat", "empty"), max_defects=4,
-                                    big=1000))
+    @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty"),
+                                    max_defects=4))
     @settings(max_examples=300, deadline=None)
     def test_first_defective_group_of_several(self, case):
         n, groups, _ = case
-        expected = first_structure_defect(groups, n)
+        expected = first_group_defect(groups, n)
         assert expected is not None
         with pytest.raises(ValueError) as exc:
             GroupStructure(n, groups)
