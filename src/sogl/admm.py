@@ -1,9 +1,10 @@
 """Consensus ADMM solver for the l0 sparse overlapping group lasso prox.
 
 Each group owns a local block tied to a global consensus vector. One cycle
-runs a group soft-threshold block step, a per-coordinate hard-threshold
-consensus step whose curvature folds in the overlap counts, and a dual
-ascent step. Termination follows the usual primal/dual residual rule.
+runs a group soft-threshold block step, an over-relaxation of its result, a
+per-coordinate hard-threshold consensus step whose curvature folds in the
+overlap counts, and a dual ascent step on the scaled multiplier ``u =
+y/rho``. Termination follows the usual primal/dual residual rule.
 
 The penalty ``rho`` follows one schedule, described in :func:`solve_admm`.
 
@@ -37,6 +38,7 @@ __all__ = ["AdmmConfig", "SolveReport", "NonFiniteError", "Penalty",
 RHO_TIMES_S = 0.3        # the default starting penalty is RHO_TIMES_S / s
 DOUBLE_EVERY = 100       # iterations between chances to double the penalty
 ROUNDING_MARGIN = 1024   # eps_dual over the largest admitted rounding error
+OVER_RELAX = 1.5         # the z step reads x + (OVER_RELAX - 1)*(x - zb)
 
 
 class NonFiniteError(RuntimeError):
@@ -93,9 +95,11 @@ class SolveReport:
 
 class Penalty(NamedTuple):
     """The step constants at one penalty ``rho``: the block thresholds
-    ``t = lam1*w_i/rho``, the center term ``vs = v/s``, the curvature
-    ``c = 1/s + k*rho`` (k = overlap counts) and the consensus threshold
-    ``thr = sqrt(2*lam0/c)``."""
+    ``t = lam1*w_i/rho`` of :func:`x_step`, the center term ``vs = v/s``,
+    the curvature ``c = 1/s + k*rho`` (k = overlap counts) and the
+    consensus threshold ``thr = sqrt(2*lam0/c)`` of :func:`z_step`. The
+    scaled multiplier ``u = y/rho`` is not a constant: it is halved when
+    the penalty doubles."""
 
     rho: float
     t: np.ndarray
@@ -119,31 +123,32 @@ def penalty_constants(inst: ProxInstance, gs: GroupStructure,
                    np.sqrt(2.0 * inst.lam0 / c))
 
 
-def x_step(zb: np.ndarray, y: np.ndarray, gs: GroupStructure,
+def x_step(zb: np.ndarray, u: np.ndarray, gs: GroupStructure,
            pen: Penalty) -> np.ndarray:
-    """Block update: soft-threshold block i of ``zb - y/rho``, zb =
-    gather(z), at level ``pen.t[i] = lam1*w_i/rho``: shrink its norm by
-    that or zero it."""
-    a = zb - y / pen.rho
+    """Block update: soft-threshold block i of ``zb - u``, zb = gather(z)
+    and u the scaled multiplier, at level ``pen.t[i] = lam1*w_i/rho``:
+    shrink its norm by that or zero it."""
+    a = zb - u
     nrm = group_norms(a, gs)
     # t/nrm on the kept blocks, 1 (a zero scale) on the others
     ratio = np.divide(pen.t, nrm, out=np.ones(gs.m), where=nrm > pen.t)
-    return np.repeat(1.0 - ratio, gs.sizes) * a
+    return np.take(1.0 - ratio, gs.block_index) * a
 
 
-def z_step(x: np.ndarray, y: np.ndarray, gs: GroupStructure,
-           pen: Penalty) -> np.ndarray:
+def z_step(q: np.ndarray, gs: GroupStructure, pen: Penalty) -> np.ndarray:
     """Consensus update: each coordinate hard-thresholds its weighted
-    average ``(v/s + scatter_add(y + rho*x))/c`` of the center and the
-    block/dual information at level ``pen.thr``."""
-    return hard_threshold((pen.vs + scatter_add(y + pen.rho * x, gs)) / pen.c,
+    average ``(v/s + rho*scatter_add(q))/c`` of the center and the stacked
+    ``q = u + x + (OVER_RELAX - 1)*(x - zb)`` (the multiplier plus the
+    relaxed block point) at level ``pen.thr``."""
+    return hard_threshold((pen.vs + pen.rho * scatter_add(q, gs)) / pen.c,
                           pen.thr)
 
 
-def y_step(d: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """Dual ascent: ``y += rho * d`` with the primal residual
-    ``d = x - gather(z)`` of freshly updated x, z."""
-    return y + rho * d
+def y_step(q: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """Scaled dual ascent: ``u = q - zb``, with ``q`` the multiplier plus the
+    relaxed block point that :func:`z_step` read and ``zb = gather(z)`` of
+    the fresh z."""
+    return q - zb
 
 
 def _norm(a: np.ndarray, sq: float) -> float:
@@ -156,36 +161,49 @@ def _norm(a: np.ndarray, sq: float) -> float:
 
 
 def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
-                   zb: np.ndarray, d: np.ndarray, y: np.ndarray, floors: tuple,
-                   gs: GroupStructure, rho: float, eps_rel: float) -> tuple:
+                   zb: np.ndarray, d: np.ndarray, u: np.ndarray, floors: tuple,
+                   gs: GroupStructure, rho: float, eps_rel: float,
+                   dual: bool = True) -> tuple:
     """Residuals and stop thresholds ``(r, s, eps_pri, eps_dual, finite)``.
 
     r = ||d||, d = x - zb, zb = gather(z); s = rho*||k*(z - prev_z)||, k the
     overlap counts; eps_pri = floors[0] + eps_rel*max(||x||, ||zb||) and
-    eps_dual = floors[1] + eps_rel*||scatter_add(y)||, with the floors
-    ``eps_abs*sqrt(max(p, 1))`` (p stacked entries) and ``eps_abs*sqrt(n)``.
-    ``finite`` is False when x or z holds a NaN or Inf; entries are scanned,
-    and a norm is computed with scaling, only when a squared norm overflows.
+    eps_dual = floors[1] + eps_rel*rho*||scatter_add(u)||, u = y/rho the
+    scaled multiplier, with the floors ``eps_abs*sqrt(max(p, 1))`` (p
+    stacked entries) and ``eps_abs*sqrt(n)``. s and eps_dual are None when
+    ``dual`` is False and the primal test ``r <= eps_pri`` fails: the stop
+    test cannot pass then. ``finite`` is False when x or z holds a NaN or
+    Inf; entries are scanned, and a norm is computed with scaling, only
+    when a squared norm overflows.
     """
     xx, zz = x.dot(x), z.dot(z)
     finite = (math.isfinite(xx) and math.isfinite(zz)) or bool(
         np.isfinite(x).all() and np.isfinite(z).all())
+    r = _norm(d, d.dot(d))
+    eps_pri = floors[0] + eps_rel * max(_norm(x, xx), _norm(zb, zb.dot(zb)))
+    if not (dual or r <= eps_pri):
+        return r, None, eps_pri, None, finite
     w = gs.overlap_counts * (z - prev_z)
-    sy = scatter_add(y, gs)
-    return (_norm(d, d.dot(d)), rho * _norm(w, w.dot(w)),
-            floors[0] + eps_rel * max(_norm(x, xx), _norm(zb, zb.dot(zb))),
-            floors[1] + eps_rel * _norm(sy, sy.dot(sy)), finite)
+    su = scatter_add(u, gs)
+    return (r, rho * _norm(w, w.dot(w)), eps_pri,
+            floors[1] + eps_rel * rho * _norm(su, su.dot(su)), finite)
 
 
 def solve_admm(inst: ProxInstance, gs: GroupStructure,
                cfg: AdmmConfig = None) -> SolveReport:
     """Run the ADMM cycle until the residual criteria or ``max_iters``.
 
-    Starts from the feasible point x = gather(v), z = v, y = 0 (already
-    optimal when all penalties vanish) at the penalty :func:`start_rho`:
-    ``cfg.rho``, or ``0.3/s`` (``RHO_TIMES_S``). Scaling the objective by
-    ``s`` turns ADMM at ``rho`` into ADMM at ``rho*s``, so the default is
-    one scaled penalty for every ``s``. After every 100 iterations
+    The iteration is scaled-form ADMM with over-relaxation (Boyd et al.
+    2011, secs. 3.1.1 and 3.4.3; Eckstein & Bertsekas 1992): with the
+    scaled multiplier ``u = y/rho`` and ``zb = gather(z)``, one cycle is
+    ``x = x_step(zb, u)``, ``q = u + x + (OVER_RELAX - 1)*(x - zb)``
+    (``OVER_RELAX = 1.5``), ``z = z_step(q)`` and ``u = y_step(q,
+    gather(z))``. It starts from the feasible point x = gather(v), z = v,
+    u = 0 (already optimal when all penalties vanish) at the penalty
+    :func:`start_rho`: ``cfg.rho``, or ``0.3/s`` (``RHO_TIMES_S``).
+    Scaling the objective by ``s`` turns ADMM at ``rho`` into ADMM at
+    ``rho*s``, so the default is one scaled penalty for every ``s``.
+    After every 100 iterations
     (``DOUBLE_EVERY``) that end with the primal residual above
     ``eps_pri``, the penalty doubles and the step constants are recomputed
     (the varying penalty of Boyd et al. 2011, sec. 3.4.1, raises ``rho``
@@ -201,8 +219,12 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     pass the stop test at a point that is not stationary. This guard bounds
     the penalty, and with zero tolerances the penalty never doubles. A
     solve of ``iters`` iterations ends at a penalty of at most ``start *
-    2**((iters-1)//100)``. The report evaluates the objective at the
-    consensus z.
+    2**((iters-1)//100)``, and ``u`` is halved whenever the penalty
+    doubles, so that ``y = rho*u`` stays put. The dual residual and
+    ``eps_dual`` are computed only where they are read: when the primal
+    test passes, at every 100th iteration, at the last one and, with
+    ``cfg.trace``, at every iteration. The report evaluates the objective
+    at the consensus z.
 
     Raises
     ------
@@ -216,18 +238,24 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     pen = penalty_constants(inst, gs, start_rho(inst, cfg))
     floors = (cfg.eps_abs * math.sqrt(gs.total_size or 1),
               cfg.eps_abs * math.sqrt(gs.n))
-    z, zb, y = inst.v, gather(inst.v, gs), np.zeros(gs.total_size)
+    relax = OVER_RELAX - 1.0
+    z, zb, u = inst.v, gather(inst.v, gs), np.zeros(gs.total_size)
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev_z = z
-        x = x_step(zb, y, gs, pen)
-        z = z_step(x, y, gs, pen)
+        x = x_step(zb, u, gs, pen)
+        # the relaxed point, then the multiplier: grouped as (u + x) + ...,
+        # a solve whose entries dwarf its residuals can cycle by one ulp
+        q = u + (x + relax * (x - zb))
+        z = z_step(q, gs, pen)
         zb = gather(z, gs)
-        d = x - zb
-        y = y_step(d, y, pen.rho)
+        u = y_step(q, zb)
+        dual = (trace is not None or it % DOUBLE_EVERY == 0
+                or it == cfg.max_iters)
         r_norm, s_norm, eps_pri, eps_dual, finite = residual_norms(
-            prev_z, x, z, zb, d, y, floors, gs, pen.rho, cfg.eps_rel)
+            prev_z, x, z, zb, x - zb, u, floors, gs, pen.rho, cfg.eps_rel,
+            dual)
         if not finite:
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
         if trace is not None:
@@ -242,6 +270,7 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
                 gs.overlap_counts.max(initial=1) * max(x.dot(x), zb.dot(zb)))
             if err <= eps_dual:
                 pen = penalty_constants(inst, gs, 2.0 * pen.rho)
+                u = 0.5 * u
     return SolveReport(
         x_final=z,
         objective=objective_value(z, inst, gs),

@@ -89,7 +89,9 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
         zb = gather(z, gs)
         q = (0.5 / inst.s * float(np.sum((z - inst.v) ** 2))
              + inst.lam0 * np.count_nonzero(z))
-        obj = q + inst.lam1 * float(np.sum(gs.weights * group_norms(zb, gs)))
+        obj = q
+        if inst.lam1:  # left out at 0, where an overflowing norm gives 0*inf
+            obj += inst.lam1 * float(np.sum(gs.weights * group_norms(zb, gs)))
         prev_bound, bound = bound, q - float(y @ zb)
         if best_z is None or obj < best_obj:
             best_z, best_obj = z, obj

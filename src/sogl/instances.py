@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -321,9 +320,13 @@ def dumps_canonical(obj) -> str:
 
 
 def write_atomic(path: str, text: str):
-    """Write via a temp file and rename, so readers never see partial output."""
+    """Write via a temp file and rename, so readers never see partial output.
+
+    The temp file is created with mode ``0o666`` less the umask, as
+    ``open(path, "w")`` would create ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

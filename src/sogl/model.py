@@ -52,9 +52,10 @@ class GroupStructure:
         ``groups[i]`` holds the distinct global indices of group ``i``.
     weights : float array, shape (m,)
         Strictly positive per-group weights. Defaults to all ones.
-    sizes, offsets, flat_index : int arrays
+    sizes, offsets, flat_index, block_index : int arrays
         Stacked layout: block i is ``offsets[i]:offsets[i+1]`` (length
-        ``sizes[i]``) and ``flat_index`` is the concatenation of the groups.
+        ``sizes[i]``), ``flat_index`` is the concatenation of the groups and
+        ``block_index[p]`` is the group that stacked position p belongs to.
     overlap_counts : int array, shape (n,)
         ``overlap_counts[g]`` is the number of groups containing ``g``.
     """
@@ -79,7 +80,8 @@ class GroupStructure:
             raise ValueError("all group weights must be strictly positive")
         sizes = np.fromiter(map(len, self.groups), dtype=np.intp, count=m)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-        flat, defects = _index_defects(self.groups, sizes, self.offsets, self.n)
+        block = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        flat, defects = _index_defects(self.groups, block, self.offsets, self.n)
         if defects:  # the first in reading order: by group, then by entry
             i, j, kind = min(defects, key=lambda d: d[:2])
             idx = None if kind == "empty" else list(self.groups[i])[j]
@@ -93,6 +95,7 @@ class GroupStructure:
         self.groups = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
         self.sizes = sizes
         self.flat_index = flat
+        self.block_index = block
         self.overlap_counts = np.bincount(self.flat_index, minlength=self.n)
 
     @property
@@ -106,20 +109,20 @@ class GroupStructure:
         return int(self.offsets[-1])
 
 
-def _index_defects(groups: list, sizes: np.ndarray, offsets: np.ndarray,
+def _index_defects(groups: list, block: np.ndarray, offsets: np.ndarray,
                    n: int) -> tuple:
     """Stack the groups' indices and locate the first defect of each kind.
 
-    Group i goes to ``offsets[i]:offsets[i+1]`` (length ``sizes[i]``) of
-    the stacked array. Returns ``(flat, defects)``: ``defects`` lists
-    ``(i, j, kind)``, at most one per kind and in this order, where entry j
-    of group i is the defect: the first empty group (``j = -1``, kind
-    ``"empty"``), the first entry that is not an integer (``"not-int"``;
-    bools are not integers), before that one the first index outside
-    ``[0, n)`` (``"range"``), and before that one the first index that
-    repeats an earlier index of its group (``"repeat"``). When ``defects``
-    is empty every group is a non-empty set of valid indices and ``flat``
-    is their concatenation.
+    Group i goes to ``offsets[i]:offsets[i+1]`` of the stacked array, and
+    ``block`` holds the group of every stacked position. Returns ``(flat,
+    defects)``: ``defects`` lists ``(i, j, kind)``, at most one per kind
+    and in this order, where entry j of group i is the defect: the first
+    empty group (``j = -1``, kind ``"empty"``), the first entry that is not
+    an integer (``"not-int"``; bools are not integers), before that one the
+    first index outside ``[0, n)`` (``"range"``), and before that one the
+    first index that repeats an earlier index of its group (``"repeat"``).
+    When ``defects`` is empty every group is a non-empty set of valid
+    indices and ``flat`` is their concatenation.
     """
     entries = list(itertools.chain.from_iterable(groups))
     odd = {t for t in set(map(type, entries))
@@ -132,7 +135,7 @@ def _index_defects(groups: list, sizes: np.ndarray, offsets: np.ndarray,
         flat = np.fromiter((min(max(x, -1), n) for x in entries),
                            dtype=np.intp, count=len(entries))
     defects = []
-    empty = np.flatnonzero(sizes == 0)
+    empty = np.flatnonzero(np.diff(offsets) == 0)
     if empty.size:
         defects.append((int(empty[0]), -1, "empty"))
     if odd:
@@ -143,8 +146,7 @@ def _index_defects(groups: list, sizes: np.ndarray, offsets: np.ndarray,
     end = int(bad[0]) if bad.size else flat.size
     if bad.size:
         defects.append(_locate(end, offsets) + ("range",))
-    group_id = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)[:end]
-    key = group_id * n + flat[:end]
+    key = block[:end] * n + flat[:end]
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     later = order[1:][ordered[1:] == ordered[:-1]]
@@ -230,8 +232,14 @@ def objective_value(x: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> fl
     """Evaluate the composite objective
 
     ``(1/2s)*||x - v||^2 + lam0*nnz(x) + lam1*sum_i w_i*||x_{G_i}||_2``.
+
+    A penalty term whose coefficient is 0 is left out, so a group norm
+    that overflows does not turn ``0*inf`` into NaN.
     """
     x = np.asarray(x, dtype=float)
-    quad = 0.5 / inst.s * float(np.sum((x - inst.v) ** 2))
-    nnz = int(np.count_nonzero(x))
-    return quad + inst.lam0 * nnz + inst.lam1 * group_norm_sum(x, gs)
+    value = 0.5 / inst.s * float(np.sum((x - inst.v) ** 2))
+    if inst.lam0:
+        value += inst.lam0 * int(np.count_nonzero(x))
+    if inst.lam1:
+        value += inst.lam1 * group_norm_sum(x, gs)
+    return value

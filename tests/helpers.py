@@ -74,27 +74,27 @@ def block_soft_threshold(a, t):
     return np.zeros_like(a) if nrm <= t else (1.0 - t / nrm) * a
 
 
-def z_step_scaled_space(x, y, inst, gs, cfg):
+def z_step_scaled_space(q, inst, gs, rho):
     """Reference consensus update computed in rescaled coordinates.
 
-    Accumulates the stacked ``rho*x + y`` onto the global indices entry by
-    entry, then solves the diagonally rescaled problem where the threshold
-    is the constant ``sqrt(2*lam0)``. ``sogl.admm.z_step`` must agree with
-    it to round-off.
+    Accumulates ``rho`` times the stacked ``q`` (the scaled multiplier plus
+    the relaxed block point) onto the global indices entry by entry, then
+    solves the diagonally rescaled problem where the threshold is the
+    constant ``sqrt(2*lam0)``. ``sogl.admm.z_step`` must agree with it to
+    round-off.
     """
-    c = 1.0 / inst.s + gs.overlap_counts * cfg.rho
-    stacked = cfg.rho * x + y
+    c = 1.0 / inst.s + gs.overlap_counts * rho
     acc = np.zeros(gs.n)
     for pos, g in enumerate(gs.flat_index):
-        acc[g] += stacked[pos]
+        acc[g] += rho * q[pos]
     w = inst.v / inst.s + acc
     root_c = np.sqrt(c)
     z_scaled = hard_threshold(w / root_c, math.sqrt(2.0 * inst.lam0))
     return z_scaled / root_c
 
 
-def _reference_x_step(z, y, inst, gs, rho):
-    a = gather(z, gs) - y / rho
+def _reference_x_step(z, u, inst, gs, rho):
+    a = gather(z, gs) - u
     t = inst.lam1 * gs.weights / rho
     nrm = group_norms(a, gs)
     keep = nrm > t
@@ -103,14 +103,20 @@ def _reference_x_step(z, y, inst, gs, rho):
     return np.repeat(scale, gs.sizes) * a
 
 
-def _reference_z_step(x, y, inst, gs, rho):
+def _reference_relaxed_point(x, z, u, gs):
+    """The multiplier plus the over-relaxed block point, at alpha = 1.5."""
+    relaxed = x + (1.5 - 1.0) * (x - gather(z, gs))
+    return u + relaxed
+
+
+def _reference_z_step(q, inst, gs, rho):
     c = 1.0 / inst.s + gs.overlap_counts * rho
-    num = inst.v / inst.s + scatter_add(y + rho * x, gs)
+    num = inst.v / inst.s + rho * scatter_add(q, gs)
     return hard_threshold(num / c, np.sqrt(2.0 * inst.lam0 / c))
 
 
-def _reference_y_step(x, z, y, gs, rho):
-    return y + rho * (x - gather(z, gs))
+def _reference_u_step(q, z, gs):
+    return q - gather(z, gs)
 
 
 def _reference_norm(a):
@@ -129,43 +135,45 @@ def _reference_residual_norms(prev_z, x, z, gs, rho):
     return r, s
 
 
-def _reference_stop_thresholds(x, z, y, gs, cfg):
+def _reference_stop_thresholds(x, z, u, gs, cfg, rho):
     nt = gs.total_size
     eps_pri = cfg.eps_abs * math.sqrt(nt if nt else 1) + cfg.eps_rel * max(
         _reference_norm(x), _reference_norm(gather(z, gs))
     )
-    eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * _reference_norm(
-        scatter_add(y, gs)
+    eps_dual = cfg.eps_abs * math.sqrt(gs.n) + cfg.eps_rel * rho * _reference_norm(
+        scatter_add(u, gs)
     )
     return eps_pri, eps_dual
 
 
 def solve_admm_reference(inst, gs, cfg=None):
-    """Reference for ``sogl.solve_admm``: the loop it replaced, in which
-    every step gathers z itself and recomputes its penalty constants, the
-    residual and the stop thresholds are separate passes with
-    ``np.linalg.norm`` (rescaled where it overflows on finite entries), and
-    every iterate is scanned for NaN/Inf. The
-    penalty starts at ``cfg.rho`` or ``0.3/s`` and doubles after every
-    100th iteration that ends with ``r_norm > eps_pri`` and
-    ``2*rho*1024*eps*sqrt(max k)*max(||x||, ||gather(z)||) <= eps_dual``.
-    ``solve_admm`` must agree with it bit for bit."""
+    """Reference for ``sogl.solve_admm``: scaled-form ADMM over-relaxed at
+    1.5, in which every step gathers z itself and recomputes its penalty
+    constants, the residuals and both stop thresholds are separate passes
+    computed at every iteration with ``np.linalg.norm`` (rescaled where it
+    overflows on finite entries), and every iterate is scanned for NaN/Inf.
+    The penalty starts at ``cfg.rho`` or ``0.3/s`` and doubles, and the
+    scaled multiplier halves, after every 100th iteration that ends with
+    ``r_norm > eps_pri`` and ``2*rho*1024*eps*sqrt(max k)*max(||x||,
+    ||gather(z)||) <= eps_dual``. ``solve_admm`` must agree with it bit for
+    bit."""
     cfg = cfg or AdmmConfig()
     rho = 0.3 / inst.s if cfg.rho is None else cfg.rho
-    x, z, y = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
+    x, z, u = gather(inst.v, gs), inst.v.copy(), np.zeros(gs.total_size)
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev_z = z
-        x = _reference_x_step(z, y, inst, gs, rho)
-        z = _reference_z_step(x, y, inst, gs, rho)
-        y = _reference_y_step(x, z, y, gs, rho)
+        x = _reference_x_step(z, u, inst, gs, rho)
+        q = _reference_relaxed_point(x, z, u, gs)
+        z = _reference_z_step(q, inst, gs, rho)
+        u = _reference_u_step(q, z, gs)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
         r_norm, s_norm = _reference_residual_norms(prev_z, x, z, gs, rho)
         if trace is not None:
             trace.append((it, objective_value(z, inst, gs), r_norm, s_norm))
-        eps_pri, eps_dual = _reference_stop_thresholds(x, z, y, gs, cfg)
+        eps_pri, eps_dual = _reference_stop_thresholds(x, z, u, gs, cfg, rho)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -175,6 +183,7 @@ def solve_admm_reference(inst, gs, cfg=None):
             err = 2.0 * rho * 1024 * np.finfo(float).eps * math.sqrt(kmax * scale**2)
             if err <= eps_dual:
                 rho *= 2.0
+                u = u / 2.0
     return SolveReport(x_final=z, objective=objective_value(z, inst, gs),
                        iters=it, converged=converged, algorithm="admm",
                        r_norm=r_norm, s_norm=s_norm, trace=trace)

@@ -216,13 +216,13 @@ def test_c7_matrix_form_equivalence():
                             s=float(rng.uniform(0.3, 3)),
                             lam0=float(rng.uniform(0, 1)),
                             lam1=float(rng.uniform(0, 1)))
-        cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
+        rho = float(rng.uniform(0.3, 3))
         x = stacked_normal(rng, gs)
         # the consensus iterate is unused by the step; drawn to keep the draw order
         rng.normal(size=gs.n)
-        y = stacked_normal(rng, gs)
-        z = z_step(x, y, gs, penalty_constants(inst, gs, cfg.rho))
-        gap = float(np.max(np.abs(z - z_step_scaled_space(x, y, inst, gs, cfg))))
+        u = stacked_normal(rng, gs)
+        z = z_step(u + x, gs, penalty_constants(inst, gs, rho))
+        gap = float(np.max(np.abs(z - z_step_scaled_space(u + x, inst, gs, rho))))
         worst = max(worst, gap)
         assert gap <= 1e-12
     print(f"ACCEPTANCE C7 (consensus step, plain vs rescaled form): PASS - "

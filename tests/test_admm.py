@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,11 +57,12 @@ def assert_first_order_to_scale(x, inst, gs, cfg=AdmmConfig()):
 
 
 def make_state(rng, gs):
-    """Random stacked x, consensus z and stacked y, drawn in that order."""
+    """Random stacked x, consensus z and stacked scaled multiplier u, drawn
+    in that order."""
     x = stacked_normal(rng, gs)
     z = rng.normal(size=gs.n)
-    y = stacked_normal(rng, gs)
-    return x, z, y
+    u = stacked_normal(rng, gs)
+    return x, z, u
 
 
 def blocks(a, gs):
@@ -82,11 +84,11 @@ class TestXStep:
     def test_zero_threshold_is_projection(self):
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         rng = np.random.default_rng(0)
-        x, z, y = make_state(rng, gs)
+        x, z, u = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(3), s=1.0, lam1=0.0)
         zb = gather(z, gs)
-        out = x_step(zb, y, gs, penalty_constants(inst, gs, 2.0))
-        np.testing.assert_allclose(out, zb - y / 2.0, atol=1e-15)
+        out = x_step(zb, u, gs, penalty_constants(inst, gs, 2.0))
+        np.testing.assert_allclose(out, zb - u, atol=1e-15)
 
     def test_all_zero_state(self):
         gs = GroupStructure(2, [[0, 1]])
@@ -95,7 +97,7 @@ class TestXStep:
         assert np.linalg.norm(out) == 0.0
 
     def test_block_shrink_example(self):
-        # z=(3,4) on one group, y=0, lam1/rho = 2.5: shrink factor 1/2
+        # z=(3,4) on one group, u=0, lam1/rho = 2.5: shrink factor 1/2
         gs = GroupStructure(2, [[0, 1]])
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=2.5)
         out = x_step(gather(np.array([3.0, 4.0]), gs), np.zeros(2), gs,
@@ -112,7 +114,7 @@ class TestXStep:
         inst = ProxInstance(v=np.zeros(2), s=1.0, lam1=float(rng.uniform(0, 2)))
         rho = float(rng.uniform(0.5, 2))
         zb = gather(z, gs)
-        out = x_step(zb, y, gs, penalty_constants(inst, gs, rho))
+        out = x_step(zb, y / rho, gs, penalty_constants(inst, gs, rho))
 
         def block_obj(p):
             return (inst.lam1 * np.linalg.norm(p) + p @ y
@@ -129,14 +131,14 @@ class TestXStep:
     def test_matches_per_group_reference(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng, max_n=10, max_m=5)
-        _, z, y = make_state(rng, gs)
+        _, z, u = make_state(rng, gs)
         inst = ProxInstance(v=np.zeros(gs.n), lam1=float(rng.uniform(0, 3)))
         rho = float(rng.uniform(0.5, 2))
         weighted = GroupStructure(gs.n, gs.groups, weights=rng.uniform(0.3, 2.0, gs.m))
         for gs in (gs, weighted):  # block i is thresholded at lam1*w_i/rho
-            out = x_step(gather(z, gs), y, gs, penalty_constants(inst, gs, rho))
+            out = x_step(gather(z, gs), u, gs, penalty_constants(inst, gs, rho))
             for i, g in enumerate(gs.groups):
-                expected = block_soft_threshold(z[g] - blocks(y, gs)[i] / rho,
+                expected = block_soft_threshold(z[g] - blocks(u, gs)[i],
                                                 inst.lam1 * gs.weights[i] / rho)
                 np.testing.assert_allclose(blocks(out, gs)[i], expected,
                                            rtol=1e-14, atol=1e-15)
@@ -147,37 +149,36 @@ class TestZStep:
         gs = GroupStructure(2, [])  # no groups: every overlap count is 0
         inst = ProxInstance(v=np.array([0.3, -1.2]), s=1.0, lam0=0.0)
         np.testing.assert_allclose(
-            z_step(np.zeros(0), np.zeros(0), gs, penalty_constants(inst, gs, 1.0)),
+            z_step(np.zeros(0), gs, penalty_constants(inst, gs, 1.0)),
             inst.v, atol=1e-15)
 
     def test_hand_worked_coordinate(self):
         # s=1, rho=1, both groups contain the coordinate (k=2), v=3 and the
-        # scattered dual/block term sums to 3: curvature 3, argument 2,
-        # threshold sqrt(2/3) < 2, so the coordinate survives as 2
+        # scattered multiplier/block term sums to 3: curvature 3, argument
+        # 2, threshold sqrt(2/3) < 2, so the coordinate survives as 2
         gs = GroupStructure(1, [[0], [0]])
-        x = np.array([1.0, 1.0])
-        y = np.array([0.5, 0.5])
+        q = np.array([1.5, 1.5])
         inst = ProxInstance(v=np.array([3.0]), s=1.0, lam0=1.0)
-        out = z_step(x, y, gs, penalty_constants(inst, gs, 1.0))
+        out = z_step(q, gs, penalty_constants(inst, gs, 1.0))
         np.testing.assert_allclose(out, [2.0], atol=1e-15)
 
     def test_huge_count_penalty_zeroes_everything(self):
         rng = np.random.default_rng(1)
         gs = random_structure(rng)
-        x, _, y = make_state(rng, gs)
+        x, _, u = make_state(rng, gs)
         inst = ProxInstance(v=rng.normal(size=gs.n), s=1.0, lam0=1e6)
-        assert np.all(z_step(x, y, gs, penalty_constants(inst, gs, 1.0)) == 0.0)
+        assert np.all(z_step(u + x, gs, penalty_constants(inst, gs, 1.0)) == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_coordinate_two_candidate_optimality(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng)
-        x, _, y = make_state(rng, gs)
+        x, _, u = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
         rho = float(rng.uniform(0.3, 3))
-        z = z_step(x, y, gs, penalty_constants(inst, gs, rho))
+        z = z_step(u + x, gs, penalty_constants(inst, gs, rho))
         c = 1.0 / inst.s + gs.overlap_counts * rho
-        num = inst.v / inst.s + scatter_add(y + rho * x, gs)
+        num = inst.v / inst.s + scatter_add(rho * u + rho * x, gs)
         for g in range(gs.n):
             def sub(val):
                 return (0.5 * c[g] * val**2 - num[g] * val
@@ -189,25 +190,27 @@ class TestZStep:
     def test_matches_scaled_space_form(self, seed):
         rng = np.random.default_rng(seed)
         gs = random_structure(rng, max_n=12, max_m=5)
-        x, _, y = make_state(rng, gs)
+        x, _, u = make_state(rng, gs)
         inst = random_instance(rng, gs, lam0_range=(0.0, 1.0))
-        cfg = AdmmConfig(rho=float(rng.uniform(0.3, 3)))
-        z1 = z_step(x, y, gs, penalty_constants(inst, gs, cfg.rho))
-        z2 = z_step_scaled_space(x, y, inst, gs, cfg)
+        rho = float(rng.uniform(0.3, 3))
+        z1 = z_step(u + x, gs, penalty_constants(inst, gs, rho))
+        z2 = z_step_scaled_space(u + x, inst, gs, rho)
         assert float(np.max(np.abs(z1 - z2))) <= 1e-12
 
 
 class TestYStep:
     def test_consensus_reached_leaves_duals(self):
+        # x = zb before and after the z step: the relaxed point is zb and
+        # the multiplier does not move
         rng = np.random.default_rng(2)
         gs = random_structure(rng)
-        _, z, y = make_state(rng, gs)
+        _, z, u = make_state(rng, gs)
         zb = gather(z, gs)
-        out = y_step(zb - zb, y, 1.7)
-        np.testing.assert_array_equal(out, y)
+        out = y_step(u + zb + 0.5 * (zb - zb), zb)
+        np.testing.assert_allclose(out, u, rtol=0, atol=1e-14)
 
     def test_direct_formula(self):
-        out = y_step(np.array([1.0, -1.0]), np.zeros(2), 2.0)
+        out = y_step(np.array([3.0, -1.0]), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(out, [2.0, -2.0])
 
     def test_duals_stabilize_after_convex_convergence(self):
@@ -225,21 +228,21 @@ class TestResiduals:
     def test_zero_at_consensus(self):
         rng = np.random.default_rng(4)
         gs = random_structure(rng)
-        _, z, y = make_state(rng, gs)
+        _, z, u = make_state(rng, gs)
         zb = gather(z, gs)
-        r, s, *_ = residual_norms(z.copy(), zb, z, zb, zb - zb, y, (0.0, 0.0),
+        r, s, *_ = residual_norms(z.copy(), zb, z, zb, zb - zb, u, (0.0, 0.0),
                                   gs, 1.0, 1e-6)
         assert r == 0.0 and s == 0.0
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(5)
         gs = GroupStructure(3, [[0, 1], [1, 2]])
-        x, z, y = make_state(rng, gs)
+        x, z, u = make_state(rng, gs)
         prev_z = rng.normal(size=3)
         rho = 1.3
         zb = gather(z, gs)
         r, s, eps_pri, eps_dual, finite = residual_norms(
-            prev_z, x, z, zb, x - zb, y, (0.25, 0.5), gs, rho, 0.1)
+            prev_z, x, z, zb, x - zb, u, (0.25, 0.5), gs, rho, 0.1)
         # recompute from scratch with plain loops
         r2 = 0.0
         for i, g in enumerate(gs.groups):
@@ -255,9 +258,9 @@ class TestResiduals:
         )
         assert r == pytest.approx(r2, rel=1e-12)
         assert s == pytest.approx(s2, rel=1e-12)
-        scattered = [0.0] * 3
+        scattered = [0.0] * 3  # of the unscaled multiplier y = rho*u
         for pos, idx in enumerate(gs.flat_index):
-            scattered[idx] += y[pos]
+            scattered[idx] += rho * u[pos]
         pri2 = 0.25 + 0.1 * max(math.sqrt(sum(v * v for v in x)),
                                 math.sqrt(sum(z[idx] ** 2 for g in gs.groups
                                               for idx in g)))
@@ -265,6 +268,22 @@ class TestResiduals:
         assert eps_pri == pytest.approx(pri2, rel=1e-12)
         assert eps_dual == pytest.approx(dual2, rel=1e-12)
         assert finite
+
+    def test_dual_terms_computed_where_the_stop_test_reads_them(self):
+        rng = np.random.default_rng(5)
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        x, z, u = make_state(rng, gs)
+        zb = gather(z, gs)
+        args = (rng.normal(size=3), x, z, zb, x - zb, u)
+        full = residual_norms(*args, (0.25, 0.5), gs, 1.3, 0.1)
+        assert full[0] > full[2]  # the primal test fails
+        # skipped while the primal test fails, unless asked for
+        assert residual_norms(*args, (0.25, 0.5), gs, 1.3, 0.1, False) == (
+            full[0], None, full[2], None, True)
+        # computed once the primal test passes
+        loose = residual_norms(*args, (10.0, 0.5), gs, 1.3, 0.1)
+        assert loose[0] <= loose[2] and None not in loose
+        assert residual_norms(*args, (10.0, 0.5), gs, 1.3, 0.1, False) == loose
 
     @pytest.mark.parametrize("where", ["x", "covered-z", "uncovered-z"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -400,20 +419,20 @@ class TestSolveAdmm:
         assert rhos == [0.3 / inst.s]
 
     def test_rounding_guard_holds_the_doubling_back(self, monkeypatch):
-        # eps_rel = 1e-12: the primal test still fails at iteration 100, but
+        # eps_rel = 1e-13: the primal test still fails at iteration 100, but
         # doubling there would put the rounding error of the dual residual
         # above eps_dual/1024; without the guard the penalty doubles once
-        # and the solve takes 211 iterations instead of 158
+        # and the solve takes 120 iterations instead of 111
         inst, gs = generate_instance(3, n=40, m=20, group_size_range=(2, 6),
                                      overlap_mode="nested").build()
-        cfg = AdmmConfig(eps_abs=0.0, eps_rel=1e-12)
+        cfg = AdmmConfig(eps_abs=0.0, eps_rel=1e-13)
         rhos = record_penalties(monkeypatch)
         report = solve_admm(inst, gs, cfg)
-        assert rhos == [0.3 / inst.s] and report.converged and report.iters == 158
+        assert rhos == [0.3 / inst.s] and report.converged and report.iters == 111
         rhos.clear()
         monkeypatch.setattr(admm, "ROUNDING_MARGIN", 0)
         report = solve_admm(inst, gs, cfg)
-        assert rhos == [0.3 / inst.s, 0.6 / inst.s] and report.iters == 211
+        assert rhos == [0.3 / inst.s, 0.6 / inst.s] and report.iters == 120
 
     @pytest.mark.parametrize("eps_rel", [1e-6, 0.0], ids=["default", "eps-rel-0"])
     def test_overflowing_squares_stop_on_finite_residuals(self, eps_rel):
@@ -503,7 +522,7 @@ def _agreement_cases():
     for rho in (0.3, 2.5):
         cases.append(pytest.param(inst, gs, AdmmConfig(rho=rho, trace=True),
                                   id=f"rho-{rho}"))
-    # converges after 310 iterations: three doublings of the penalty
+    # converges after 311 iterations: three doublings of the penalty
     cases.append(pytest.param(inst, gs, AdmmConfig(rho=0.03, trace=True),
                               id="rho-0.03-doubled"))
     cases.append(pytest.param(inst, gs, AdmmConfig(max_iters=1, trace=True),
@@ -511,7 +530,7 @@ def _agreement_cases():
     # the rounding guard holds back the doubling at iteration 100
     inst, gs = generate_instance(3, n=40, m=20, group_size_range=(2, 6),
                                  overlap_mode="nested").build()
-    cases.append(pytest.param(inst, gs, AdmmConfig(eps_abs=0.0, eps_rel=1e-12,
+    cases.append(pytest.param(inst, gs, AdmmConfig(eps_abs=0.0, eps_rel=1e-13,
                                                     trace=True), id="guard-held"))
     cases.append(pytest.param(inst, gs, AdmmConfig(eps_abs=math.inf, trace=True),
                               id="eps-abs-inf"))
@@ -540,6 +559,17 @@ class TestAgreesWithReferenceLoop:
     @pytest.mark.parametrize("inst, gs, cfg", _agreement_cases())
     def test_bit_for_bit(self, inst, gs, cfg):
         self.assert_same(solve_admm(inst, gs, cfg), solve_admm_reference(inst, gs, cfg))
+
+    @pytest.mark.parametrize("inst, gs, cfg", _agreement_cases())
+    def test_trace_changes_no_result(self, inst, gs, cfg):
+        # a trace computes the dual residual at every iteration; without one
+        # it is computed only where the stop test or the doubling reads it
+        traced = solve_admm(inst, gs, cfg)
+        plain = solve_admm(inst, gs, dataclasses.replace(cfg, trace=False))
+        assert plain.trace is None
+        assert plain.x_final.tobytes() == traced.x_final.tobytes()
+        assert (plain.iters, plain.converged, plain.r_norm, plain.s_norm) == (
+            traced.iters, traced.converged, traced.r_norm, traced.s_norm)
 
     def test_doubled_case_crosses_two_doublings(self):
         inst, gs = generate_instance(9, n=80, m=40, group_size_range=(2, 6)).build()

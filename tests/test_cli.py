@@ -28,6 +28,22 @@ class TestSolve:
         assert record["report"]["converged"] is True
         assert record["algorithm"] == "admm"
 
+    @pytest.mark.parametrize("groups, algorithm", [
+        ("[[0, 1], [1, 2]]", "dual"), ("[[0, 1], [2]]", "admm"),
+        ("[[0, 1], [2]]", "dual")],
+        ids=["overlapping-dual", "disjoint-admm", "disjoint-dual"])
+    def test_zero_lambda1_with_overflowing_group_norm(self, tmp_path, capsys,
+                                                       groups, algorithm):
+        # the point is v, whose group norms overflow: at lam1 = 0 the group
+        # term is left out, where 0*inf made the objective NaN (exit 3)
+        path = tmp_path / "big.json"
+        path.write_text('{"v": [1e280, -1e280, 1e280], "groups": ' + groups
+                        + ', "s": 1, "lambda0": 0, "lambda1": 0, "lambda": 0}')
+        assert run_cli(["solve", str(path), "--algorithm", algorithm]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["objective"] == 0.0 and report["converged"] is True
+        assert report["x_final"] == [1e280, -1e280, 1e280]
+
     @pytest.mark.parametrize("algorithm", ["admm", "dual"])
     def test_weights_change_the_record(self, tmp_path, capsys, algorithm):
         # weights 5 and 0.1 in turn: another problem than all ones, and the

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -396,3 +398,16 @@ def test_write_atomic(tmp_path):
     write_atomic(str(path), "replaced\n")
     assert path.read_text() == "replaced\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_atomic_mode_follows_umask(tmp_path, umask):
+    # the file gets the mode open(path, "w") would give it, not 0o600
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        write_atomic(str(path), "hello\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask

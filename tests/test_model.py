@@ -160,6 +160,14 @@ class TestObjective:
             2.0 + math.sqrt(5.0), rel=1e-15
         )
 
+    def test_zero_coefficient_term_left_out(self):
+        # the group norms overflow at v; at lam1 = 0 the group term is left
+        # out instead of adding 0*inf = NaN
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        v = np.array([1e280, -1e280, 1e280])
+        assert objective_value(v, ProxInstance(v=v, s=1.0), gs) == 0.0
+        assert objective_value(v, ProxInstance(v=v, s=1.0, lam0=0.5), gs) == 1.5
+
     def test_group_weights_scale_their_norms(self):
         # group norms 5 and 4, weighted 2 and 0.5: a group term of 12
         gs = GroupStructure(3, [[0, 1], [1, 2]], weights=[2.0, 0.5])

@@ -5,9 +5,10 @@ Run from the repository root:
     PYTHONPATH=src python tests/wide_sweep.py [seed ...]      # default: 5 6 8
 
 Each seed draws 120 instances with ``helpers.wide_instances`` (n 20-300)
-and solves each one three ways: the default schedule, the same schedule
-without its rounding guard (the penalty doubles on every 100th unconverged
-iteration), and a fixed ``rho = 1``. Per way it prints how many solves
+and solves each one four ways: the default schedule, the same schedule
+without over-relaxation (``OVER_RELAX = 1``), the same schedule without its
+rounding guard (the penalty doubles on every 100th unconverged iteration),
+and a fixed ``rho = 1``. Per way it prints how many solves
 report convergence, how many of those also pass ``stationarity_check`` at
 its default tolerance, how many converged points have a subgradient
 residual within ``eps_abs*sqrt(n) + eps_rel*||v||/s`` (first order, at a
@@ -28,9 +29,12 @@ from helpers import wide_instances
 
 
 def solve(way, inst, gs):
-    double_every, margin = admm.DOUBLE_EVERY, admm.ROUNDING_MARGIN
+    double_every, margin, relax = (admm.DOUBLE_EVERY, admm.ROUNDING_MARGIN,
+                                   admm.OVER_RELAX)
     cfg = AdmmConfig()
-    if way == "unguarded":
+    if way == "no-relax":
+        admm.OVER_RELAX = 1.0
+    elif way == "unguarded":
         admm.ROUNDING_MARGIN = 0
     elif way == "rho=1":
         cfg = AdmmConfig(rho=1.0)
@@ -38,11 +42,12 @@ def solve(way, inst, gs):
     try:
         return solve_admm(inst, gs, cfg)
     finally:
-        admm.DOUBLE_EVERY, admm.ROUNDING_MARGIN = double_every, margin
+        admm.DOUBLE_EVERY, admm.ROUNDING_MARGIN, admm.OVER_RELAX = (
+            double_every, margin, relax)
 
 
 def main(seeds):
-    ways = ("default", "unguarded", "rho=1")
+    ways = ("default", "no-relax", "unguarded", "rho=1")
     for seed in seeds:
         rows = {way: [] for way in ways}
         for inst, gs in wide_instances(seed, 120, (20, 300)):
