@@ -83,7 +83,7 @@ def lower_diag(gs: GroupStructure) -> np.ndarray:
     the weighted l1 norm it induces never exceeds the group term; equality
     holds when every group's entries share one magnitude.
     """
-    return scatter_add(np.repeat(gs.weights / np.sqrt(gs.sizes), gs.sizes), gs)
+    return scatter_add(np.take(gs.weights / np.sqrt(gs.sizes), gs.block_index), gs)
 
 
 def upper_diag(gs: GroupStructure) -> np.ndarray:

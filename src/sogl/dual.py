@@ -63,7 +63,7 @@ def dual_y_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
     radius = inst.lam1 * gs.weights
     nrm = group_norms(u, gs)
     scale = np.divide(radius, nrm, out=np.ones_like(nrm), where=nrm > radius)
-    return np.repeat(scale, gs.sizes) * u
+    return np.take(scale, gs.block_index) * u
 
 
 def solve_dual(inst: ProxInstance, gs: GroupStructure,

@@ -61,9 +61,11 @@ class InstanceFile:
     def to_dict(self) -> dict:
         """The fields of the instance file, in file order."""
         inst, gs = self.inst, self.gs
+        flat, bounds = gs.flat_index.tolist(), gs.offsets.tolist()
         d = {
             "v": inst.v.tolist(),
-            "groups": [g.tolist() for g in gs.groups],
+            "groups": list(map(flat.__getitem__,
+                               map(slice, bounds[:-1], bounds[1:]))),
             "s": inst.s,
             "lambda0": inst.lam0,
             "lambda1": inst.lam1,
@@ -261,24 +263,18 @@ def generate_instance(seed: int, n: int, m: int,
                         seed=int(seed))
 
 
-def _format_floats(values, where: str) -> list:
-    """The one number formatter: the text of each float in ``values`` (one
-    float or a 1-D sequence), with 17 significant digits, which round-trips
-    float64 exactly. A sequence is tested for NaN and infinity at once;
-    ``NonFiniteNumberError`` names the first by ``where`` and its index."""
-    if isinstance(values, (float, np.floating)):  # one float: no numpy call
-        x = float(values)
-        if not math.isfinite(x):
-            raise NonFiniteNumberError(
-                f"{where.removeprefix('.') or 'value'} is not finite ({x})")
-        return ["{:.17g}".format(x)]
-    x = np.asarray(values, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(finite.argmin())
+def _format_floats(values: list, where: str, sep: str = ", ") -> str:
+    """The one number formatter: the floats of ``values`` joined by ``sep``,
+    each with 17 significant digits, which round-trips float64 exactly. The
+    whole list is formatted in one call and then checked at once: only the
+    text of NaN and infinity contains an ``n``. ``NonFiniteNumberError``
+    names the first of them by ``where`` and its index."""
+    text = sep.join(["%.17g"] * len(values)) % tuple(values)
+    if "n" in text:
+        i = int(np.isfinite(values).argmin())
         raise NonFiniteNumberError(
-            f"{where.removeprefix('.')}[{i}] is not finite ({x[i]})")
-    return list(map("{:.17g}".format, x.tolist()))
+            f"{where.removeprefix('.')}[{i}] is not finite ({values[i]})")
+    return text
 
 
 def _encode(obj, where: str) -> str:
@@ -291,17 +287,23 @@ def _encode(obj, where: str) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_floats(obj, where)[0]
+        text = "%.17g" % obj  # the format of _format_floats
+        if "n" in text:
+            raise NonFiniteNumberError(
+                f"{where.removeprefix('.') or 'value'} is not finite ({float(obj)})")
+        return text
     if isinstance(obj, dict):
         items = (f"{_quote(str(k))}: {_encode(val, f'{where}.{k}')}"
                  for k, val in obj.items())
         return "{" + ", ".join(items) + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+        return "[" + _format_floats(obj.tolist(), where) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         kinds = set(map(type, seq))
-        if kinds == {float}:  # a whole float list or array: checked once
-            items = _format_floats(seq, where)
-        elif kinds == {int}:
+        if kinds == {float}:  # a whole float list: formatted and checked once
+            return "[" + _format_floats(seq, where) + "]"
+        if kinds == {int}:
             items = map(str, seq)
         else:
             items = (_encode(val, f"{where}[{i}]") for i, val in enumerate(seq))
@@ -346,7 +348,8 @@ def trace_to_csv(report) -> str:
                             "dual": ("bound", "gap")}[report.algorithm])
     rows = report.trace or []
     floats = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 3)
-    columns = [_format_floats(floats[:, k], f"trace.{name}")
+    columns = [_format_floats(floats[:, k].tolist(), f"trace.{name}", "\n")
                for k, name in enumerate(names)]
-    lines = map(",".join, zip([str(int(row[0])) for row in rows], *columns))
+    lines = map(",".join, zip([str(int(row[0])) for row in rows],
+                              *map(str.splitlines, columns)))
     return "\n".join([",".join(("iter", *names)), *lines]) + "\n"

@@ -1,7 +1,7 @@
 """Group structures, thresholding primitives, and the composite objective.
 
 Everything here is a pure function of its inputs; structures are plain
-dataclasses wrapping numpy arrays and are safe to share across threads.
+classes wrapping numpy arrays and are safe to share across threads.
 
 Per-group copies of a global vector live in one stacked float array of
 length ``gs.total_size``: block i occupies ``offsets[i]:offsets[i+1]`` and
@@ -10,8 +10,9 @@ position to its global index.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class GroupDefectError(ValueError):
         self.defects = defects
 
 
-@dataclass
 class GroupStructure:
     """Index groups over ``n`` variables, with per-group positive weights.
 
@@ -49,7 +49,9 @@ class GroupStructure:
     n : int
         Number of global variables.
     groups : list of int arrays
-        ``groups[i]`` holds the distinct global indices of group ``i``.
+        ``groups[i]`` holds the distinct global indices of group ``i``: the
+        view ``flat_index[offsets[i]:offsets[i+1]]``. The list is built on
+        first read, since the solvers work on the stacked layout only.
     weights : float array, shape (m,)
         Strictly positive per-group weights. Defaults to all ones.
     sizes, offsets, flat_index, block_index : int arrays
@@ -60,48 +62,47 @@ class GroupStructure:
         ``overlap_counts[g]`` is the number of groups containing ``g``.
     """
 
-    n: int
-    groups: list
-    weights: np.ndarray = None
-    overlap_counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        m = len(self.groups)
-        if self.weights is None:
-            self.weights = np.ones(m)
-        self.weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, n: int, groups: list, weights=None):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.n = n
+        m = len(groups)
+        self.weights = np.asarray(np.ones(m) if weights is None else weights,
+                                  dtype=float)
         if self.weights.shape != (m,):
             raise ValueError(
                 f"weights must have one entry per group ({m}), got shape {self.weights.shape}"
             )
         if m and not np.all(self.weights > 0):
             raise ValueError("all group weights must be strictly positive")
-        sizes = np.fromiter(map(len, self.groups), dtype=np.intp, count=m)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=m)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         block = np.repeat(np.arange(m, dtype=np.int64), sizes)
-        flat, defects = _index_defects(self.groups, block, self.offsets, self.n)
+        flat, defects = _index_defects(groups, block, self.offsets, n)
         if defects:  # the first in reading order: by group, then by entry
             i, j, kind = min(defects, key=lambda d: d[:2])
-            idx = None if kind == "empty" else list(self.groups[i])[j]
+            idx = None if kind == "empty" else list(groups[i])[j]
             raise GroupDefectError({
                 "empty": f"groups[{i}]: group is empty",
                 "not-int": f"groups[{i}][{j}]: expected an integer index",
-                "range": f"groups[{i}][{j}]: index {idx} out of range for n={self.n}",
+                "range": f"groups[{i}][{j}]: index {idx} out of range for n={n}",
                 "repeat": f"groups[{i}][{j}]: repeated index {idx}",
             }[kind], defects)
-        bounds = self.offsets.tolist()
-        self.groups = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
         self.sizes = sizes
         self.flat_index = flat
         self.block_index = block
-        self.overlap_counts = np.bincount(self.flat_index, minlength=self.n)
+        self.overlap_counts = np.bincount(flat, minlength=n)
+
+    @functools.cached_property
+    def groups(self) -> list:
+        bounds = self.offsets.tolist()
+        return list(map(self.flat_index.__getitem__,
+                        map(slice, bounds[:-1], bounds[1:])))
 
     @property
     def m(self) -> int:
         """Number of groups."""
-        return len(self.groups)
+        return len(self.sizes)
 
     @property
     def total_size(self) -> int:
@@ -183,7 +184,7 @@ class ProxInstance:
         if not self.s > 0:
             raise ValueError(f"step s must be positive, got {self.s}")
         for name in ("lam0", "lam1", "lam"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN is refused too
                 raise ValueError(f"{name} must be nonnegative")
 
     @property

@@ -46,9 +46,9 @@ class TestOneRepresentation:
         built = []
 
         class Counting(GroupStructure):
-            def __post_init__(self):
+            def __init__(self, *args, **kwargs):
                 built.append(self)
-                super().__post_init__()
+                super().__init__(*args, **kwargs)
 
         monkeypatch.setattr("sogl.instances.GroupStructure", Counting)
         instf = parse_instance_text(json.dumps(dict(MINIMAL, weights=[2.0])))
@@ -285,6 +285,101 @@ class TestCanonicalSerialization:
     def test_deterministic_output(self):
         instf = generate_instance(5, 6, 2)
         assert dumps_canonical(instf.to_dict()) == dumps_canonical(instf.to_dict())
+
+
+class TestWholeVectorFormatting:
+    """A float vector is formatted in one call; the bytes and the place a
+    NaN or infinity is named by are those of formatting entry by entry."""
+
+    VECTORS = [[], [0.5], [-0.0], [5e-324], list(EDGE_FLOATS),
+               [1e-310, -2.2250738585072014e-308, 1 / 3, -1e16, 123456789.0, 1e22]]
+
+    @staticmethod
+    def per_entry(xs) -> str:
+        return "[" + ", ".join("{:.17g}".format(float(x)) for x in xs) + "]\n"
+
+    @pytest.mark.parametrize("xs", VECTORS, ids=lambda xs: f"len{len(xs)}")
+    def test_array_list_and_tuple_match_per_entry_format(self, xs):
+        expected = self.per_entry(xs)
+        for vector in (np.array(xs, dtype=float), list(xs), tuple(xs)):
+            assert dumps_canonical(vector) == expected
+
+    @pytest.mark.parametrize("x", EDGE_FLOATS + (1 / 3, 1e-310))
+    def test_scalars_match_per_entry_format(self, x):
+        for scalar in (x, np.float64(x)):
+            assert dumps_canonical(scalar) == "{:.17g}\n".format(x)
+        assert dumps_canonical({"a": np.float64(x)}) == '{"a": %s}\n' % (
+            "{:.17g}".format(x))
+
+    @given(xs=st.lists(safe_floats, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_vector_matches_per_entry_format(self, xs):
+        assert dumps_canonical(np.array(xs, dtype=float)) == self.per_entry(xs)
+        assert dumps_canonical(xs) == self.per_entry(xs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("i", [0, 3, 6])
+    def test_non_finite_named_at_first_middle_and_last(self, i, bad):
+        xs = [0.25, -1.5, 3.0, 4.0, 1e-300, 6.0, 7.0]
+        xs[i] = bad
+        for vector in (np.array(xs), xs, tuple(xs)):
+            with pytest.raises(NonFiniteNumberError) as exc:
+                dumps_canonical({"report": {"x_final": vector}})
+            assert str(exc.value) == f"report.x_final[{i}] is not finite ({bad})"
+            with pytest.raises(NonFiniteNumberError) as exc:
+                dumps_canonical(vector)
+            assert str(exc.value) == f"[{i}] is not finite ({bad})"
+
+    def test_first_of_several_non_finite_is_named(self):
+        xs = np.array([1.0, float("inf"), 2.0, float("nan")])
+        with pytest.raises(NonFiniteNumberError, match=r"^x\[1\] is not finite \(inf\)$"):
+            dumps_canonical({"x": xs})
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_trace_non_finite_named_at_its_row(self, row, column):
+        trace = [(k + 1, 0.5, 0.125, 0.25) for k in range(5)]
+        trace[row] = trace[row][:column] + (float("inf"),) + trace[row][column + 1:]
+        name = ("objective", "r_norm", "s_norm")[column - 1]
+        with pytest.raises(NonFiniteNumberError) as exc:
+            trace_csv(trace)
+        assert str(exc.value) == f"trace.{name}[{row}] is not finite (inf)"
+
+    def test_trace_names_the_first_column_before_later_rows(self):
+        # columns are checked in order, as when each was formatted alone
+        trace = [(1, 0.5, float("nan"), 0.25), (2, float("nan"), 0.125, 0.25)]
+        with pytest.raises(NonFiniteNumberError,
+                           match=r"^trace\.objective\[1\] is not finite"):
+            trace_csv(trace)
+
+    def test_to_dict_bytes_unchanged(self):
+        generated = generate_instance(3, 6, 3, (2, 3), "random", s=0.5)
+        assert dumps_canonical(generated.to_dict()) == (
+            '{"v": [2.0409191213851825, -2.5556650313141818, 0.41809884672577885,'
+            ' -0.56776960612792982, -0.45264929211044586, -0.2155971630897659],'
+            ' "groups": [[0, 3, 4], [2, 5], [2, 5]], "s": 0.5,'
+            ' "lambda0": 0.050000000000000003, "lambda1": 0.10000000000000001,'
+            ' "lambda": 0.10000000000000001, "weights": [1, 1, 1],'
+            ' "name": "random-n6-m3-seed3", "seed": 3}\n')
+        built = InstanceFile(
+            ProxInstance([0.1, -0.0, 5e-324, 1e300, 2.5], 2.0, 0.05, 0.1, 0.2),
+            GroupStructure(5, [(4, 0), [1, 2, 3], [2]], weights=[1.5, 2.0, 0.25]),
+            name="demo", seed=9)
+        assert dumps_canonical(built.to_dict()) == (
+            '{"v": [0.10000000000000001, -0, 4.9406564584124654e-324,'
+            ' 1.0000000000000001e+300, 2.5], "groups": [[4, 0], [1, 2, 3], [2]],'
+            ' "s": 2, "lambda0": 0.050000000000000003, "lambda1": 0.10000000000000001,'
+            ' "lambda": 0.20000000000000001, "weights": [1.5, 2, 0.25],'
+            ' "name": "demo", "seed": 9}\n')
+
+    @pytest.mark.parametrize("mode", ["chain", "random", "nested"])
+    def test_to_dict_groups_are_the_groups_read(self, mode):
+        instf = generate_instance(17, 40, 20, (2, 6), mode)
+        d = instf.to_dict()
+        assert d["groups"] == [g.tolist() for g in instf.gs.groups]
+        assert dumps_canonical(d) == reference_dumps_canonical(d)
+        back = instance_from_dict(json.loads(dumps_canonical(d)))
+        assert dumps_canonical(back.to_dict()) == dumps_canonical(d)
 
 
 class TestGenerator:

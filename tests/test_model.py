@@ -255,6 +255,19 @@ class TestGroupStructureValidation:
         assert empty.groups == [] and empty.flat_index.size == 0
         assert empty.offsets.tolist() == [0] and empty.sizes.size == 0
 
+    @pytest.mark.parametrize("groups", [
+        [], [[2]], [[0, 1], [1, 2, 3], [4]], [(4, 0), np.array([3, 1]), [2, 4, 0, 1]],
+        [[0, 1], [0, 1], [1]], [[k] for k in range(5)] + [[0, 4], [3, 1, 2]]])
+    def test_groups_are_blocks_of_the_stacked_index(self, groups):
+        gs = GroupStructure(5, groups)
+        assert "groups" not in vars(gs)  # built on first read
+        assert len(gs.groups) == gs.m == len(groups)
+        for i, g in enumerate(gs.groups):
+            np.testing.assert_array_equal(
+                g, gs.flat_index[gs.offsets[i]:gs.offsets[i + 1]])
+            assert g.tolist() == list(groups[i])
+        assert gs.groups is gs.groups
+
     @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty")))
     @settings(max_examples=300, deadline=None)
     def test_one_defect_names_its_group(self, case):
@@ -291,3 +304,8 @@ class TestProxInstanceValidation:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError, match="nonneg"):
             ProxInstance(v=np.ones(2), s=1.0, lam0=-0.1)
+
+    @pytest.mark.parametrize("name", ["lam0", "lam1", "lam"])
+    def test_nan_penalty_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            ProxInstance(v=[1.0, 2.0], s=1.0, **{name: math.nan})
