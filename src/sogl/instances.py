@@ -7,6 +7,7 @@ across runs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -305,6 +306,9 @@ def _encode(obj, where: str) -> str:
             return "[" + _format_floats(seq, where) + "]"
         if kinds == {int}:
             items = map(str, seq)
+        elif type(seq) is list and kinds == {list} and set(map(
+                type, itertools.chain.from_iterable(seq))) <= {int}:
+            return repr(seq)  # int lists, such as the groups, in one call
         else:
             items = (_encode(val, f"{where}[{i}]") for i, val in enumerate(seq))
         return "[" + ", ".join(items) + "]"
@@ -328,10 +332,14 @@ def write_atomic(path: str, text: str):
     ``open(path, "w")`` would create ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,13 +2,21 @@
 
 Nothing here calls the solver or bounds code it certifies; the shrinkage
 primitives are reimplemented locally on purpose. The main tool is exact
-support enumeration: for every candidate support the remaining problem is
-convex, and because its smooth part is exactly the prox quadratic, that
-restricted problem is a single prox of a sum of norms, computed to high
-accuracy by Dykstra's splitting (closed form when the restricted groups
-do not overlap). The count term is charged at the actual nonzero count of
-each restricted minimizer, so the minimum over supports is the exact
-global optimum.
+support enumeration: for every candidate support S the remaining problem
+is convex, and because its smooth part is exactly the prox quadratic, that
+restricted problem is a single prox of a sum of norms. It separates over
+the connected components of the active groups (positive coefficient)
+restricted to S, and over the coordinates of S that no active group
+covers, which are shrunk in closed form. A component's problem depends on
+the component alone, so one enumeration solves each distinct component
+once and reuses it for every later support that has it: in closed form
+when its groups all restrict to the whole component, otherwise by
+Dykstra's splitting on the component's coordinates, stopped when a pass
+moves no entry by more than ``1e-13*(1 + ||v_C||)``. The count term is
+charged at the actual nonzero count of each restricted minimizer, so the
+minimum over supports is the exact global optimum. On generator instances
+(m = n/2, groups of 2-5) one enumeration takes 7-130 ms at n = 10 and
+17-380 ms at n = 12 (2 shared CPUs, Python 3.11, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -56,83 +64,135 @@ def _block_norms(xb: np.ndarray, gs: GroupStructure) -> np.ndarray:
 
 
 def _block_shrink(a: np.ndarray, t: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(a))
+    nrm = math.sqrt(a.dot(a))
     if nrm <= t:
         return np.zeros_like(a)
     return (1.0 - t / nrm) * a
 
 
-def _dykstra(center: np.ndarray, prox_ops, tol: float = 1e-13,
+def _dykstra(u: np.ndarray, blocks: list, t1: float, tol: float = 1e-13,
              max_passes: int = 4000) -> np.ndarray:
-    """Prox of a sum of convex functions from their individual proxes."""
-    x = center.copy()
-    corrections = [np.zeros_like(center) for _ in prox_ops]
-    scale = 1.0 + float(np.linalg.norm(center))
+    """Prox at ``u`` of ``t1*||x||_1 + sum_k t_k*||x_{b_k}||_2`` for
+    ``blocks = [(b_k, t_k), ...]`` with ``b_k`` positions in ``u``, by
+    Dykstra's splitting over the elementwise shrink (when ``t1 > 0``) and
+    then each block shrink in list order. A block's correction lives on its
+    block only. Stops when a pass moves no entry by more than
+    ``tol*(1 + ||u||)``."""
+    x = u.copy()
+    p1 = np.zeros_like(u)
+    corrections = [np.zeros(b.size) for b, _ in blocks]
+    scale = 1.0 + math.sqrt(u.dot(u))
     for _ in range(max_passes):
         x_before = x.copy()
-        for j, op in enumerate(prox_ops):
-            y = op(x + corrections[j])
-            corrections[j] = x + corrections[j] - y
-            x = y
-        if float(np.max(np.abs(x - x_before))) <= tol * scale:
+        if t1 > 0:
+            w = x + p1
+            x = _shrink(w, t1)
+            p1 = w - x
+        for k, (b, t) in enumerate(blocks):
+            w = x[b] + corrections[k]
+            y = _block_shrink(w, t)
+            corrections[k] = w - y
+            x[b] = y
+        if float(abs(x - x_before).max()) <= tol * scale:
             break
     return x
 
 
-def _restricted_groups(gs: GroupStructure, idx: np.ndarray):
-    """Positions of each group's surviving members within the support."""
-    pos = np.full(gs.n, -1, dtype=np.intp)
-    pos[idx] = np.arange(idx.size)
-    out = []
-    for g in gs.groups:
-        p = pos[g]
-        out.append(p[p >= 0])
-    return out
+class _Restricted:
+    """The problem restricted to a support, solved one connected piece at a
+    time.
 
+    Minimizes ``(1/2s)||x-v||^2 + sum_i coeffs[i]*||x_{G_i}||_2 +
+    lam1*||x||_1 + lam0*nnz(x)`` over vectors supported on the coordinates
+    of a bitmask S. The active groups (``coeffs[i] > 0``) restricted to S
+    link its coordinates into connected components, and the problem
+    separates over them: a coordinate no active group covers is shrunk in
+    closed form, and a component C is its own problem, since every group
+    that meets C has ``G_i & S`` inside C. Each distinct C is solved once
+    and kept in ``self.pieces``. Groups with the same coordinates in C act
+    as one block with the summed coefficient; a single block is solved in
+    closed form, several by :func:`_dykstra` with the blocks in group
+    order.
+    """
 
-def _convex_restricted_min(v: np.ndarray, s: float, coeffs: np.ndarray,
-                           lam1: float, gs: GroupStructure,
-                           idx: np.ndarray):
-    """Minimize (1/2s)||x-v||^2 + sum_i coeffs[i]*||x_{G_i}||_2 + lam1*||x||_1
-    over vectors supported on ``idx``. Returns (x, convex value)."""
-    n = v.size
-    x = np.zeros(n)
-    off_value = 0.5 / s * float(np.sum(np.delete(v, idx) ** 2))
-    if idx.size == 0:
-        return x, off_value
-    v_r = v[idx]
-    rgroups = _restricted_groups(gs, idx)
-    active = [
-        (rg, c) for rg, c in zip(rgroups, coeffs) if rg.size > 0 and c > 0
-    ]
-    hits = np.zeros(idx.size, dtype=np.intp)
-    for rg, _ in active:
-        hits[rg] += 1
-    if np.all(hits <= 1):
-        # non-overlapping fast path: elementwise shrink, then per-block shrink
-        y = _shrink(v_r, s * lam1) if lam1 > 0 else v_r.copy()
-        for rg, c in active:
-            y[rg] = _block_shrink(y[rg], s * c)
-        x_r = y
-    else:
-        ops = []
-        if lam1 > 0:
-            ops.append(lambda u: _shrink(u, s * lam1))
-        for rg, c in active:
-            def op(u, rg=rg, t=s * c):
-                out = u.copy()
-                out[rg] = _block_shrink(out[rg], t)
-                return out
-            ops.append(op)
-        x_r = _dykstra(v_r, ops)
-    x[idx] = x_r
-    value = (
-        0.5 / s * float(np.sum((x_r - v_r) ** 2))
-        + float(sum(c * np.linalg.norm(x_r[rg]) for rg, c in active))
-        + lam1 * float(np.sum(np.abs(x_r)))
-        + off_value
-    )
-    return x, value
+    def __init__(self, v: np.ndarray, s: float, coeffs: np.ndarray,
+                 lam1: float, lam0: float, gs: GroupStructure):
+        self.v, self.s, self.t1 = v, s, s * lam1
+        self.lam1, self.lam0 = lam1, lam0
+        self.groups = [(sum(1 << j for j in g.tolist()), c)
+                       for g, c in zip(gs.groups, coeffs.tolist()) if c > 0]
+        covered = 0
+        for mask, _ in self.groups:
+            covered |= mask
+        self.lone = _shrink(v, self.t1)
+        on = (0.5 / s * (self.lone - v) ** 2 + lam1 * np.abs(self.lone)
+              + lam0 * (self.lone != 0))
+        # each coordinate's share of the value: (off S, on S); a covered
+        # coordinate on S is charged through its component
+        self.costs = [(off, 0.0 if covered >> j & 1 else lone)
+                      for j, (off, lone) in enumerate(zip(
+                          (0.5 / s * v * v).tolist(), on.tolist()))]
+        self.pieces = {}
+
+    def components(self, S: int) -> list:
+        """Bitmasks of the connected components of the active groups
+        restricted to S."""
+        comps = []
+        for mask, _ in self.groups:
+            r = mask & S
+            if r:
+                merged = []
+                for c in comps:
+                    if c & r:
+                        r |= c
+                    else:
+                        merged.append(c)
+                merged.append(r)
+                comps = merged
+        return comps
+
+    def piece(self, C: int) -> tuple:
+        """``(idx, x_C, value)`` of component C: its coordinates, the
+        minimizer on them, and its share of the objective."""
+        got = self.pieces.get(C)
+        if got is not None:
+            return got
+        idx = [j for j in range(self.v.size) if C >> j & 1]
+        members = {}  # restricted group mask -> summed coefficient
+        for mask, c in self.groups:
+            r = mask & C
+            if r:
+                members[r] = members.get(r, 0.0) + c
+        vc = self.v[idx]
+        if len(members) == 1:
+            (c,) = members.values()
+            x = _block_shrink(_shrink(vc, self.t1), self.s * c)
+            blocks = [(slice(None), c)]
+        else:
+            blocks = [(np.array([k for k, j in enumerate(idx) if r >> j & 1]), c)
+                      for r, c in members.items()]
+            x = _dykstra(vc, [(b, self.s * c) for b, c in blocks], self.t1)
+        d = x - vc
+        value = (0.5 / self.s * float(d.dot(d))
+                 + sum(c * math.sqrt(x[b].dot(x[b])) for b, c in blocks)
+                 + self.lam1 * float(np.abs(x).sum())
+                 + self.lam0 * int(np.count_nonzero(x)))
+        got = self.pieces[C] = (idx, x, value)
+        return got
+
+    def value(self, S: int) -> float:
+        """The restricted minimum on support S."""
+        return (sum(cost[S >> j & 1] for j, cost in enumerate(self.costs))
+                + sum(self.piece(C)[2] for C in self.components(S)))
+
+    def minimizer(self, S: int) -> np.ndarray:
+        """The restricted minimizer on support S."""
+        on = np.array([S >> j & 1 for j in range(self.v.size)], dtype=bool)
+        x = np.where(on, self.lone, 0.0)
+        for C in self.components(S):
+            idx, xc, _ = self.piece(C)
+            x[idx] = xc
+        return x
 
 
 def _support_enumerate(v: np.ndarray, s: float, coeffs: np.ndarray,
@@ -141,19 +201,13 @@ def _support_enumerate(v: np.ndarray, s: float, coeffs: np.ndarray,
     n = v.size
     if n > n_limit:
         raise TooLargeError(f"n={n} exceeds enumeration limit {n_limit}")
-    if lam0 == 0.0:
-        idx = np.arange(n)
-        x, cv = _convex_restricted_min(v, s, coeffs, lam1, gs, idx)
-        return OracleResult(value=cv, minimizer=x, method="support_enum")
-    all_idx = np.arange(n)
-    best_val, best_x = math.inf, np.zeros(n)
-    for mask in range(1 << n):
-        idx = all_idx[[(mask >> i) & 1 == 1 for i in range(n)]]
-        x, cv = _convex_restricted_min(v, s, coeffs, lam1, gs, idx)
-        val = cv + lam0 * int(np.count_nonzero(x))
-        if val < best_val:
-            best_val, best_x = val, x
-    return OracleResult(value=best_val, minimizer=best_x, method="support_enum")
+    restricted = _Restricted(v, s, coeffs, lam1, lam0, gs)
+    # without a count term the full support is optimal
+    supports = range(1 << n) if lam0 != 0.0 else ((1 << n) - 1,)
+    best = min(supports, key=restricted.value)
+    return OracleResult(value=restricted.value(best),
+                        minimizer=restricted.minimizer(best),
+                        method="support_enum")
 
 
 def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
@@ -162,8 +216,9 @@ def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
     ``(1/2s)||x-v||^2 + lam0*nnz(x) + lam1*sum_i w_i*||x_{G_i}||_2``.
 
     Enumerates every support (convex regime short-circuits to the full
-    support) and solves each restricted convex problem to ~1e-12. This is
-    :func:`oracle_variant` ``"l0"`` with ``lam = lam1``.
+    support) and solves each restricted convex problem, one connected
+    component at a time, to ~1e-12. This is :func:`oracle_variant` ``"l0"``
+    with ``lam = lam1``.
 
     Raises
     ------

@@ -189,6 +189,104 @@ def solve_admm_reference(inst, gs, cfg=None):
                        r_norm=r_norm, s_norm=s_norm, trace=trace)
 
 
+def _reference_shrink(u, t):
+    return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+
+
+def _reference_block_shrink(a, t):
+    nrm = float(np.linalg.norm(a))
+    if nrm <= t:
+        return np.zeros_like(a)
+    return (1.0 - t / nrm) * a
+
+
+def _reference_dykstra(center, prox_ops, tol=1e-13, max_passes=4000):
+    """Prox of a sum of convex functions from their individual proxes; each
+    correction is as long as ``center``."""
+    x = center.copy()
+    corrections = [np.zeros_like(center) for _ in prox_ops]
+    scale = 1.0 + float(np.linalg.norm(center))
+    for _ in range(max_passes):
+        x_before = x.copy()
+        for j, op in enumerate(prox_ops):
+            y = op(x + corrections[j])
+            corrections[j] = x + corrections[j] - y
+            x = y
+        if float(np.max(np.abs(x - x_before))) <= tol * scale:
+            break
+    return x
+
+
+def convex_restricted_min_reference(v, s, coeffs, lam1, gs, idx):
+    """Minimize (1/2s)||x-v||^2 + sum_i coeffs[i]*||x_{G_i}||_2 +
+    lam1*||x||_1 over vectors supported on ``idx``, as one problem: the
+    elementwise and block shrinks in closed form when no two active groups
+    share a coordinate of ``idx``, Dykstra's splitting over all of ``idx``
+    otherwise. Returns (x, convex value)."""
+    x = np.zeros(v.size)
+    off_value = 0.5 / s * float(np.sum(np.delete(v, idx) ** 2))
+    if idx.size == 0:
+        return x, off_value
+    v_r = v[idx]
+    pos = np.full(gs.n, -1, dtype=np.intp)
+    pos[idx] = np.arange(idx.size)
+    rgroups = [pos[g][pos[g] >= 0] for g in gs.groups]
+    active = [(rg, c) for rg, c in zip(rgroups, coeffs) if rg.size > 0 and c > 0]
+    hits = np.zeros(idx.size, dtype=np.intp)
+    for rg, _ in active:
+        hits[rg] += 1
+    if np.all(hits <= 1):
+        y = _reference_shrink(v_r, s * lam1) if lam1 > 0 else v_r.copy()
+        for rg, c in active:
+            y[rg] = _reference_block_shrink(y[rg], s * c)
+        x_r = y
+    else:
+        ops = []
+        if lam1 > 0:
+            ops.append(lambda u: _reference_shrink(u, s * lam1))
+        for rg, c in active:
+            def op(u, rg=rg, t=s * c):
+                out = u.copy()
+                out[rg] = _reference_block_shrink(out[rg], t)
+                return out
+            ops.append(op)
+        x_r = _reference_dykstra(v_r, ops)
+    x[idx] = x_r
+    value = (
+        0.5 / s * float(np.sum((x_r - v_r) ** 2))
+        + float(sum(c * np.linalg.norm(x_r[rg]) for rg, c in active))
+        + lam1 * float(np.sum(np.abs(x_r)))
+        + off_value
+    )
+    return x, value
+
+
+def oracle_variant_reference(inst, gs, variant):
+    """Reference for ``sogl.oracle_variant`` (and, as variant ``"main"``,
+    for ``sogl.oracle_prox_l0_ogl``): every support solved as one problem
+    by :func:`convex_restricted_min_reference`, the full support alone when
+    there is no count term. Returns ``(value, minimizer)``."""
+    lam = inst.lam1 if variant == "main" else inst.lam
+    coeffs = lam * gs.weights
+    lam1 = inst.lam1 if variant == "l1" else 0.0
+    lam0 = inst.lam0 if variant in ("l0", "main") else 0.0
+    n = inst.n
+    if lam0 == 0.0:
+        x, value = convex_restricted_min_reference(inst.v, inst.s, coeffs, lam1,
+                                                   gs, np.arange(n))
+        return value, x
+    all_idx = np.arange(n)
+    best_val, best_x = math.inf, np.zeros(n)
+    for mask in range(1 << n):
+        idx = all_idx[[(mask >> i) & 1 == 1 for i in range(n)]]
+        x, cv = convex_restricted_min_reference(inst.v, inst.s, coeffs, lam1,
+                                                gs, idx)
+        val = cv + lam0 * int(np.count_nonzero(x))
+        if val < best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
+
+
 def upper_bound_l1_masked(v, lam, lam1, diag):
     """Reference for ``sogl.bounds.upper_bound_l1``: the masked form it
     replaced. Coordinates with ``|v_i| <= lam1`` are zero; the survivors

@@ -10,11 +10,14 @@ and runs the six-command pipeline on every instance: ``solve --trace``,
 ``solve --algorithm dual --trace``, ``bounds`` for the plain, l1 and l0
 variants, and ``check`` of the ADMM point. The commands run in-process
 through ``sogl.cli.run_cli``, in a directory of their own and with relative
-paths, so the bytes do not depend on where the script runs. The last line
-is the number of files and the sha256 over their relative paths and bytes:
-two versions of the package that print the same line wrote the same
-instances, records and traces. Without ``--out`` the files go to a
-temporary directory that is removed afterwards.
+paths, so the bytes do not depend on where the script runs. The first
+line printed is the number of those files and the sha256 over their
+relative paths and bytes: two versions of the package that print the same
+line wrote the same instances, records and traces. The second line is the
+same digest over the exact-enumeration records of every pool instance with
+n <= 10 (``oracle`` and ``bounds --with-oracle`` for each variant), which
+go to ``oracle/`` and are left out of the first. Without ``--out`` the
+files go to a temporary directory that is removed afterwards.
 """
 import argparse
 import contextlib
@@ -34,6 +37,7 @@ POOLS = {
     "nested": (range(360, 455, 2), 8),
     "random": (range(8, 41), 5),
 }
+ORACLE_MAX_N = 10  # pool instances up to this n also get the oracle records
 
 
 def instance_seed(seed: int, index: int) -> int:
@@ -67,12 +71,17 @@ def pipeline(seed: int, mode: str):
                 "--out", f"{stem}.bounds-{variant}.json")
         run("check", inst, "--point", f"{stem}.admm.json",
             "--out", f"{stem}.check.json")
+        if n <= ORACLE_MAX_N:
+            os.makedirs(f"oracle/{d}", exist_ok=True)
+            run("oracle", inst, "--out", f"oracle/{stem}.oracle.json")
+            for variant in ("plain", "l1", "l0"):
+                run("bounds", inst, "--variant", variant, "--with-oracle",
+                    "--out", f"oracle/{stem}.bounds-{variant}.json")
 
 
-def digest(root: str) -> tuple:
+def digest(root: str, paths: list) -> tuple:
+    """Number of ``paths`` and the sha256 over each one and its bytes."""
     h = hashlib.sha256()
-    paths = sorted(os.path.relpath(os.path.join(d, f), root)
-                   for d, _, files in os.walk(root) for f in files)
     for path in paths:
         with open(os.path.join(root, path), "rb") as fh:
             h.update(path.encode() + b"\0" + fh.read() + b"\0")
@@ -98,8 +107,13 @@ def main(argv=None):
                     pipeline(seed, mode)
         finally:
             os.chdir(cwd)
-        count, hexdigest = digest(root)
-    print(f"{count} files sha256 {hexdigest}")
+        paths = sorted(os.path.relpath(os.path.join(d, f), root)
+                       for d, _, files in os.walk(root) for f in files)
+        oracle = [p.startswith("oracle" + os.sep) for p in paths]
+        lines = [digest(root, [p for p, o in zip(paths, oracle) if not o]),
+                 digest(root, [p for p, o in zip(paths, oracle) if o])]
+    for count, hexdigest in lines:
+        print(f"{count} files sha256 {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from sogl import (
 from sogl.admm import penalty_constants, z_step
 from sogl.bounds import lower_diag, scaled_l2_prox, upper_bound_l0, upper_diag
 from sogl.dual import dual_y_step, dual_z_step
+from sogl.instances import generate_instance
 from sogl.model import gather, scatter_add, group_norm_sum
 from helpers import stacked_normal, z_step_scaled_space
 
@@ -303,3 +304,25 @@ def test_c9_cli_round_trips(tmp_path):
     assert first == second
     print("ACCEPTANCE C9 (CLI round trip): PASS - gen/solve/check exit 0 "
           "with identical bytes across two runs")
+
+
+def test_l0_sandwich_brackets_oracle_at_n12():
+    # the exact optimum at the largest size the oracle enumerates by default
+    # lies between the certified l0 lower bound and both solvers' objectives
+    t0 = time.perf_counter()
+    worst_gap = 0.0
+    for seed, mode in enumerate(("chain", "nested", "random")):
+        inst, gs = generate_instance(seed=1200 + seed, n=12, m=6,
+                                     group_size_range=(2, 5), overlap_mode=mode,
+                                     lambda0=0.1, lambda1=0.3,
+                                     lambda_=0.3).build()
+        exact = oracle_prox_l0_ogl(inst, gs).value
+        lower = sandwich(inst, gs, "l0").lower_value
+        admm, dual = solve_admm(inst, gs).objective, solve_dual(inst, gs).objective
+        assert lower - 1e-9 <= exact, (mode, lower, exact)
+        assert exact <= min(admm, dual) + 1e-9, (mode, exact, admm, dual)
+        worst_gap = max(worst_gap, (exact - lower) / max(1.0, abs(exact)))
+    elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE n=12 (l0 lower <= oracle <= ADMM, dual; chain, nested, "
+          f"random): PASS - worst relative gap to the lower bound "
+          f"{worst_gap:.2e}, {elapsed:.1f}s")

@@ -236,6 +236,16 @@ class TestCanonicalSerialization:
     def test_matches_element_by_element_reference(self, record):
         assert dumps_canonical(record) == reference_dumps_canonical(record)
 
+    @given(seq=st.lists(st.lists(st.one_of(
+        st.integers(), st.booleans(), st.integers(-9, 9).map(np.int64)),
+        max_size=5).map(lambda xs: xs if len(xs) % 3 else tuple(xs)), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_int_lists_match_reference(self, seq):
+        # lists of int lists take one repr; bools, numpy ints and tuples do not
+        assert dumps_canonical(seq) == reference_dumps_canonical(seq)
+        assert dumps_canonical({"groups": seq}) == reference_dumps_canonical(
+            {"groups": seq})
+
     def test_edge_floats_match_reference(self):
         for record in ({"x": list(EDGE_FLOATS)}, {"x": np.array(EDGE_FLOATS)},
                        {"x": np.array([]), "y": [], "z": np.array([], dtype=int)}):
@@ -492,6 +502,17 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "hello\n"
     write_atomic(str(path), "replaced\n")
     assert path.read_text() == "replaced\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_atomic_finishes_short_writes(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than asked; the rest must follow
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+    path = tmp_path / "out.json"
+    write_atomic(str(path), "h\u00e9llo, w\u00f6rld\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == "h\u00e9llo, w\u00f6rld\n".encode("utf-8")
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -19,14 +19,20 @@ from sogl import (
     solve_dual,
     stationarity_check,
 )
+from sogl.instances import generate_instance
 from sogl.oracle import (
     _block_shrink,
-    _convex_restricted_min,
     _count_term_ok,
     _dykstra,
+    _Restricted,
     _shrink,
 )
-from helpers import count_term_ok_by_zeroing, random_instance, random_structure
+from helpers import (
+    count_term_ok_by_zeroing,
+    oracle_variant_reference,
+    random_instance,
+    random_structure,
+)
 
 
 class TestSupportEnumeration:
@@ -279,6 +285,50 @@ class TestCountTerm:
         assert _count_term_ok(x, inst, gs) is expected
 
 
+def _agreement_cases(n):
+    """Structures on n variables, each with penalties drawn at random: a
+    chain, a nested and a random one with non-unit weights, the random one
+    with its first group repeated, and one with every penalty 0."""
+    rng = np.random.default_rng(500 + n)
+    for mode in ("chain", "nested", "random"):
+        instf = generate_instance(seed=n, n=n, m=max(1, n // 2),
+                                  group_size_range=(1, 5), overlap_mode=mode)
+        groups = instf.gs.groups + ([instf.gs.groups[0]] if mode == "random" else [])
+        gs = GroupStructure(n, groups, weights=rng.uniform(0.3, 2.0, len(groups)))
+        lam = float(rng.uniform(0.05, 0.8))
+        yield mode, gs, ProxInstance(
+            v=rng.normal(0, 1.5, n), s=float(rng.uniform(0.5, 2.0)),
+            lam0=float(rng.uniform(0.02, 0.4)), lam1=lam,
+            lam=lam if mode == "chain" else float(rng.uniform(0.05, 0.8)))
+    yield "zero", gs, ProxInstance(v=rng.normal(0, 1.5, n), s=1.0,
+                                   lam0=float(rng.uniform(0.02, 0.4)))
+
+
+class TestReferenceAgreement:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_whole_support_enumeration(self, n):
+        # the enumeration by connected pieces against the one that solves
+        # every support as one problem, on the main objective and all three
+        # sandwich targets
+        for mode, gs, inst in _agreement_cases(n):
+            for variant in ("main", "plain", "l1", "l0"):
+                res = (oracle_prox_l0_ogl(inst, gs) if variant == "main"
+                       else oracle_variant(inst, gs, variant))
+                value, x = oracle_variant_reference(inst, gs, variant)
+                where = f"{mode} {variant}"
+                assert abs(res.value - value) <= 1e-12 * max(1.0, abs(value)), where
+                np.testing.assert_allclose(res.minimizer, x, rtol=0, atol=1e-9,
+                                           err_msg=where)
+
+    def test_cases_cover_the_edge_structures(self):
+        cases = list(_agreement_cases(10))
+        random_gs = cases[2][1]
+        assert np.array_equal(random_gs.groups[0], random_gs.groups[-1])
+        assert any(np.any(gs.overlap_counts == 0) for _, gs, _ in cases)
+        assert all(not np.all(gs.weights == 1.0) for _, gs, _ in cases)
+        assert cases[-1][2].lam1 == cases[-1][2].lam == 0.0
+
+
 class TestInternals:
     def test_dykstra_matches_disjoint_closed_form(self):
         rng = np.random.default_rng(4)
@@ -291,22 +341,39 @@ class TestInternals:
             closed = _shrink(u, l1)
             for b, c in zip(blocks, coeffs):
                 closed[b] = _block_shrink(closed[b], c)
-            ops = [lambda w, t=l1: _shrink(w, t)]
-            for b, c in zip(blocks, coeffs):
-                def op(w, b=b, c=c):
-                    out = w.copy()
-                    out[b] = _block_shrink(out[b], c)
-                    return out
-                ops.append(op)
-            np.testing.assert_allclose(_dykstra(u, ops), closed, atol=1e-9)
+            np.testing.assert_allclose(
+                _dykstra(u, list(zip(blocks, coeffs)), l1), closed, atol=1e-9)
+
+    def test_components_split_the_support(self):
+        gs = GroupStructure(6, [[0, 1], [1, 2], [3, 4], [4]])
+        r = _Restricted(np.ones(6), 1.0, np.full(4, 0.1), 0.0, 0.1, gs)
+        assert sorted(r.components(0b111111)) == [0b000111, 0b011000]
+        # without coordinate 1 the first two groups no longer meet
+        assert sorted(r.components(0b111101)) == [0b000001, 0b000100, 0b011000]
+        # a group with coefficient 0 links nothing
+        r = _Restricted(np.ones(6), 1.0, np.array([0.1, 0.0, 0.1, 0.1]), 0.0,
+                        0.1, gs)
+        assert sorted(r.components(0b111111)) == [0b000011, 0b011000]
+
+    def test_each_component_is_solved_once(self):
+        gs = GroupStructure(5, [[0, 1], [1, 2], [3, 4]])
+        inst = ProxInstance(v=np.array([1.0, -2.0, 0.5, 3.0, -1.0]), s=1.0,
+                            lam0=0.1, lam1=0.3)
+        r = _Restricted(inst.v, inst.s, inst.lam1 * gs.weights, 0.0, inst.lam0, gs)
+        for S in range(1 << gs.n):
+            r.value(S)
+        # the pieces are the connected subsets of the two chains
+        assert sorted(r.pieces) == sorted(
+            [0b00001, 0b00010, 0b00100, 0b00011, 0b00110, 0b00111,
+             0b01000, 0b10000, 0b11000])
 
     def test_restricted_solver_honors_support(self):
         rng = np.random.default_rng(5)
         gs = GroupStructure(4, [[0, 1, 2], [1, 2, 3]])
         v = rng.normal(size=4)
-        idx = np.array([0, 2])
-        x, val = _convex_restricted_min(v, 1.0, np.array([0.4, 0.4]), 0.1,
-                                        gs, idx)
+        r = _Restricted(v, 1.0, np.array([0.4, 0.4]), 0.1, 0.0, gs)
+        support = 0b0101  # coordinates 0 and 2
+        x, val = r.minimizer(support), r.value(support)
         assert x[1] == 0.0 and x[3] == 0.0
         direct = (0.5 * np.sum((x - v) ** 2)
                   + 0.4 * np.linalg.norm(x[[0, 1, 2]])
@@ -321,7 +388,6 @@ class TestInternals:
         gs = GroupStructure(4, [[0, 1, 2], [1, 2, 3]])
         v = rng.normal(0, 2, 4)
         inst = ProxInstance(v=v, s=1.0, lam1=0.5)
-        x, _ = _convex_restricted_min(v, 1.0, np.full(2, 0.5), 0.0, gs,
-                                      np.arange(4))
-        ok, residual = stationarity_check(x, inst, gs)
+        r = _Restricted(v, 1.0, np.full(2, 0.5), 0.0, 0.0, gs)
+        ok, residual = stationarity_check(r.minimizer(0b1111), inst, gs)
         assert ok, residual
