@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,7 +89,6 @@ class SolveReport:
     r_norm: float = 0.0
     s_norm: float = 0.0
     trace: list = None
-    wall_time: float = None
 
 
 class Penalty(NamedTuple):
@@ -234,7 +232,6 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
     cfg = cfg or AdmmConfig()
     if inst.n != gs.n:
         raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
-    t0 = time.perf_counter()
     pen = penalty_constants(inst, gs, start_rho(inst, cfg))
     floors = (cfg.eps_abs * math.sqrt(gs.total_size or 1),
               cfg.eps_abs * math.sqrt(gs.n))
@@ -280,5 +277,4 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         r_norm=r_norm,
         s_norm=s_norm,
         trace=trace,
-        wall_time=time.perf_counter() - t0,
     )

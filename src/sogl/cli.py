@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import datetime
 import functools
 import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -41,7 +41,8 @@ from .instances import (
     write_atomic,
 )
 from .model import objective_value
-from .oracle import TooLargeError, oracle_prox_l0_ogl, oracle_variant, stationarity_check
+from .oracle import (N_LIMIT, TooLargeError, oracle_prox_l0_ogl, oracle_variant,
+                     stationarity_check)
 
 __all__ = ["run_cli", "main"]
 
@@ -53,6 +54,17 @@ class _UsageError(Exception):
 class _WriteError(Exception):
     def __init__(self, path: str, exc: OSError):
         super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
+# an error a command reports as ``error: ...``, and its exit code; a
+# subclass exits like its base
+_EXIT_CODES = {ParseError: 2, ValidationError: 2, _WriteError: 2,
+               NonFiniteError: 3, NonFiniteNumberError: 3, TooLargeError: 4}
+_ERRORS = tuple(_EXIT_CODES)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,8 +96,14 @@ def _build_parser() -> _Parser:
                 "the l0 sparse overlapping group lasso.")
     sub = p.add_subparsers(dest="command", metavar="command",
                            parser_class=_Parser)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH")
+    stamp = argparse.ArgumentParser(add_help=False)
+    stamp.add_argument("--stamp", action="store_true",
+                       help="fill the record's timing fields")
 
-    solve = sub.add_parser("solve", help="run a solver on an instance")
+    solve = sub.add_parser("solve", parents=[out, stamp],
+                           help="run a solver on an instance")
     solve.add_argument("instance", nargs="*", default=(),
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
@@ -94,44 +112,40 @@ def _build_parser() -> _Parser:
                        f"doubled after every {DOUBLE_EVERY} iterations while "
                        "the primal residual lags (sogl.solve_admm gives the "
                        "full rule); admm only")
-    solve.add_argument("--max-iters", type=int, default=10000)
-    solve.add_argument("--eps-abs", type=_finite_float, default=1e-8)
-    solve.add_argument("--eps-rel", type=_finite_float, default=1e-6)
+    solve.add_argument("--max-iters", type=int, default=AdmmConfig.max_iters)
+    solve.add_argument("--eps-abs", type=_finite_float, default=AdmmConfig.eps_abs)
+    solve.add_argument("--eps-rel", type=_finite_float, default=AdmmConfig.eps_rel)
     solve.add_argument("--trace", metavar="PATH",
                        help="write per-iteration CSV trace here")
-    solve.add_argument("--out", metavar="PATH")
     solve.add_argument("--batch", action="store_true",
                        help="process several instance files, one after another")
     solve.add_argument("--out-dir", metavar="DIR",
                        help="output directory for --batch records")
-    solve.add_argument("--stamp", action="store_true",
-                       help="fill timestamp and wall-time fields")
 
-    bounds = sub.add_parser("bounds", help="sandwich bounds for one variant")
+    bounds = sub.add_parser("bounds", parents=[out, stamp],
+                            help="sandwich bounds for one variant")
     bounds.add_argument("instance", nargs="?", default="-")
     bounds.add_argument("--variant", choices=("plain", "l1", "l0"),
                         default="plain")
     bounds.add_argument("--with-oracle", action="store_true",
                         help="also compute the exact value by enumeration")
     bounds.add_argument("--limit", type=_positive_int,
-                        help="enumeration size limit for --with-oracle (default 12)")
-    bounds.add_argument("--out", metavar="PATH")
-    bounds.add_argument("--stamp", action="store_true")
+                        help="enumeration size limit for --with-oracle "
+                        f"(default {N_LIMIT})")
 
-    oracle = sub.add_parser("oracle", help="exact enumeration solve")
+    oracle = sub.add_parser("oracle", parents=[out, stamp],
+                            help="exact enumeration solve")
     oracle.add_argument("instance", nargs="?", default="-")
-    oracle.add_argument("--limit", type=_positive_int, default=12)
-    oracle.add_argument("--out", metavar="PATH")
-    oracle.add_argument("--stamp", action="store_true")
+    oracle.add_argument("--limit", type=_positive_int, default=N_LIMIT)
 
-    check = sub.add_parser("check", help="first-order check of a point")
+    check = sub.add_parser("check", parents=[out, stamp],
+                           help="first-order check of a point")
     check.add_argument("instance", nargs="?", default="-")
     check.add_argument("--point", required=True, metavar="PATH",
                        help="JSON array, {'x': [...]}, or a solve record")
-    check.add_argument("--out", metavar="PATH")
-    check.add_argument("--stamp", action="store_true")
 
-    gen = sub.add_parser("gen", help="generate a seeded random instance")
+    gen = sub.add_parser("gen", parents=[out],
+                         help="generate a seeded random instance")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--m", type=int, default=3)
@@ -143,7 +157,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--lambda0", type=float, default=0.05)
     gen.add_argument("--lambda1", type=float, default=0.1)
     gen.add_argument("--lambda", dest="lambda_", type=float, default=0.1)
-    gen.add_argument("--out", metavar="PATH")
     return p
 
 
@@ -169,20 +182,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _admm_config(args, trace: bool) -> AdmmConfig:
-    try:
-        return AdmmConfig(rho=args.rho, max_iters=args.max_iters,
-                          eps_abs=args.eps_abs, eps_rel=args.eps_rel,
-                          trace=trace)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _fields(report) -> dict:
-    """A library report's fields in declaration order: a record's report."""
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-
 def _record(instf, source: str, algorithm: str, config: dict, report: dict,
             stamp: bool) -> str:
     """The text of a run record."""
@@ -193,20 +192,21 @@ def _record(instf, source: str, algorithm: str, config: dict, report: dict,
                             "seed": instf.seed})
 
 
-def _run_solve_single(args, path: str) -> tuple:
+def _run_solve_single(args, cfg: AdmmConfig, path: str) -> tuple:
     """The record text of one solve, and its trace CSV (None without
     ``--trace``)."""
     instf, source = _read_instance(path)
     inst, gs = instf.build()
-    cfg = _admm_config(args, trace=bool(args.trace))
     rho = start_rho(inst, cfg) if args.algorithm == "admm" else None
     config = {"algorithm": args.algorithm, "rho": rho,
               "max_iters": cfg.max_iters, "eps_abs": cfg.eps_abs,
               "eps_rel": cfg.eps_rel}
     solver = solve_admm if args.algorithm == "admm" else solve_dual
+    start = time.perf_counter()
     report = solver(inst, gs, cfg)
-    rep = {**_fields(report),
-           "wall_time": report.wall_time if args.stamp else None}
+    wall_time = time.perf_counter() - start
+    # a record's report: the fields in declaration order, timed last
+    rep = {**vars(report), "wall_time": wall_time if args.stamp else None}
     del rep["trace"]
     text = _record(instf, source, report.algorithm, config, rep, args.stamp)
     return text, trace_to_csv(report) if args.trace else None
@@ -215,6 +215,11 @@ def _run_solve_single(args, path: str) -> tuple:
 def _cmd_solve(args) -> int:
     if args.algorithm == "dual" and args.rho is not None:
         raise _UsageError("--rho applies only to --algorithm admm")
+    try:
+        cfg = AdmmConfig(rho=args.rho, max_iters=args.max_iters, eps_abs=args.eps_abs,
+                         eps_rel=args.eps_rel, trace=bool(args.trace))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     paths = args.instance
     if args.batch or len(paths) > 1:
         if not paths:
@@ -238,11 +243,9 @@ def _cmd_solve(args) -> int:
 
         def one(out: str, path: str):
             try:
-                _emit(_run_solve_single(args, path)[0], out)
-            except (ParseError, ValidationError, _WriteError) as exc:
-                return 2, f"{path}: error: {exc}"
-            except (NonFiniteError, NonFiniteNumberError) as exc:
-                return 3, f"{path}: error: {exc}"
+                _emit(_run_solve_single(args, cfg, path)[0], out)
+            except _ERRORS as exc:
+                return _exit_code(exc), f"{path}: error: {exc}"
             return 0, f"{path}: ok -> {out}"
 
         results = [one(out, path) for out, path in sources.items()]
@@ -252,7 +255,7 @@ def _cmd_solve(args) -> int:
 
     if args.out_dir:
         raise _UsageError("--out-dir applies only to --batch; use --out")
-    text, trace = _run_solve_single(args, paths[0] if paths else "-")
+    text, trace = _run_solve_single(args, cfg, paths[0] if paths else "-")
     if trace is not None:
         _emit(trace, args.trace)
     try:
@@ -273,10 +276,10 @@ def _cmd_bounds(args) -> int:
     report = sandwich(inst, gs, args.variant)
     if args.with_oracle:
         report.oracle_value = oracle_variant(inst, gs, args.variant,
-                                             n_limit=args.limit or 12).value
+                                             n_limit=args.limit or N_LIMIT).value
     config = {"variant": args.variant, "with_oracle": bool(args.with_oracle)}
-    _emit(_record(instf, source, "bounds", config, _fields(report),
-                  args.stamp), args.out)
+    _emit(_record(instf, source, "bounds", config, vars(report), args.stamp),
+          args.out)
     return 0
 
 
@@ -285,7 +288,7 @@ def _cmd_oracle(args) -> int:
     inst, gs = instf.build()
     result = oracle_prox_l0_ogl(inst, gs, n_limit=args.limit)
     _emit(_record(instf, source, "oracle", {"limit": args.limit},
-                  _fields(result), args.stamp), args.out)
+                  vars(result), args.stamp), args.out)
     return 0
 
 
@@ -349,30 +352,20 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 1
         # overflow is reported by the non-finite checks (exit 3), not warned
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, _WriteError) as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonFiniteError, NonFiniteNumberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _exit_code(exc)
 
 
 def main():

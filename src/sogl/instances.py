@@ -304,13 +304,10 @@ def _encode(obj, where: str) -> str:
         kinds = set(map(type, seq))
         if kinds == {float}:  # a whole float list: formatted and checked once
             return "[" + _format_floats(seq, where) + "]"
-        if kinds == {int}:
-            items = map(str, seq)
-        elif type(seq) is list and kinds == {list} and set(map(
+        if type(seq) is list and kinds == {list} and set(map(
                 type, itertools.chain.from_iterable(seq))) <= {int}:
             return repr(seq)  # int lists, such as the groups, in one call
-        else:
-            items = (_encode(val, f"{where}[{i}]") for i, val in enumerate(seq))
+        items = (_encode(val, f"{where}[{i}]") for i, val in enumerate(seq))
         return "[" + ", ".join(items) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

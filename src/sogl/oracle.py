@@ -38,6 +38,7 @@ __all__ = [
     "stationarity_check",
 ]
 
+N_LIMIT = 12  # the default enumeration size limit: at most 2**12 supports
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -211,7 +212,7 @@ def _support_enumerate(v: np.ndarray, s: float, coeffs: np.ndarray,
 
 
 def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
-                       n_limit: int = 12) -> OracleResult:
+                       n_limit: int = N_LIMIT) -> OracleResult:
     """Exact global minimum of the main composite objective
     ``(1/2s)||x-v||^2 + lam0*nnz(x) + lam1*sum_i w_i*||x_{G_i}||_2``.
 
@@ -230,7 +231,7 @@ def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
 
 
 def oracle_variant(inst: ProxInstance, gs: GroupStructure, variant: str,
-                   n_limit: int = 12) -> OracleResult:
+                   n_limit: int = N_LIMIT) -> OracleResult:
     """Exact optimum of one sandwich target problem.
 
     The objective is ``(1/2s)||x-v||^2 + lam*sum_i w_i*||x_{G_i}||_2`` plus

@@ -16,8 +16,10 @@ relative paths and bytes: two versions of the package that print the same
 line wrote the same instances, records and traces. The second line is the
 same digest over the exact-enumeration records of every pool instance with
 n <= 10 (``oracle`` and ``bounds --with-oracle`` for each variant), which
-go to ``oracle/`` and are left out of the first. Without ``--out`` the
-files go to a temporary directory that is removed afterwards.
+go to ``oracle/`` and are left out of the first. The third line covers one
+``solve --batch`` over each whole pool, whose records go to ``batch/``.
+Without ``--out`` the files go to a temporary directory that is removed
+afterwards.
 """
 import argparse
 import contextlib
@@ -38,6 +40,7 @@ POOLS = {
     "random": (range(8, 41), 5),
 }
 ORACLE_MAX_N = 10  # pool instances up to this n also get the oracle records
+PARTS = ("", "oracle", "batch")  # top directory of each line's files ("": the rest)
 
 
 def instance_seed(seed: int, index: int) -> int:
@@ -56,9 +59,11 @@ def pipeline(seed: int, mode: str):
     sizes, max_group = POOLS[mode]
     d = f"s{seed}-{mode}"
     os.makedirs(d)
+    instances = []
     for index, n in enumerate(sizes):
         stem = f"{d}/i{index:02d}-n{n}"
         inst = f"{stem}.json"
+        instances.append(inst)
         run("gen", "--seed", str(instance_seed(seed, index)), "--n", str(n),
             "--m", str(max(1, n // 2)), "--min-size", "2",
             "--max-size", str(max_group), "--mode", mode, "--out", inst)
@@ -77,6 +82,7 @@ def pipeline(seed: int, mode: str):
             for variant in ("plain", "l1", "l0"):
                 run("bounds", inst, "--variant", variant, "--with-oracle",
                     "--out", f"oracle/{stem}.bounds-{variant}.json")
+    run("solve", "--batch", "--out-dir", f"batch/{d}", *instances)
 
 
 def digest(root: str, paths: list) -> tuple:
@@ -109,9 +115,10 @@ def main(argv=None):
             os.chdir(cwd)
         paths = sorted(os.path.relpath(os.path.join(d, f), root)
                        for d, _, files in os.walk(root) for f in files)
-        oracle = [p.startswith("oracle" + os.sep) for p in paths]
-        lines = [digest(root, [p for p, o in zip(paths, oracle) if not o]),
-                 digest(root, [p for p, o in zip(paths, oracle) if o])]
+        tops = [p.split(os.sep, 1)[0] for p in paths]
+        parts = [top if top in PARTS else "" for top in tops]
+        lines = [digest(root, [p for p, q in zip(paths, parts) if q == part])
+                 for part in PARTS]
     for count, hexdigest in lines:
         print(f"{count} files sha256 {hexdigest}")
 

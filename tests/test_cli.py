@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sogl import dumps_canonical, generate_instance
+from sogl import dumps_canonical, generate_instance, parse_instance
 from sogl.cli import run_cli
 
 MINIMAL = '{"v": [1.0], "groups": [[0]], "s": 1, "lambda0": 0, "lambda1": 0, "lambda": 0}\n'
@@ -124,6 +124,7 @@ class TestSolve:
         record = json.loads(capsys.readouterr().out)
         assert record["timestamp"] is not None
         assert record["report"]["wall_time"] > 0
+        assert list(record["report"])[-1] == "wall_time"
 
     def test_batch_writes_records(self, tmp_path, capsys):
         a = write_instance(tmp_path, name="a.json", seed=1)
@@ -311,11 +312,31 @@ class TestExitCodes:
         assert captured.err.startswith("usage error: ") and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{tmp}/missing.json", "--max-iters", "0"],
+        ["solve", "{tmp}/missing.json", "--eps-rel", "-1"],
+        ["solve", "{tmp}/bad.json", "{a}", "--out-dir", "{tmp}/new", "--max-iters", "0"],
+    ], ids=["missing-file-max-iters", "missing-file-eps-rel", "batch-out-dir"])
+    def test_option_error_comes_before_any_input(self, tmp_path, capsys, monkeypatch,
+                                                 argv):
+        names = {"a": write_instance(tmp_path, name="a.json"), "tmp": tmp_path}
+        (tmp_path / "bad.json").write_text("{broken")
+        read = []
+        monkeypatch.setattr("sogl.cli.parse_instance",
+                            lambda path: read.append(path) or parse_instance(path))
+        assert run_cli([x.format(**names) for x in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""
+        assert read == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "bad.json"]
+
     def test_oracle_too_large(self, tmp_path):
         instf = generate_instance(seed=0, n=13, m=2)
         path = tmp_path / "big.json"
         path.write_text(dumps_canonical(instf.to_dict()))
-        assert run_cli(["oracle", str(path), "--limit", "12"]) == 4
+        for argv in (["oracle", "--limit", "12"],
+                     ["bounds", "--with-oracle", "--limit", "12"]):
+            assert run_cli(argv + [str(path)]) == 4
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
