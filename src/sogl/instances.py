@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .model import GroupDefectError, GroupStructure, ProxInstance
+from .model import GroupStructure, ProxInstance
 
 __all__ = [
     "ParseError",
@@ -113,19 +113,20 @@ def _number_array(values: list, where: str) -> np.ndarray:
     return np.array(values, dtype=float)  # subclasses of int or float
 
 
-def _group_structure(groups: list, n: int) -> GroupStructure:
-    """The structure of the index groups; ``ValidationError`` names their
-    first defect in reading order (group by group, each group's entries in
-    turn)."""
+def _group_structure(groups: list, n: int, weights) -> GroupStructure:
+    """The structure of the index groups and their weights;
+    ``ValidationError`` names the first defect of the groups in reading
+    order (group by group, each group's entries in turn), else the first of
+    the weights."""
     i = None if set(map(type, groups)) <= {list} else next(
         (i for i, g in enumerate(groups) if not isinstance(g, list)), None)
     try:
-        gs = GroupStructure(n, groups if i is None else groups[:i])
-    except GroupDefectError as exc:
+        if i is None:
+            return GroupStructure(n, groups, weights)
+        GroupStructure(n, groups[:i])  # a defect before group i comes first
+    except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    if i is not None:
-        raise ValidationError(f"groups[{i}]: expected an array of indices")
-    return gs
+    raise ValidationError(f"groups[{i}]: expected an array of indices")
 
 
 def instance_from_dict(data: dict) -> InstanceFile:
@@ -148,22 +149,12 @@ def instance_from_dict(data: dict) -> InstanceFile:
     groups = data["groups"]
     if not isinstance(groups, list):
         raise ValidationError("groups: expected an array of arrays")
-    gs = _group_structure(groups, v.size)
-
     weights = data.get("weights")
     if weights is not None:
         if not isinstance(weights, list):
             raise ValidationError("weights: expected an array of numbers")
-        if len(weights) != len(groups):
-            raise ValidationError(
-                f"weights: expected {len(groups)} entries, got {len(weights)}"
-            )
-        w = _number_array(weights, "weights")
-        nonpositive = np.flatnonzero(~(w > 0))
-        if nonpositive.size:
-            raise ValidationError(
-                f"weights[{nonpositive[0]}]: must be strictly positive")
-        gs.weights = w  # checked above, with the messages of the file format
+        weights = _number_array(weights, "weights")
+    gs = _group_structure(groups, v.size, weights)
 
     s = _require_number(data["s"], "s")
     if not s > 0:
@@ -223,20 +214,18 @@ def generate_instance(seed: int, n: int, m: int,
     Modes: ``chain`` places consecutive windows that advance by half their
     width (wrapping to the front when they run off the end), ``random``
     samples uniform index subsets, ``nested`` produces an increasing chain
-    of subsets of one shuffled index pool.
+    of subsets of one shuffled index pool. Group sizes are drawn from
+    ``group_size_range = (lo, hi)``, which needs ``1 <= lo <= hi``; sizes
+    above ``n`` are capped at ``n``.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if overlap_mode not in ("chain", "random", "nested"):
         raise ValueError(f"unknown overlap_mode {overlap_mode!r}")
-    if not 0 < s < math.inf:
-        raise ValueError(f"s must be positive and finite, got {s}")
-    for key, val in (("lambda0", lambda0), ("lambda1", lambda1), ("lambda", lambda_)):
-        if not 0 <= val < math.inf:
-            raise ValueError(f"{key} must be nonnegative and finite, got {val}")
-    lo, hi = group_size_range
-    lo = max(1, min(int(lo), n))
-    hi = max(lo, min(int(hi), n))
+    lo, hi = map(int, group_size_range)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"group size range ({lo}, {hi}) needs 1 <= min <= max")
+    lo, hi = min(lo, n), min(hi, n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     sizes = rng.integers(lo, hi + 1, size=m)

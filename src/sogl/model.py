@@ -42,7 +42,10 @@ class GroupStructure:
     """Index groups over ``n`` variables, with per-group positive weights.
 
     Groups may overlap arbitrarily (including duplicated groups); variables
-    covered by no group are allowed. Indices are 0-based.
+    covered by no group are allowed. Indices are 0-based. The groups are
+    checked first (``GroupDefectError`` names the first defect), then the
+    weights: one per group, each positive and finite, or a ``ValueError``
+    names the first bad one as ``weights[i]``.
 
     Attributes
     ----------
@@ -53,7 +56,7 @@ class GroupStructure:
         view ``flat_index[offsets[i]:offsets[i+1]]``. The list is built on
         first read, since the solvers work on the stacked layout only.
     weights : float array, shape (m,)
-        Strictly positive per-group weights. Defaults to all ones.
+        Positive finite per-group weights. Defaults to all ones.
     sizes, offsets, flat_index, block_index : int arrays
         Stacked layout: block i is ``offsets[i]:offsets[i+1]`` (length
         ``sizes[i]``), ``flat_index`` is the concatenation of the groups and
@@ -67,14 +70,6 @@ class GroupStructure:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
         m = len(groups)
-        self.weights = np.asarray(np.ones(m) if weights is None else weights,
-                                  dtype=float)
-        if self.weights.shape != (m,):
-            raise ValueError(
-                f"weights must have one entry per group ({m}), got shape {self.weights.shape}"
-            )
-        if m and not np.all(self.weights > 0):
-            raise ValueError("all group weights must be strictly positive")
         sizes = np.fromiter(map(len, groups), dtype=np.intp, count=m)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         block = np.repeat(np.arange(m, dtype=np.int64), sizes)
@@ -88,6 +83,16 @@ class GroupStructure:
                 "range": f"groups[{i}][{j}]: index {idx} out of range for n={n}",
                 "repeat": f"groups[{i}][{j}]: repeated index {idx}",
             }[kind], defects)
+        w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (m,):
+            raise ValueError(
+                f"weights: expected one entry per group ({m}), got shape {w.shape}")
+        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))  # NaN is refused too
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"weights[{i}]: must be "
+                             + ("finite" if w[i] > 0 else "strictly positive"))
+        self.weights = w
         self.sizes = sizes
         self.flat_index = flat
         self.block_index = block
@@ -168,7 +173,9 @@ class ProxInstance:
 
     ``lam0`` scales the nonzero count and ``lam1`` the weighted group term
     ``sum_i w_i*||x_{G_i}||_2`` of the main objective; ``lam`` scales the
-    same group term in the bound problems.
+    same group term in the bound problems. Construction raises ``ValueError``
+    on a step that is not positive and finite and on a penalty that is
+    negative, NaN or infinite; ``solve_admm`` refuses an infinite ``v``.
     """
 
     v: np.ndarray
@@ -181,11 +188,14 @@ class ProxInstance:
         self.v = np.asarray(self.v, dtype=float)
         if self.v.ndim != 1:
             raise ValueError("v must be a 1-D vector")
-        if not self.s > 0:
-            raise ValueError(f"step s must be positive, got {self.s}")
+        if not 0 < self.s < np.inf:
+            raise ValueError(f"step s must be positive and finite, got {self.s}")
         for name in ("lam0", "lam1", "lam"):
-            if not getattr(self, name) >= 0:  # NaN is refused too
+            value = getattr(self, name)
+            if not value >= 0:  # NaN is refused too
                 raise ValueError(f"{name} must be nonnegative")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n(self) -> int:

@@ -412,10 +412,10 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     radii = inst.lam1 * gs.weights
     xb = x[gs.flat_index]
     nrm = _block_norms(xb, gs)
-    nrm_b = np.repeat(nrm, gs.sizes)
-    r += np.bincount(gs.flat_index, minlength=gs.n,
-                     weights=np.divide(np.repeat(radii, gs.sizes) * xb, nrm_b,
-                                       out=np.zeros_like(xb), where=nrm_b > 0))
+    nrm_b = np.take(nrm, gs.block_index)
+    r += np.bincount(gs.flat_index, minlength=gs.n, weights=np.divide(
+        np.take(radii, gs.block_index) * xb, nrm_b,
+        out=np.zeros_like(xb), where=nrm_b > 0))
     supp = x != 0
     if inst.lam0 > 0:
         residual = float(np.linalg.norm(r[supp])) if supp.any() else 0.0
@@ -441,7 +441,7 @@ def _count_term_ok(x: np.ndarray, inst: ProxInstance,
     xb = x[gs.flat_index]
     sq = xb * xb
     starts = gs.offsets[:-1]
-    nrm2 = np.repeat(np.add.reduceat(sq, starts), gs.sizes)
+    nrm2 = np.take(np.add.reduceat(sq, starts), gs.block_index)
     rest2 = nrm2 - sq
     # nrm2 - sq cancels when x_g carries most of its block's norm; at most
     # one entry per block does, and for it the other squares are summed
@@ -449,10 +449,10 @@ def _count_term_ok(x: np.ndarray, inst: ProxInstance,
     if dominant.size:
         others = sq.copy()
         others[dominant] = 0.0
-        rest2[dominant] = np.repeat(np.add.reduceat(others, starts),
-                                    gs.sizes)[dominant]
+        rest2[dominant] = np.take(np.add.reduceat(others, starts),
+                                  gs.block_index[dominant])
     change = np.bincount(gs.flat_index, minlength=gs.n, weights=(
-        np.repeat(gs.weights, gs.sizes)
+        np.take(gs.weights, gs.block_index)
         * (np.sqrt(np.maximum(rest2, 0.0)) - np.sqrt(nrm2))))
     delta = (x * (2.0 * inst.v - x) / (2.0 * inst.s) - inst.lam0
              + inst.lam1 * change)

@@ -487,3 +487,13 @@ class TestGen:
         assert run_cli(["gen", option, value]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("low, high", [("3", "2"), ("0", "0")])
+    def test_gen_rejects_size_ranges_it_cannot_honour(self, capsys, low, high):
+        assert run_cli(["gen", "--min-size", low, "--max-size", high]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""
+
+    def test_gen_caps_sizes_at_n(self, capsys):
+        assert run_cli(["gen", "--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["groups"] == [[0], [0], [0]]

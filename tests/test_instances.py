@@ -56,6 +56,21 @@ class TestOneRepresentation:
         instf.build()
         assert len(built) == 1
 
+    def test_file_weights_go_to_the_constructor(self, monkeypatch):
+        received = []
+
+        class Recording(GroupStructure):
+            def __init__(self, n, groups, weights=None):
+                received.append(None if weights is None else list(weights))
+                super().__init__(n, groups, weights)
+
+        monkeypatch.setattr("sogl.instances.GroupStructure", Recording)
+        data = dict(MINIMAL, v=[1.0, 2.0], groups=[[0], [0, 1]])
+        _, gs = instance_from_dict(dict(data, weights=[2.5, 0.5])).build()
+        assert received == [[2.5, 0.5]] and gs.weights.tolist() == [2.5, 0.5]
+        instance_from_dict(data)
+        assert received[1:] == [None]
+
     def test_build_returns_the_same_objects(self):
         instf = parse_instance_text(json.dumps(MINIMAL))
         inst, gs = instf.build()
@@ -109,6 +124,18 @@ class TestValidation:
         data = dict(MINIMAL, weights=[0.0])
         with pytest.raises(ValidationError, match=r"weights\[0\]"):
             instance_from_dict(data)
+
+    @pytest.mark.parametrize("groups, weights, message", [
+        ([[0]], [1.0, 2.0], r"weights: expected one entry per group \(1\), got shape \(2,\)"),
+        ([[0], [0]], [1.0, -2.0], r"weights\[1\]: must be strictly positive"),
+        ([[0], [3]], [1.0], r"groups\[1\]\[0\]: index 3 out of range for n=1"),
+        ([[0], 5], [1.0], r"groups\[1\]: expected an array of indices"),
+        ([[3]], ["x"], r"weights\[0\]: expected a number"),
+    ], ids=["count", "sign", "group-defect-first", "not-list-first",
+            "non-numeric-weight-first"])
+    def test_first_defect_of_groups_and_weights(self, groups, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            instance_from_dict(dict(MINIMAL, groups=groups, weights=weights))
 
     def test_nonnumeric_center_entry(self):
         data = dict(MINIMAL, v=["x"])
@@ -453,6 +480,19 @@ class TestGenerator:
             generate_instance(0, 4, 0)
         with pytest.raises(ValueError):
             generate_instance(0, 4, 1, overlap_mode="spiral")
+
+    @pytest.mark.parametrize("size_range", [(3, 2), (0, 0), (0, 2), (-1, 3)])
+    def test_rejects_size_ranges_it_cannot_honour(self, size_range):
+        with pytest.raises(ValueError, match="needs 1 <= min <= max"):
+            generate_instance(0, 4, 2, size_range)
+
+    @pytest.mark.parametrize("mode", ["chain", "random", "nested"])
+    def test_sizes_above_n_are_capped_at_n(self, mode):
+        for seed in range(5):
+            assert (generate_instance(seed, 4, 3, (2, 9), mode).to_dict()
+                    == generate_instance(seed, 4, 3, (2, 4), mode).to_dict())
+            assert (generate_instance(seed, 4, 3, (6, 9), mode).to_dict()
+                    == generate_instance(seed, 4, 3, (4, 4), mode).to_dict())
 
 
 def trace_csv(trace, algorithm="admm"):

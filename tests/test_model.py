@@ -232,6 +232,21 @@ class TestGroupStructureValidation:
         with pytest.raises(ValueError, match="one entry per group"):
             GroupStructure(3, [[0]], weights=[1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_bad_weight_named_by_index(self, bad, i):
+        weights = [1.0, 0.5, 2.0]
+        weights[i] = bad
+        if i == 0:
+            weights[2] = 0.0  # a later bad weight is not the one named
+        rule = "finite" if bad > 0 else "strictly positive"
+        with pytest.raises(ValueError, match=rf"^weights\[{i}\]: must be {rule}$"):
+            GroupStructure(3, [[0, 1], [1, 2], [2]], weights=weights)
+
+    def test_groups_are_checked_before_weights(self):
+        with pytest.raises(GroupDefectError, match=r"^groups\[1\]\[0\]"):
+            GroupStructure(3, [[0], [5]], weights=[0.0, 1.0, 1.0])
+
     def test_overlap_counts_and_membership_agree(self):
         gs = GroupStructure(4, [[0, 1, 2], [1, 2], [3]])
         np.testing.assert_array_equal(gs.overlap_counts, [1, 2, 2, 1])
@@ -309,3 +324,15 @@ class TestProxInstanceValidation:
     def test_nan_penalty_rejected(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
             ProxInstance(v=[1.0, 2.0], s=1.0, **{name: math.nan})
+
+    @pytest.mark.parametrize("name, message", [
+        ("s", "^step s must be positive and finite, got inf$"),
+        ("lam0", "^lam0 must be finite$"),
+        ("lam1", "^lam1 must be finite$"),
+        ("lam", "^lam must be finite$"),
+    ], ids=["s", "lam0", "lam1", "lam"])
+    def test_infinite_value_rejected(self, name, message):
+        kwargs = dict(s=1.0, lam0=0.05, lam1=0.1, lam=0.1)
+        kwargs[name] = math.inf
+        with pytest.raises(ValueError, match=message):
+            ProxInstance(v=[1.0, 2.0, 3.0], **kwargs)
