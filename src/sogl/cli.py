@@ -74,9 +74,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite_float(text: str) -> float:
     """A command-line number that a record can echo: finite."""
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    """A command-line step: finite and above 0."""
+    x = _finite_float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return x
+
+
+def _nonnegative_float(text: str) -> float:
+    """A command-line penalty: finite and at least 0."""
+    x = _finite_float(text)
+    if not x >= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative number, got {text!r}")
     return x
 
 
@@ -129,14 +149,17 @@ def _build_parser() -> _Parser:
                         default="plain")
     bounds.add_argument("--with-oracle", action="store_true",
                         help="also compute the exact value by enumeration")
+    limit_help = (f"largest n the exact oracle accepts (default {N_LIMIT}); its "
+                  "pruned search often makes 20 or so practical, but the "
+                  "worst case still solves all 2^n supports")
     bounds.add_argument("--limit", type=_positive_int,
-                        help="enumeration size limit for --with-oracle "
-                        f"(default {N_LIMIT})")
+                        help="for --with-oracle: " + limit_help)
 
     oracle = sub.add_parser("oracle", parents=[out, stamp],
                             help="exact enumeration solve")
     oracle.add_argument("instance", nargs="?", default="-")
-    oracle.add_argument("--limit", type=_positive_int, default=N_LIMIT)
+    oracle.add_argument("--limit", type=_positive_int, default=N_LIMIT,
+                        help=limit_help)
 
     check = sub.add_parser("check", parents=[out, stamp],
                            help="first-order check of a point")
@@ -153,10 +176,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--max-size", type=int, default=4)
     gen.add_argument("--mode", choices=("chain", "random", "nested"),
                      default="chain")
-    gen.add_argument("--s", type=float, default=1.0)
-    gen.add_argument("--lambda0", type=float, default=0.05)
-    gen.add_argument("--lambda1", type=float, default=0.1)
-    gen.add_argument("--lambda", dest="lambda_", type=float, default=0.1)
+    gen.add_argument("--s", type=_positive_float, default=1.0)
+    gen.add_argument("--lambda0", type=_nonnegative_float, default=0.05)
+    gen.add_argument("--lambda1", type=_nonnegative_float, default=0.1)
+    gen.add_argument("--lambda", dest="lambda_", type=_nonnegative_float,
+                     default=0.1)
     return p
 
 

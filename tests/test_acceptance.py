@@ -308,21 +308,29 @@ def test_c9_cli_round_trips(tmp_path):
 
 def test_l0_sandwich_brackets_oracle_at_n12():
     # the exact optimum at the largest size the oracle enumerates by default
-    # lies between the certified l0 lower bound and both solvers' objectives
+    # lies between the certified l0 lower bound and both solvers' objectives:
+    # ten seeds per mode, every other one with non-unit weights, and one
+    # chain at n = 16, past the default limit
     t0 = time.perf_counter()
     worst_gap = 0.0
-    for seed, mode in enumerate(("chain", "nested", "random")):
-        inst, gs = generate_instance(seed=1200 + seed, n=12, m=6,
+    cases = [(1200 + k + 3 * j, 12, mode, j % 2 == 1)
+             for j in range(10)
+             for k, mode in enumerate(("chain", "nested", "random"))]
+    for seed, n, mode, weighted in cases + [(1230, 16, "chain", False)]:
+        inst, gs = generate_instance(seed=seed, n=n, m=n // 2,
                                      group_size_range=(2, 5), overlap_mode=mode,
                                      lambda0=0.1, lambda1=0.3,
                                      lambda_=0.3).build()
-        exact = oracle_prox_l0_ogl(inst, gs).value
+        if weighted:
+            weights = np.random.default_rng(seed).uniform(0.3, 2.0, gs.m)
+            gs = GroupStructure(n, gs.groups, weights=weights)
+        exact = oracle_prox_l0_ogl(inst, gs, n_limit=n).value
         lower = sandwich(inst, gs, "l0").lower_value
         admm, dual = solve_admm(inst, gs).objective, solve_dual(inst, gs).objective
-        assert lower - 1e-9 <= exact, (mode, lower, exact)
-        assert exact <= min(admm, dual) + 1e-9, (mode, exact, admm, dual)
+        assert lower - 1e-9 <= exact, (mode, seed, lower, exact)
+        assert exact <= min(admm, dual) + 1e-9, (mode, seed, exact, admm, dual)
         worst_gap = max(worst_gap, (exact - lower) / max(1.0, abs(exact)))
     elapsed = time.perf_counter() - t0
-    print(f"ACCEPTANCE n=12 (l0 lower <= oracle <= ADMM, dual; chain, nested, "
-          f"random): PASS - worst relative gap to the lower bound "
-          f"{worst_gap:.2e}, {elapsed:.1f}s")
+    print(f"ACCEPTANCE n=12 (l0 lower <= oracle <= ADMM, dual; 30 chain, nested, "
+          f"random, half weighted, and one chain at n=16): PASS - worst "
+          f"relative gap to the lower bound {worst_gap:.2e}, {elapsed:.1f}s")

@@ -481,12 +481,14 @@ class TestGen:
 
     @pytest.mark.parametrize("option, value", [
         ("--s", "-1"), ("--s", "0"), ("--s", "inf"), ("--lambda0", "nan"),
-        ("--lambda1", "-2"), ("--lambda", "inf"),
+        ("--lambda1", "-2"), ("--lambda", "inf"), ("--lambda1", "x"),
     ])
     def test_gen_rejects_what_solve_would(self, capsys, option, value):
+        # the message names the option typed, not the library's field
         assert run_cli(["gen", option, value]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage error: ") and captured.out == ""
+        assert captured.err.startswith(f"usage error: argument {option}: expected a ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("low, high", [("3", "2"), ("0", "0")])
     def test_gen_rejects_size_ranges_it_cannot_honour(self, capsys, low, high):

@@ -22,10 +22,12 @@ from sogl import (
 from sogl.instances import generate_instance
 from sogl.oracle import (
     _block_shrink,
+    _bound_costs,
     _count_term_ok,
     _dykstra,
     _Restricted,
     _shrink,
+    _support_enumerate,
 )
 from helpers import (
     count_term_ok_by_zeroing,
@@ -327,6 +329,87 @@ class TestReferenceAgreement:
         assert any(np.any(gs.overlap_counts == 0) for _, gs, _ in cases)
         assert all(not np.all(gs.weights == 1.0) for _, gs, _ in cases)
         assert cases[-1][2].lam1 == cases[-1][2].lam == 0.0
+
+
+def _full_enumeration(v, s, coeffs, lam1, lam0, gs):
+    """Value and minimizer of the least ``(value, S)`` over all 2^n
+    supports, unpruned."""
+    r = _Restricted(v, s, coeffs, lam1, lam0, gs)
+    S = min(range(1 << gs.n), key=r.value)
+    return r.value(S), r.minimizer(S)
+
+
+def _bound_case(rng, n):
+    """A weighted structure on n >= 2 variables whose first group is
+    repeated and whose last coordinate no group covers, with penalties at
+    random."""
+    groups = [sorted(rng.choice(n - 1, size=int(rng.integers(1, n)),
+                                replace=False).tolist())
+              for _ in range(int(rng.integers(1, 4)))]
+    groups.append(groups[0])
+    gs = GroupStructure(n, groups, weights=rng.uniform(0.3, 2.0, len(groups)))
+    coeffs = float(rng.uniform(0.05, 0.8)) * gs.weights
+    lam1 = float(rng.choice([0.0, rng.uniform(0.05, 0.5)]))
+    return gs, rng.normal(0, 1.5, n), float(rng.uniform(0.5, 2.0)), coeffs, lam1
+
+
+class TestPrunedEnumeration:
+    @pytest.mark.parametrize("lam0", [1e-6, 0.05, 1.0])
+    def test_bound_is_below_every_full_support_restricted_minimum(self, lam0):
+        # B(S) bounds the objective of every point whose support is exactly
+        # S, so it is below the restricted minimum wherever the restricted
+        # minimizer has no zero on S
+        rng = np.random.default_rng(int(lam0 * 1e6))
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            gs, v, s, coeffs, lam1 = _bound_case(rng, n)
+            assert gs.overlap_counts[-1] == 0
+            off, on = _bound_costs(v, s, coeffs, lam1, lam0, gs)
+            r = _Restricted(v, s, coeffs, lam1, lam0, gs)
+            for S in range(1 << n):
+                if np.count_nonzero(r.minimizer(S)) != bin(S).count("1"):
+                    continue
+                bound = sum(on[j] if S >> j & 1 else off[j] for j in range(n))
+                value = r.value(S)
+                assert bound <= value + 1e-12 * max(1.0, abs(value)), (S, bound, value)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_unpruned_enumeration(self, n):
+        # the pruned search against the least (value, S) over all supports,
+        # on the main objective, the l0 target, and an l1 term next to the
+        # count term, which only the bound's slope sees
+        for (mode, gs, inst), lam0 in zip(_agreement_cases(n),
+                                          (1e-6, 0.05, 1.0, 0.2)):
+            for args in ((inst.lam1 * gs.weights, 0.0, inst.lam0),
+                         (inst.lam * gs.weights, 0.0, lam0),
+                         (inst.lam * gs.weights, 0.3, lam0)):
+                res = _support_enumerate(inst.v, inst.s, *args, gs, n)
+                value, x = _full_enumeration(inst.v, inst.s, *args, gs)
+                assert abs(res.value - value) <= 1e-12 * max(1.0, abs(value)), mode
+                np.testing.assert_allclose(res.minimizer, x, rtol=0, atol=1e-9,
+                                           err_msg=mode)
+
+    @pytest.mark.parametrize("mode", ["chain", "nested", "random"])
+    def test_n12_evaluates_at_most_an_eighth_of_the_supports(self, mode,
+                                                             monkeypatch):
+        calls = []
+        value = _Restricted.value
+
+        def counted(self, S):
+            calls.append(S)
+            return value(self, S)
+
+        monkeypatch.setattr(_Restricted, "value", counted)
+        for seed in range(900, 906):
+            inst, gs = generate_instance(seed=seed, n=12, m=6,
+                                         group_size_range=(2, 5),
+                                         overlap_mode=mode).build()
+            calls.clear()
+            oracle_prox_l0_ogl(inst, gs)
+            assert 0 < len(calls) <= (1 << 12) // 8, (seed, len(calls))
 
 
 class TestInternals:
