@@ -159,12 +159,12 @@ def _norm(a: np.ndarray, sq: float) -> float:
 
 
 def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
-                   zb: np.ndarray, d: np.ndarray, u: np.ndarray, floors: tuple,
+                   zb: np.ndarray, u: np.ndarray, floors: tuple,
                    gs: GroupStructure, rho: float, eps_rel: float,
                    dual: bool = True) -> tuple:
     """Residuals and stop thresholds ``(r, s, eps_pri, eps_dual, finite)``.
 
-    r = ||d||, d = x - zb, zb = gather(z); s = rho*||k*(z - prev_z)||, k the
+    r = ||x - zb||, zb = gather(z); s = rho*||k*(z - prev_z)||, k the
     overlap counts; eps_pri = floors[0] + eps_rel*max(||x||, ||zb||) and
     eps_dual = floors[1] + eps_rel*rho*||scatter_add(u)||, u = y/rho the
     scaled multiplier, with the floors ``eps_abs*sqrt(max(p, 1))`` (p
@@ -177,6 +177,7 @@ def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
     xx, zz = x.dot(x), z.dot(z)
     finite = (math.isfinite(xx) and math.isfinite(zz)) or bool(
         np.isfinite(x).all() and np.isfinite(z).all())
+    d = x - zb
     r = _norm(d, d.dot(d))
     eps_pri = floors[0] + eps_rel * max(_norm(x, xx), _norm(zb, zb.dot(zb)))
     if not (dual or r <= eps_pri):
@@ -251,8 +252,7 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         dual = (trace is not None or it % DOUBLE_EVERY == 0
                 or it == cfg.max_iters)
         r_norm, s_norm, eps_pri, eps_dual, finite = residual_norms(
-            prev_z, x, z, zb, x - zb, u, floors, gs, pen.rho, cfg.eps_rel,
-            dual)
+            prev_z, x, z, zb, u, floors, gs, pen.rho, cfg.eps_rel, dual)
         if not finite:
             raise NonFiniteError(f"non-finite iterate at iteration {it}")
         if trace is not None:

@@ -12,9 +12,12 @@ The plain variant is the l1 variant at ``lam1 = 0``. The lower problems are
 separable closed forms. The l1 upper problem is the scaled-l2 prox at the
 soft-thresholded center (Yu 2013, "On Decomposing the Proximal Map"),
 solved by a contraction fixed point whose limit norm also solves a scalar
-equation (used as a bisection fallback and final polish). The l0-flavored
-upper problem is relaxed through the largest diagonal entry and solved
-exactly by top-k support enumeration.
+equation. Bisection on that equation runs only when the fixed point fails
+its check (not converged, equation residual above ``10*tol``, or
+stationarity residual above 1e-9): a traced 3 s run of each benchmark pool
+(seed 1) records no bisection in 1282 calls. The l0-flavored upper problem
+is relaxed through the largest diagonal entry and solved exactly by top-k
+support enumeration.
 """
 from __future__ import annotations
 
@@ -128,9 +131,12 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
     penalized block, x = 0 exactly when the inverse-scaled center norm is
     at most ``lam``; otherwise the minimizer is the unique fixed point of
     ``x -> (I + lam*U^2/||Ux||)^(-1) v``, iterated from ``x0`` (default v)
-    until successive scaled norms change by at most ``tol``. The limit norm
-    is then checked against the scalar fixed-point equation; bisection on
-    that equation serves as fallback and final polish.
+    until successive scaled norms change by at most ``tol``. The result is
+    then checked: the iteration must have converged, the limit norm must
+    solve the scalar fixed-point equation to ``10*tol``, and the
+    stationarity residual must be at most 1e-9. Only when a check fails is
+    the norm recomputed by bisection on that equation; the fixed point's
+    result is kept otherwise.
 
     Returns ``(x, value, FixedPointTrace)``.
 

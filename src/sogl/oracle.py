@@ -445,30 +445,6 @@ def oracle_ub_l0_subsets(v: np.ndarray, lam: float, lam0: float, diag,
     return OracleResult(value=best_val, minimizer=best_x, method="subset_full")
 
 
-def _min_norm_with_ball_multipliers(base: np.ndarray, zero_groups,
-                                    radii: np.ndarray,
-                                    passes: int = 500) -> float:
-    """min ||base + sum_i u_i||_2 over blocks u_i supported on each zero
-    group with ||u_i|| <= radii[i], by cyclic block minimization."""
-    if not zero_groups:
-        return float(np.linalg.norm(base))
-    total = base.copy()
-    mults = [np.zeros(g.size) for g in zero_groups]
-    prev = math.inf
-    for _ in range(passes):
-        for i, (g, radius) in enumerate(zip(zero_groups, radii)):
-            w = total[g] - mults[i]
-            nrm = float(np.linalg.norm(w))
-            target = -w if nrm <= radius else -(radius / nrm) * w
-            total[g] += target - mults[i]
-            mults[i] = target
-        cur = float(np.linalg.norm(total))
-        if prev - cur <= 1e-14 * (1.0 + cur):
-            break
-        prev = cur
-    return float(np.linalg.norm(total))
-
-
 def stationarity_check(x: np.ndarray, inst: ProxInstance,
                        gs: GroupStructure, tol: float = 1e-6):
     """First-order check of the main objective at ``x``.
@@ -482,7 +458,12 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     zeroing any one nonzero coordinate must not decrease the objective.
 
     Returns ``(ok, residual)`` where residual measures the subgradient
-    inclusion.
+    inclusion. With a count term it is the gradient's norm on the support.
+    Without one it is ``min ||r + sum_i u_i||`` over the multipliers, r the
+    rest of the subgradient; by Moreau's decomposition that is
+    ``||prox_f(r)||`` for ``f = sum_i lam1*w_i*||x_{G_i}||_2`` over the
+    zero blocks, computed by :func:`_dykstra` (stopped at ``1e-10*(1 +
+    ||r||)`` or after 500 passes).
     """
     x = np.asarray(x, dtype=float)
     r = (x - inst.v) / inst.s
@@ -498,8 +479,9 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
         residual = float(np.linalg.norm(r[supp])) if supp.any() else 0.0
     else:
         zero = np.flatnonzero((nrm == 0) & (radii > 0))
-        residual = _min_norm_with_ball_multipliers(
-            r, [gs.groups[i] for i in zero], radii[zero])
+        residual = float(np.linalg.norm(_dykstra(
+            r, [(gs.groups[i], radii[i]) for i in zero], 0.0, tol=1e-10,
+            max_passes=500)))
     ok = residual <= tol
     if ok and inst.lam0 > 0:
         ok = _count_term_ok(x, inst, gs)

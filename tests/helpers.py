@@ -317,6 +317,47 @@ def count_term_ok_by_zeroing(x, inst, gs):
     return True
 
 
+def _min_norm_with_ball_multipliers(base: np.ndarray, zero_groups,
+                                    radii: np.ndarray,
+                                    passes: int = 500) -> float:
+    """min ||base + sum_i u_i||_2 over blocks u_i supported on each zero
+    group with ||u_i|| <= radii[i], by cyclic block minimization."""
+    if not zero_groups:
+        return float(np.linalg.norm(base))
+    total = base.copy()
+    mults = [np.zeros(g.size) for g in zero_groups]
+    prev = math.inf
+    for _ in range(passes):
+        for i, (g, radius) in enumerate(zip(zero_groups, radii)):
+            w = total[g] - mults[i]
+            nrm = float(np.linalg.norm(w))
+            target = -w if nrm <= radius else -(radius / nrm) * w
+            total[g] += target - mults[i]
+            mults[i] = target
+        cur = float(np.linalg.norm(total))
+        if prev - cur <= 1e-14 * (1.0 + cur):
+            break
+        prev = cur
+    return float(np.linalg.norm(total))
+
+
+def convex_stationarity_residual_reference(x, inst, gs):
+    """Reference for the residual of ``sogl.stationarity_check`` without a
+    count term: the gradient of the quadratic plus each nonzero block's
+    ``lam1*w_i*x_G/||x_G||``, summed group by group, then the least norm
+    over the zero blocks' multipliers by cyclic block minimization."""
+    r = (x - inst.v) / inst.s
+    zero_groups, radii = [], []
+    for g, w in zip(gs.groups, gs.weights):
+        nrm = float(np.linalg.norm(x[g]))
+        if nrm > 0:
+            r[g] += inst.lam1 * w * x[g] / nrm
+        elif inst.lam1 * w > 0:
+            zero_groups.append(g)
+            radii.append(inst.lam1 * w)
+    return _min_norm_with_ball_multipliers(r, zero_groups, np.array(radii))
+
+
 def first_group_defect(groups, n):
     """Reference for the index checks of ``sogl.instance_from_dict`` and
     ``sogl.GroupStructure``: the message of the first defect met reading

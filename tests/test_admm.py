@@ -230,8 +230,8 @@ class TestResiduals:
         gs = random_structure(rng)
         _, z, u = make_state(rng, gs)
         zb = gather(z, gs)
-        r, s, *_ = residual_norms(z.copy(), zb, z, zb, zb - zb, u, (0.0, 0.0),
-                                  gs, 1.0, 1e-6)
+        r, s, *_ = residual_norms(z.copy(), zb, z, zb, u, (0.0, 0.0), gs, 1.0,
+                                  1e-6)
         assert r == 0.0 and s == 0.0
 
     def test_matches_independent_recomputation(self):
@@ -242,7 +242,7 @@ class TestResiduals:
         rho = 1.3
         zb = gather(z, gs)
         r, s, eps_pri, eps_dual, finite = residual_norms(
-            prev_z, x, z, zb, x - zb, u, (0.25, 0.5), gs, rho, 0.1)
+            prev_z, x, z, zb, u, (0.25, 0.5), gs, rho, 0.1)
         # recompute from scratch with plain loops
         r2 = 0.0
         for i, g in enumerate(gs.groups):
@@ -274,7 +274,7 @@ class TestResiduals:
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         x, z, u = make_state(rng, gs)
         zb = gather(z, gs)
-        args = (rng.normal(size=3), x, z, zb, x - zb, u)
+        args = (rng.normal(size=3), x, z, zb, u)
         full = residual_norms(*args, (0.25, 0.5), gs, 1.3, 0.1)
         assert full[0] > full[2]  # the primal test fails
         # skipped while the primal test fails, unless asked for
@@ -296,7 +296,7 @@ class TestResiduals:
             z[0 if where == "covered-z" else 2] = bad
         zb = gather(z, gs)
         with np.errstate(invalid="ignore"):
-            *_, finite = residual_norms(np.ones(3), x, z, zb, x - zb, np.ones(2),
+            *_, finite = residual_norms(np.ones(3), x, z, zb, np.ones(2),
                                         (0.0, 0.0), gs, 1.0, 1e-6)
         assert not finite
 
@@ -306,8 +306,8 @@ class TestResiduals:
         zb = gather(z, gs)
         with np.errstate(over="ignore"):
             r, _, eps_pri, _, finite = residual_norms(
-                np.zeros(2), x, z, zb, x - zb, np.zeros(2), (0.0, 0.0), gs,
-                1.0, 1e-6)
+                np.zeros(2), x, z, zb, np.zeros(2), (0.0, 0.0), gs, 1.0,
+                1e-6)
         # each overflowing norm is computed with scaling, not left infinite
         assert finite and r == pytest.approx(2e200, rel=1e-15)
         assert eps_pri == pytest.approx(1e-6 * math.sqrt(2.0) * 1e200, rel=1e-15)

@@ -30,6 +30,7 @@ from sogl.oracle import (
     _support_enumerate,
 )
 from helpers import (
+    convex_stationarity_residual_reference,
     count_term_ok_by_zeroing,
     oracle_variant_reference,
     random_instance,
@@ -242,6 +243,29 @@ class TestStationarityCheck:
         assert not ok
         assert residual == pytest.approx(inst.lam1 * abs(w - 1.0), rel=1e-12)
 
+    def test_matches_cyclic_multiplier_reference(self):
+        # without a count term the residual is the norm of the zero blocks'
+        # prox by Dykstra; the cyclic least-norm multiplier search solves
+        # the same problem from the dual side
+        rng = np.random.default_rng(21)
+        points = [(np.zeros(2), ProxInstance(
+            v=np.array([0.341125, 0.927026]), s=1.0, lam1=1.0, lam=1.0),
+            GroupStructure(2, [[0, 1], [0, 1], [0]],
+                           weights=[0.627478, 0.3046, 1.789106]))]
+        for i in range(500):
+            gs = random_structure(rng, max_n=8, max_m=5, weighted=bool(i % 2))
+            inst = random_instance(rng, gs, lam1_range=(0.05, 2.0), v_scale=1.0)
+            points.append((np.zeros(gs.n), inst, gs))
+            points.append((oracle_prox_l0_ogl(inst, gs).minimizer, inst, gs))
+        verdicts = set()
+        for x, inst, gs in points:
+            ok, residual = stationarity_check(x, inst, gs)
+            expected = convex_stationarity_residual_reference(x, inst, gs)
+            assert ok == (expected <= 1e-6), (x, inst, gs.groups)
+            assert abs(residual - expected) <= 1e-8, (residual, expected)
+            verdicts.add((bool(x.any()), ok))
+        assert verdicts >= {(False, False), (False, True), (True, True)}
+
     def test_flags_improvable_support(self):
         # zeroing the second coordinate strictly improves the objective
         gs = GroupStructure(2, [[0], [1]])
@@ -375,6 +399,28 @@ class TestPrunedEnumeration:
                 assert bound <= value + 1e-12 * max(1.0, abs(value)), (S, bound, value)
                 checked += 1
         assert checked > 100
+
+    def test_root_bound_is_the_diagonal_l0_lower_bound(self):
+        # at lam = lam1 the search's root bound, sum(min(off_j, on_j)), is
+        # the paper's diagonal l0 lower bound: two derivations that share
+        # no code agree
+        rng = np.random.default_rng(6)
+        for i in range(300):
+            n = int(rng.integers(3, 301))
+            lam0, lam = rng.uniform(0.01, 0.5), rng.uniform(0.02, 1.0)
+            inst, gs = generate_instance(
+                seed=int(rng.integers(2**31)), n=n, m=max(n // 2, 1),
+                group_size_range=(2, 5),
+                overlap_mode=("chain", "nested", "random")[i % 3],
+                s=float(rng.uniform(0.5, 2.0)), lambda0=float(lam0),
+                lambda1=float(lam), lambda_=float(lam)).build()
+            if i % 2:
+                gs = GroupStructure(n, gs.groups, weights=rng.uniform(0.3, 3.0, gs.m))
+            off, on = _bound_costs(inst.v, inst.s, inst.lam * gs.weights, 0.0,
+                                   inst.lam0, gs)
+            root = sum(map(min, off, on))
+            lower = sandwich(inst, gs, "l0").lower_value
+            assert abs(root - lower) <= 1e-12 * abs(lower), (i, root, lower)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_unpruned_enumeration(self, n):
