@@ -28,7 +28,6 @@ from .oracle import (
     OracleResult,
     TooLargeError,
     oracle_c_scan,
-    oracle_grid_1d,
     oracle_prox_l0_ogl,
     oracle_ub_l0_subsets,
     oracle_variant,

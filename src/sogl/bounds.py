@@ -31,7 +31,6 @@ from .model import GroupStructure, ProxInstance, scatter_add
 __all__ = [
     "FixedPointTrace",
     "BoundsReport",
-    "ZeroCenterError",
     "lower_diag",
     "upper_diag",
     "scaled_l2_prox",
@@ -43,16 +42,12 @@ __all__ = [
 ]
 
 
-class ZeroCenterError(ValueError):
-    """The fixed-point map is undefined when the penalized center is zero."""
-
-
 @dataclass
 class FixedPointTrace:
     """Diagnostics of one fixed-point solve.
 
     ``norms[k]`` is the scaled norm of iterate k (index 0 is the starting
-    point); step k multiplies coordinate j of the center by the factor
+    point v); step k multiplies coordinate j of the center by the factor
     ``norms[k] / (norms[k] + lam*u_j**2)``. ``c`` is the limit of the norm
     sequence and ``fp_residual`` how well it solves the scalar fixed-point
     equation.
@@ -124,14 +119,14 @@ def _bisect_c(uv_sq: np.ndarray, lam_u_sq: np.ndarray, hi: float) -> float:
 
 
 def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
-                   max_iters: int = 10000, x0: np.ndarray = None):
+                   max_iters: int = 10000):
     """Minimize ``0.5*||x - v||^2 + lam*||diag(u) x||_2``.
 
     Coordinates with a zero diagonal entry pass through (x_j = v_j). On the
     penalized block, x = 0 exactly when the inverse-scaled center norm is
     at most ``lam``; otherwise the minimizer is the unique fixed point of
-    ``x -> (I + lam*U^2/||Ux||)^(-1) v``, iterated from ``x0`` (default v)
-    until successive scaled norms change by at most ``tol``. The result is
+    ``x -> (I + lam*U^2/||Ux||)^(-1) v``, iterated from v until successive
+    scaled norms change by at most ``tol``. The result is
     then checked: the iteration must have converged, the limit norm must
     solve the scalar fixed-point equation to ``10*tol``, and the
     stationarity residual must be at most 1e-9. Only when a check fails is
@@ -139,11 +134,6 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
     result is kept otherwise.
 
     Returns ``(x, value, FixedPointTrace)``.
-
-    Raises
-    ------
-    ZeroCenterError
-        If an explicit ``x0`` has zero scaled norm (map undefined there).
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
@@ -167,10 +157,8 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
         x[penalized] = 0.0
         return x, value_at(x), trace
 
-    x = v.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    c = float(np.linalg.norm(u * x))
-    if c == 0.0:
-        raise ZeroCenterError("starting point has zero scaled norm")
+    x = v.copy()
+    c = float(np.linalg.norm(u * x))  # positive: the zero test failed
     trace.norms.append(c)
     lam_u_sq = lam * u**2
     converged = False

@@ -113,22 +113,6 @@ def _number_array(values: list, where: str) -> np.ndarray:
     return np.array(values, dtype=float)  # subclasses of int or float
 
 
-def _group_structure(groups: list, n: int, weights) -> GroupStructure:
-    """The structure of the index groups and their weights;
-    ``ValidationError`` names the first defect of the groups in reading
-    order (group by group, each group's entries in turn), else the first of
-    the weights."""
-    i = None if set(map(type, groups)) <= {list} else next(
-        (i for i, g in enumerate(groups) if not isinstance(g, list)), None)
-    try:
-        if i is None:
-            return GroupStructure(n, groups, weights)
-        GroupStructure(n, groups[:i])  # a defect before group i comes first
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    raise ValidationError(f"groups[{i}]: expected an array of indices")
-
-
 def instance_from_dict(data: dict) -> InstanceFile:
     """Validate a decoded JSON object against the instance schema and build
     the instance it describes."""
@@ -154,7 +138,10 @@ def instance_from_dict(data: dict) -> InstanceFile:
         if not isinstance(weights, list):
             raise ValidationError("weights: expected an array of numbers")
         weights = _number_array(weights, "weights")
-    gs = _group_structure(groups, v.size, weights)
+    try:
+        gs = GroupStructure(v.size, groups, weights)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
     s = _require_number(data["s"], "s")
     if not s > 0:

@@ -30,8 +30,9 @@ __all__ = [
 
 
 class GroupDefectError(ValueError):
-    """Index groups with defects; ``defects`` lists them as ``(i, j, kind)``,
-    and the message names the first, e.g. ``groups[1][0]: repeated index 4``."""
+    """Index groups with a defect; the message names it, e.g.
+    ``groups[1][0]: repeated index 4``, and ``defects`` holds it as the one
+    entry ``(i, j, kind)``."""
 
     def __init__(self, message: str, defects: list):
         super().__init__(message)
@@ -42,10 +43,14 @@ class GroupStructure:
     """Index groups over ``n`` variables, with per-group positive weights.
 
     Groups may overlap arbitrarily (including duplicated groups); variables
-    covered by no group are allowed. Indices are 0-based. The groups are
-    checked first (``GroupDefectError`` names the first defect), then the
-    weights: one per group, each positive and finite, or a ``ValueError``
-    names the first bad one as ``weights[i]``.
+    covered by no group are allowed. A group is a list, a tuple or a 1-D
+    numpy array of distinct integer indices in ``[0, n)`` (numpy integers
+    count, bools do not), and it is not empty. The groups are checked first:
+    ``GroupDefectError`` names the first defect in reading order, group by
+    group and each group's entries in turn, and a group of another type is
+    named as ``groups[i]: expected an array of indices``. Then the weights:
+    one per group, each positive and finite, or a ``ValueError`` names the
+    first bad one as ``weights[i]``.
 
     Attributes
     ----------
@@ -70,19 +75,17 @@ class GroupStructure:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
         m = len(groups)
-        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=m)
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-        block = np.repeat(np.arange(m, dtype=np.int64), sizes)
-        flat, defects = _index_defects(groups, block, self.offsets, n)
-        if defects:  # the first in reading order: by group, then by entry
-            i, j, kind = min(defects, key=lambda d: d[:2])
-            idx = None if kind == "empty" else list(groups[i])[j]
+        layout = _stacked_layout(groups, n)
+        if layout is None:
+            i, j, kind = _first_defect(groups, n)
+            idx = groups[i][j] if kind in ("range", "repeat") else None
             raise GroupDefectError({
+                "not-array": f"groups[{i}]: expected an array of indices",
                 "empty": f"groups[{i}]: group is empty",
                 "not-int": f"groups[{i}][{j}]: expected an integer index",
                 "range": f"groups[{i}][{j}]: index {idx} out of range for n={n}",
                 "repeat": f"groups[{i}][{j}]: repeated index {idx}",
-            }[kind], defects)
+            }[kind], [(i, j, kind)])
         w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (m,):
             raise ValueError(
@@ -93,10 +96,9 @@ class GroupStructure:
             raise ValueError(f"weights[{i}]: must be "
                              + ("finite" if w[i] > 0 else "strictly positive"))
         self.weights = w
-        self.sizes = sizes
-        self.flat_index = flat
-        self.block_index = block
-        self.overlap_counts = np.bincount(flat, minlength=n)
+        self.sizes, self.block_index, self.flat_index = layout
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.intp)
+        self.overlap_counts = np.bincount(self.flat_index, minlength=n)
 
     @functools.cached_property
     def groups(self) -> list:
@@ -115,56 +117,61 @@ class GroupStructure:
         return int(self.offsets[-1])
 
 
-def _index_defects(groups: list, block: np.ndarray, offsets: np.ndarray,
-                   n: int) -> tuple:
-    """Stack the groups' indices and locate the first defect of each kind.
+def _is_group(g) -> bool:
+    return isinstance(g, (list, tuple)) or isinstance(g, np.ndarray) and g.ndim == 1
 
-    Group i goes to ``offsets[i]:offsets[i+1]`` of the stacked array, and
-    ``block`` holds the group of every stacked position. Returns ``(flat,
-    defects)``: ``defects`` lists ``(i, j, kind)``, at most one per kind
-    and in this order, where entry j of group i is the defect: the first
-    empty group (``j = -1``, kind ``"empty"``), the first entry that is not
-    an integer (``"not-int"``; bools are not integers), before that one the
-    first index outside ``[0, n)`` (``"range"``), and before that one the
-    first index that repeats an earlier index of its group (``"repeat"``).
-    When ``defects`` is empty every group is a non-empty set of valid
-    indices and ``flat`` is their concatenation.
-    """
+
+def _is_index(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
+def _stacked_layout(groups: list, n: int):
+    """``(sizes, block_index, flat_index)`` of valid groups, else None.
+
+    Group and entry types are checked once per distinct type (each array
+    group for its shape); range, emptiness and repeats are then read from
+    the sorted keys ``block*n + index``, without a loop over the groups."""
+    kinds = set(map(type, groups))
+    if not kinds <= {list, tuple} and not all(map(_is_group, groups)):
+        return None
     entries = list(itertools.chain.from_iterable(groups))
-    odd = {t for t in set(map(type, entries))
-           if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
-    if odd:  # stack the entries before the first non-integer only
-        entries = entries[:next(k for k, x in enumerate(entries) if type(x) in odd)]
+    if not all(map(_is_index, set(map(type, entries)))):
+        return None
     try:
         flat = np.fromiter(entries, dtype=np.intp, count=len(entries))
-    except OverflowError:  # clipping keeps in range exactly the valid indices
-        flat = np.fromiter((min(max(x, -1), n) for x in entries),
-                           dtype=np.intp, count=len(entries))
-    defects = []
-    empty = np.flatnonzero(np.diff(offsets) == 0)
-    if empty.size:
-        defects.append((int(empty[0]), -1, "empty"))
-    if odd:
-        defects.append(_locate(flat.size, offsets) + ("not-int",))
-    # repeats are looked for before the first out-of-range index only, so
-    # that an index of n or more cannot alias one of the next group
-    bad = np.flatnonzero((flat < 0) | (flat >= n))
-    end = int(bad[0]) if bad.size else flat.size
-    if bad.size:
-        defects.append(_locate(end, offsets) + ("range",))
-    key = block[:end] * n + flat[:end]
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    later = order[1:][ordered[1:] == ordered[:-1]]
-    if later.size:
-        defects.append(_locate(int(later.min()), offsets) + ("repeat",))
-    return flat, defects
+    except OverflowError:  # an index beyond the integer range
+        return None
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    if not sizes.all() or flat.size and (flat.min() < 0 or flat.max() >= n):
+        return None
+    block = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    key = np.sort(block * n + flat)
+    if (key[1:] == key[:-1]).any():
+        return None
+    return sizes, block, flat
 
 
-def _locate(k: int, offsets: np.ndarray) -> tuple:
-    """(group, position within it) of stacked position ``k``."""
-    i = int(np.searchsorted(offsets, k, "right")) - 1
-    return i, k - int(offsets[i])
+def _first_defect(groups: list, n: int) -> tuple:
+    """``(i, j, kind)`` of the first defect of the groups in reading order:
+    group i is not a list, tuple or 1-D array (``"not-array"``) or is empty
+    (``"empty"``), both with ``j = -1``, or its entry j is not an integer
+    (``"not-int"``), lies outside ``[0, n)`` (``"range"``) or repeats an
+    earlier entry of its group (``"repeat"``). None when there is none."""
+    for i, g in enumerate(groups):
+        if not _is_group(g):
+            return i, -1, "not-array"
+        if len(g) == 0:
+            return i, -1, "empty"
+        seen = set()
+        for j, idx in enumerate(g):
+            if not _is_index(type(idx)):
+                return i, j, "not-int"
+            if not 0 <= idx < n:
+                return i, j, "range"
+            if idx in seen:
+                return i, j, "repeat"
+            seen.add(idx)
+    return None
 
 
 @dataclass

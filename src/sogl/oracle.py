@@ -42,7 +42,6 @@ __all__ = [
     "TooLargeError",
     "oracle_prox_l0_ogl",
     "oracle_variant",
-    "oracle_grid_1d",
     "oracle_c_scan",
     "oracle_ub_l0_subsets",
     "stationarity_check",
@@ -62,7 +61,7 @@ class OracleResult:
 
     value: float
     minimizer: np.ndarray
-    method: str  # support_enum | grid_1d | c_scan | subset_full
+    method: str  # support_enum | c_scan | subset_full
 
 
 def _shrink(u: np.ndarray, t: float) -> np.ndarray:
@@ -342,31 +341,6 @@ def _golden_refine(objective, lo: float, hi: float, tol: float = 1e-9):
     return xm, objective(xm)
 
 
-def oracle_grid_1d(objective, lo: float, hi: float,
-                   resolution: float = 1e-3) -> OracleResult:
-    """Coarse scan plus golden-section refinement of a 1-D objective.
-
-    Refines around the best grid cell and around zero (the count term is
-    discontinuous there) and always evaluates 0 itself.
-    """
-    xs = np.arange(lo, hi + resolution, resolution)
-    if not ((xs >= -resolution) & (xs <= resolution)).any():
-        xs = np.append(xs, 0.0)
-    vals = np.array([objective(float(x)) for x in xs])
-    best = int(np.argmin(vals))
-    cands = []
-    x_lo = max(lo, float(xs[best]) - resolution)
-    x_hi = min(hi, float(xs[best]) + resolution)
-    cands.append(_golden_refine(objective, x_lo, x_hi))
-    if lo <= 0.0 <= hi:
-        cands.append(_golden_refine(objective, max(lo, -resolution),
-                                    min(hi, resolution)))
-        cands.append((0.0, objective(0.0)))
-    xm, fm = min(cands, key=lambda t: t[1])
-    return OracleResult(value=float(fm), minimizer=np.array([xm]),
-                        method="grid_1d")
-
-
 def oracle_c_scan(v: np.ndarray, lam: float, diag) -> OracleResult:
     """Scan the scaled-l2 prox along its one-parameter solution family.
 
@@ -463,7 +437,12 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     rest of the subgradient; by Moreau's decomposition that is
     ``||prox_f(r)||`` for ``f = sum_i lam1*w_i*||x_{G_i}||_2`` over the
     zero blocks, computed by :func:`_dykstra` (stopped at ``1e-10*(1 +
-    ||r||)`` or after 500 passes).
+    ||r||)`` or after 500 passes). Dykstra's iterate p is r less one
+    correction in each ball, so ``||p||`` bounds that least norm from above
+    and the support function ``(p.r - sum_i lam1*w_i*||p_{G_i}||)/||p||``
+    bounds it from below. Only when ``||p|| > tol`` and the lower bound
+    leaves the verdict open does Dykstra run again, with its 4000-pass
+    budget, and the residual is the rerun's.
     """
     x = np.asarray(x, dtype=float)
     r = (x - inst.v) / inst.s
@@ -479,9 +458,12 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
         residual = float(np.linalg.norm(r[supp])) if supp.any() else 0.0
     else:
         zero = np.flatnonzero((nrm == 0) & (radii > 0))
-        residual = float(np.linalg.norm(_dykstra(
-            r, [(gs.groups[i], radii[i]) for i in zero], 0.0, tol=1e-10,
-            max_passes=500)))
+        blocks = [(gs.groups[i], radii[i]) for i in zero]
+        p = _dykstra(r, blocks, 0.0, tol=1e-10, max_passes=500)
+        residual = float(np.linalg.norm(p))
+        if residual > tol and (p.dot(r) - radii[zero].dot(
+                _block_norms(p[gs.flat_index], gs)[zero])) / residual <= tol:
+            residual = float(np.linalg.norm(_dykstra(r, blocks, 0.0, tol=1e-10)))
     ok = residual <= tol
     if ok and inst.lam0 > 0:
         ok = _count_term_ok(x, inst, gs)

@@ -17,6 +17,7 @@ from sogl.model import (
     objective_value,
     scatter_add,
 )
+from sogl.oracle import OracleResult, _golden_refine
 
 
 def random_structure(rng, n=None, m=None, max_n=8, max_m=3, weighted=False):
@@ -304,6 +305,46 @@ def upper_bound_l1_masked(v, lam, lam1, diag):
     return x, value
 
 
+def oracle_grid_1d(objective, lo: float, hi: float,
+                   resolution: float = 1e-3) -> OracleResult:
+    """Coarse scan plus golden-section refinement of a 1-D objective.
+
+    Refines around the best grid cell and around zero (the count term is
+    discontinuous there) and always evaluates 0 itself.
+    """
+    xs = np.arange(lo, hi + resolution, resolution)
+    if not ((xs >= -resolution) & (xs <= resolution)).any():
+        xs = np.append(xs, 0.0)
+    vals = np.array([objective(float(x)) for x in xs])
+    best = int(np.argmin(vals))
+    cands = []
+    x_lo = max(lo, float(xs[best]) - resolution)
+    x_hi = min(hi, float(xs[best]) + resolution)
+    cands.append(_golden_refine(objective, x_lo, x_hi))
+    if lo <= 0.0 <= hi:
+        cands.append(_golden_refine(objective, max(lo, -resolution),
+                                    min(hi, resolution)))
+        cands.append((0.0, objective(0.0)))
+    xm, fm = min(cands, key=lambda t: t[1])
+    return OracleResult(value=float(fm), minimizer=np.array([xm]),
+                        method="grid_1d")
+
+
+def scaled_l2_fixed_point_from(v, lam, u, x0, tol=1e-10, max_iters=10000):
+    """The fixed-point iteration of ``sogl.bounds.scaled_l2_prox`` started at
+    ``x0`` instead of v: ``x -> (c/(c + lam*u^2))*v`` with ``c = ||u*x||``,
+    until successive values of c change by at most ``tol``."""
+    c = float(np.linalg.norm(u * x0))
+    x = x0
+    for _ in range(max_iters):
+        x = (c / (c + lam * u**2)) * v
+        c_next = float(np.linalg.norm(u * x))
+        if abs(c_next - c) <= tol:
+            break
+        c = c_next
+    return x
+
+
 def count_term_ok_by_zeroing(x, inst, gs):
     """Reference for the count-term test of ``sogl.stationarity_check``:
     zero each nonzero coordinate in turn and evaluate the whole objective
@@ -359,18 +400,22 @@ def convex_stationarity_residual_reference(x, inst, gs):
 
 
 def first_group_defect(groups, n):
-    """Reference for the index checks of ``sogl.instance_from_dict`` and
-    ``sogl.GroupStructure``: the message of the first defect met reading
-    the groups entry by entry, or None when there is none."""
+    """Reference for the group rule of ``sogl.GroupStructure`` and
+    ``sogl.instance_from_dict``: the message of the first defect met reading
+    the groups entry by entry, or None when there is none. A group is a
+    list, a tuple or a 1-D numpy array; an index is a Python or numpy
+    integer that is not a bool."""
     for i, g in enumerate(groups):
-        if not isinstance(g, list):
+        if not (isinstance(g, (list, tuple))
+                or isinstance(g, np.ndarray) and g.ndim == 1):
             return f"groups[{i}]: expected an array of indices"
-        if not g:
+        if not len(g):
             return f"groups[{i}]: group is empty"
         seen = set()
         for j, idx in enumerate(g):
-            if isinstance(idx, bool) or not isinstance(idx, int):
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
                 return f"groups[{i}][{j}]: expected an integer index"
+            idx = int(idx)
             if idx < 0 or idx >= n:
                 return f"groups[{i}][{j}]: index {idx} out of range for n={n}"
             if idx in seen:
@@ -379,15 +424,38 @@ def first_group_defect(groups, n):
     return None
 
 
+# values that are not a group: JSON scalars and objects, and numpy arrays
+# that are not 1-D
+NOT_ARRAYS = (3, 2.5, "ab", None, {"0": 0}, True, np.array(1), np.array([[1, 2]]))
+
+GROUP_FORMS = ("list", "tuple", "int8", "int32", "int64", "uint64")
+
+GROUP_DEFECTS = ("not-int", "bool", "range", "repeat", "empty", "not-array")
+
+
+def _in_form(g: list, form: str):
+    """Group ``g`` as a list, a tuple or an integer array of dtype ``form``;
+    a group whose entries the dtype cannot hold stays a list."""
+    if form == "tuple":
+        return tuple(g)
+    if form != "list":
+        info = np.iinfo(form)
+        if all(type(idx) is int and info.min <= idx <= info.max for idx in g):
+            return np.array(g, dtype=form)
+    return g
+
+
 @st.composite
-def groups_with_defects(draw, kinds, max_defects=1, big=2**70):
+def groups_with_defects(draw, kinds, max_defects=1, big=2**70, forms=("list",)):
     """Valid index groups over ``n`` variables with defects injected.
 
     Each defect is one of ``kinds`` at a drawn group i and entry j:
     ``"not-int"``, ``"bool"``, ``"range"`` (an index outside [0, n), up to
     ``big`` away), ``"repeat"`` (entry j copies an earlier entry of its
-    group), ``"empty"`` or ``"not-list"`` (group i replaced). Returns
-    ``(n, groups, (kind, i, j))`` with the last defect injected.
+    group), ``"empty"`` or ``"not-array"`` (group i replaced by one of
+    ``NOT_ARRAYS``). Every group that is left is then drawn in one of
+    ``forms`` (see ``GROUP_FORMS``). Returns ``(n, groups, (kind, i, j))``
+    with the last defect injected.
     """
     n = draw(st.integers(1, 10))
     groups = draw(st.lists(
@@ -401,9 +469,9 @@ def groups_with_defects(draw, kinds, max_defects=1, big=2**70):
         g = groups[i]
         j = draw(st.integers(0, len(g) - 1))
         if kind == "not-int":
-            g[j] = draw(st.sampled_from([1.5, 2.0, "3", None, [0]]))
+            g[j] = draw(st.sampled_from([1.5, 2.0, "3", None, [0], np.float64(1.0)]))
         elif kind == "bool":
-            g[j] = draw(st.booleans())
+            g[j] = draw(st.sampled_from([True, False, np.True_]))
         elif kind == "range":
             g[j] = draw(st.one_of(st.integers(n, n + big), st.integers(-big, -1)))
         elif kind == "repeat":
@@ -414,7 +482,9 @@ def groups_with_defects(draw, kinds, max_defects=1, big=2**70):
         elif kind == "empty":
             groups[i] = []
         else:
-            groups[i] = draw(st.sampled_from([3, "ab", (0,), None, {"0": 0}]))
+            groups[i] = draw(st.sampled_from(NOT_ARRAYS))
+    groups = [_in_form(g, draw(st.sampled_from(forms))) if isinstance(g, list) else g
+              for g in groups]
     return n, groups, (kind, i, j)
 
 

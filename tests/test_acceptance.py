@@ -32,7 +32,7 @@ from sogl.bounds import lower_diag, scaled_l2_prox, upper_bound_l0, upper_diag
 from sogl.dual import dual_y_step, dual_z_step
 from sogl.instances import generate_instance
 from sogl.model import gather, scatter_add, group_norm_sum
-from helpers import stacked_normal, z_step_scaled_space
+from helpers import scaled_l2_fixed_point_from, stacked_normal, z_step_scaled_space
 
 
 def _random_structure(rng, max_n=8, max_m=3, weighted=False):
@@ -165,8 +165,8 @@ def test_c4_fixed_point_diagnostics():
         gap = abs(val - scan.value) / max(1.0, abs(scan.value))
         worst_scan = max(worst_scan, gap)
         assert gap <= 1e-6
-        # (e) initialization independence
-        x2, _, _ = scaled_l2_prox(v, lam, u, tol=1e-10, x0=0.01 * v)
+        # (e) initialization independence: the same map from another start
+        x2 = scaled_l2_fixed_point_from(v, lam, u, 0.01 * v, tol=1e-10)
         assert float(np.linalg.norm(x - x2)) <= 1e-8
     print(f"ACCEPTANCE C4 (fixed point, 500 draws): PASS - max stationarity "
           f"{max_station:.2e}, max equation residual {max_resid:.2e}, "

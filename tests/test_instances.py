@@ -22,6 +22,8 @@ from sogl.admm import SolveReport
 from sogl.instances import NonFiniteNumberError, trace_to_csv, write_atomic
 from helpers import (
     EDGE_FLOATS,
+    GROUP_DEFECTS,
+    GROUP_FORMS,
     first_group_defect,
     groups_with_defects,
     records,
@@ -202,11 +204,8 @@ class TestNonFiniteNumbers:
             instance_from_dict(data)
 
 
-INDEX_DEFECTS = ("not-int", "bool", "range", "repeat", "empty", "not-list")
-
-
 class TestGroupDefects:
-    @given(case=groups_with_defects(INDEX_DEFECTS))
+    @given(case=groups_with_defects(GROUP_DEFECTS, forms=GROUP_FORMS))
     @settings(max_examples=300, deadline=None)
     def test_one_defect_named_at_its_position(self, case):
         n, groups, (kind, i, j) = case
@@ -224,7 +223,7 @@ class TestGroupDefects:
             instance_from_dict(dict(MINIMAL, v=[0.0] * n, groups=groups))
         assert str(exc.value) == expected
 
-    @given(case=groups_with_defects(INDEX_DEFECTS, max_defects=4))
+    @given(case=groups_with_defects(GROUP_DEFECTS, max_defects=4, forms=GROUP_FORMS))
     @settings(max_examples=300, deadline=None)
     def test_first_of_several_defects_in_reading_order(self, case):
         n, groups, _ = case
@@ -234,9 +233,7 @@ class TestGroupDefects:
             instance_from_dict(dict(MINIMAL, v=[0.0] * n, groups=groups))
         assert str(exc.value) == expected
 
-
-    @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty"),
-                                    max_defects=4))
+    @given(case=groups_with_defects(GROUP_DEFECTS, max_defects=4, forms=GROUP_FORMS))
     @settings(max_examples=300, deadline=None)
     def test_library_names_the_same_defect(self, case):
         n, groups, _ = case
@@ -245,6 +242,12 @@ class TestGroupDefects:
         with pytest.raises(ValidationError) as reader:
             instance_from_dict(dict(MINIMAL, v=[0.0] * n, groups=groups))
         assert str(lib.value) == str(reader.value)
+
+    def test_tuple_and_array_groups_accepted(self):
+        # a dict built in Python may hold any group the library takes
+        groups = [(0, 1), np.array([1, 2], dtype=np.int8), [2]]
+        gs = instance_from_dict(dict(MINIMAL, v=[0.0] * 3, groups=groups)).gs
+        assert [g.tolist() for g in gs.groups] == [[0, 1], [1, 2], [2]]
 
 
 class TestCanonicalSerialization:

@@ -11,9 +11,16 @@ from sogl import (
     objective_value,
 )
 from sogl.admm import penalty_constants, x_step
+from sogl.instances import generate_instance, instance_from_dict
 from sogl.model import gather, hard_threshold, scatter_add
 
-from helpers import first_group_defect, groups_with_defects
+from helpers import (
+    GROUP_DEFECTS,
+    GROUP_FORMS,
+    NOT_ARRAYS,
+    first_group_defect,
+    groups_with_defects,
+)
 
 finite = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
@@ -283,32 +290,67 @@ class TestGroupStructureValidation:
             assert g.tolist() == list(groups[i])
         assert gs.groups is gs.groups
 
-    @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty")))
+    @pytest.mark.parametrize("bad", NOT_ARRAYS, ids=[
+        "int", "float", "str", "none", "dict", "bool", "0-d-array", "2-d-array"])
+    def test_non_array_group_named(self, bad):
+        # group 2 is out of range for n = 3, but group 1 comes first
+        with pytest.raises(GroupDefectError) as exc:
+            GroupStructure(3, [[0], bad, [4]])
+        assert str(exc.value) == "groups[1]: expected an array of indices"
+        assert exc.value.defects == [(1, -1, "not-array")]
+
+    @given(case=groups_with_defects(GROUP_DEFECTS, forms=GROUP_FORMS))
     @settings(max_examples=300, deadline=None)
     def test_one_defect_names_its_group(self, case):
         n, groups, (kind, i, j) = case
-        if kind == "empty":
-            expected = f"groups[{i}]: group is empty"
+        if kind in ("empty", "not-array"):
+            expected = f"groups[{i}]: " + {
+                "empty": "group is empty",
+                "not-array": "expected an array of indices"}[kind]
         else:
             expected = f"groups[{i}][{j}]: " + {
                 "not-int": "expected an integer index",
                 "bool": "expected an integer index",
                 "range": f"index {groups[i][j]} out of range for n={n}",
                 "repeat": f"repeated index {groups[i][j]}"}[kind]
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(GroupDefectError) as exc:
             GroupStructure(n, groups)
         assert str(exc.value) == expected
+        assert len(exc.value.defects) == 1
 
-    @given(case=groups_with_defects(("not-int", "bool", "range", "repeat", "empty"),
-                                    max_defects=4))
+    @given(case=groups_with_defects(GROUP_DEFECTS, max_defects=4, forms=GROUP_FORMS))
     @settings(max_examples=300, deadline=None)
     def test_first_defective_group_of_several(self, case):
         n, groups, _ = case
         expected = first_group_defect(groups, n)
         assert expected is not None
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(GroupDefectError) as exc:
             GroupStructure(n, groups)
         assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("mode, sizes, max_group", [
+        ("chain", range(500, 811, 10), 8),
+        ("nested", range(360, 455, 2), 8),
+        ("random", range(8, 41), 5),
+    ], ids=["chain", "nested", "random"])
+    def test_valid_groups_are_not_searched_for_a_defect(self, monkeypatch, mode,
+                                                         sizes, max_group):
+        # pool instances drawn as perfbench/run.py draws them (every fourth
+        # size), then their groups again as tuples and as integer arrays
+        def search(groups, n):
+            raise AssertionError("valid groups reached the defect search")
+
+        monkeypatch.setattr("sogl.model._first_defect", search)
+        for index, n in enumerate(sizes[::4]):
+            seed = int(np.random.SeedSequence([1, index]).generate_state(1)[0])
+            instf = generate_instance(seed, n, max(1, n // 2), (2, max_group), mode)
+            gs = instance_from_dict(instf.to_dict()).gs
+            lists = [g.tolist() for g in gs.groups]
+            for form in ("tuple", "int16", "int32", "int64", "uint64"):
+                groups = [tuple(g) if form == "tuple" else np.array(g, dtype=form)
+                          for g in lists]
+                np.testing.assert_array_equal(
+                    GroupStructure(n, groups).flat_index, gs.flat_index)
 
 
 class TestProxInstanceValidation:
