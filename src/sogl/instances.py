@@ -203,8 +203,10 @@ def generate_instance(seed: int, n: int, m: int,
     samples uniform index subsets, ``nested`` produces an increasing chain
     of subsets of one shuffled index pool. Group sizes are drawn from
     ``group_size_range = (lo, hi)``, which needs ``1 <= lo <= hi``; sizes
-    above ``n`` are capped at ``n``.
+    above ``n`` are capped at ``n``. ``seed`` must be nonnegative.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if overlap_mode not in ("chain", "random", "nested"):

@@ -14,7 +14,10 @@ when its groups all restrict to the whole component, otherwise by
 Dykstra's splitting on the component's coordinates, stopped when a pass
 moves no entry by more than ``1e-13*(1 + ||v_C||)``. The count term is
 charged at the actual nonzero count of each restricted minimizer, so the
-minimum over supports is the exact global optimum.
+minimum over supports is the exact global optimum. ``oracle_variant`` is
+the one door into this search; ``oracle_prox_l0_ogl`` is its ``"l0"``
+variant at ``lam = lam1``. The search and ``stationarity_check`` refuse
+an instance and a structure of different ``n``.
 
 With a count term the supports are searched depth first and a branch is
 cut by a separable lower bound: ``||x_G||_2 >= ||x_G||_1/sqrt(|G|)`` turns
@@ -31,7 +34,7 @@ case still solves all 2^n supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +113,7 @@ def _dykstra(u: np.ndarray, blocks: list, t1: float, tol: float = 1e-13,
 
 class _Restricted:
     """The problem restricted to a support, solved one connected piece at a
-    time.
+    time, and the separable bound that prunes the search over supports.
 
     Minimizes ``(1/2s)||x-v||^2 + sum_i coeffs[i]*||x_{G_i}||_2 +
     lam1*||x||_1 + lam0*nnz(x)`` over vectors supported on the coordinates
@@ -123,6 +126,18 @@ class _Restricted:
     as one block with the summed coefficient; a single block is solved in
     closed form, several by :func:`_dykstra` with the blocks in group
     order.
+
+    ``self.off``/``self.on`` are each coordinate's share of the lower bound
+    ``B(S) = sum_{j not in S} off_j + sum_{j in S} on_j`` on the objective
+    of every point whose support is exactly S. ``||x_G||_2 >=
+    ||x_G||_1/sqrt(|G|)`` bounds the group terms by ``sum_j l_j*|x_j|``
+    with ``l_j = lam1 + sum_{i: j in G_i} coeffs[i]/sqrt(|G_i|)``, and the
+    bound separates: off S a coordinate costs ``off_j = v_j^2/(2s)``, on S
+    at least ``on_j = h_j + lam0``, ``h_j`` the soft-threshold minimum of
+    ``(t - v_j)^2/(2s) + l_j*|t|``. No share is negative, so sums of them
+    do not cancel. They differ from ``self.costs`` on purpose: on S an
+    uncovered j with ``|v_j| <= s*lam1`` is charged ``off_j`` (its
+    minimizer is 0), but its bound share is ``off_j + lam0``.
     """
 
     def __init__(self, v: np.ndarray, s: float, coeffs: np.ndarray,
@@ -134,14 +149,21 @@ class _Restricted:
         covered = 0
         for mask, _ in self.groups:
             covered |= mask
+        off = 0.5 / s * v * v
+        self.off = off.tolist()
         self.lone = _shrink(v, self.t1)
-        on = (0.5 / s * (self.lone - v) ** 2 + lam1 * np.abs(self.lone)
-              + lam0 * (self.lone != 0))
+        lone = (0.5 / s * (self.lone - v) ** 2 + lam1 * np.abs(self.lone)
+                + lam0 * (self.lone != 0))
         # each coordinate's share of the value: (off S, on S); a covered
         # coordinate on S is charged through its component
-        self.costs = [(off, 0.0 if covered >> j & 1 else lone)
-                      for j, (off, lone) in enumerate(zip(
-                          (0.5 / s * v * v).tolist(), on.tolist()))]
+        self.costs = [(o, 0.0 if covered >> j & 1 else c)
+                      for j, (o, c) in enumerate(zip(self.off, lone.tolist()))]
+        per_entry = np.take(coeffs / np.sqrt(gs.sizes), gs.block_index)
+        slope = lam1 + np.bincount(gs.flat_index, weights=per_entry,
+                                   minlength=v.size)
+        a = np.abs(v)
+        h = np.where(a > s * slope, slope * (a - 0.5 * s * slope), off)
+        self.on = (h + lam0).tolist()
         self.pieces = {}
 
     def components(self, S: int) -> list:
@@ -205,33 +227,12 @@ class _Restricted:
         return x
 
 
-def _bound_costs(v: np.ndarray, s: float, coeffs: np.ndarray, lam1: float,
-                 lam0: float, gs: GroupStructure) -> tuple:
-    """``(off, on)``: each coordinate's share of the separable lower bound
-    ``B(S) = sum_{j not in S} off_j + sum_{j in S} on_j`` on the objective
-    of every point whose support is exactly S.
-
-    ``||x_G||_2 >= ||x_G||_1/sqrt(|G|)`` bounds the group terms by
-    ``sum_j l_j*|x_j|`` with ``l_j = lam1 + sum_{i: j in G_i}
-    coeffs[i]/sqrt(|G_i|)``, and the bound separates: a coordinate off S
-    costs ``off_j = v_j^2/(2s)``, one on S at least ``on_j = h_j + lam0``,
-    where ``h_j`` is the soft-threshold minimum of ``(t - v_j)^2/(2s) +
-    l_j*|t|``. Every share is nonnegative, so sums of them do not cancel.
-    """
-    off = 0.5 / s * v * v
-    per_entry = np.take(coeffs / np.sqrt(gs.sizes), gs.block_index)
-    slope = lam1 + np.bincount(gs.flat_index, weights=per_entry, minlength=v.size)
-    a = np.abs(v)
-    h = np.where(a > s * slope, slope * (a - 0.5 * s * slope), off)
-    return off.tolist(), (h + lam0).tolist()
-
-
-def _branch_and_bound(restricted: _Restricted, off: list, on: list) -> tuple:
+def _branch_and_bound(restricted: _Restricted) -> tuple:
     """The least ``(value, S)`` of the restricted minimum over all supports.
 
     A depth-first search fixes one coordinate per level, in increasing order
-    of ``on_j - off_j`` (see :func:`_bound_costs`), and takes the branch
-    with the smaller share first. A node's bound is the shares of its
+    of ``on_j - off_j`` (the bound shares on ``restricted``), and takes the
+    branch with the smaller share first. A node's bound is the shares of its
     decided coordinates plus ``min(off_j, on_j)`` of the undecided ones: the
     least ``B(S)`` of any support below it. The node is cut when its bound
     exceeds the best value so far plus ``1e-9*max(1, |best|)``. This is
@@ -239,6 +240,7 @@ def _branch_and_bound(restricted: _Restricted, off: list, on: list) -> tuple:
     minimizer on its own support, so that support is never cut. The memory
     is O(n); the worst case still visits all 2^n supports.
     """
+    off, on = restricted.off, restricted.on
     n = len(off)
     order = sorted(range(n), key=lambda j: on[j] - off[j])
     # rest[k]: the least shares of the coordinates from level k on
@@ -267,24 +269,9 @@ def _branch_and_bound(restricted: _Restricted, off: list, on: list) -> tuple:
     return tuple(best)
 
 
-def _support_enumerate(v: np.ndarray, s: float, coeffs: np.ndarray,
-                       lam1: float, lam0: float, gs: GroupStructure,
-                       n_limit: int) -> OracleResult:
-    """The exact minimum over supports: the full support without a count
-    term, otherwise the support :func:`_branch_and_bound` finds, pruned by
-    the separable bound of :func:`_bound_costs`."""
-    n = v.size
-    if n > n_limit:
-        raise TooLargeError(f"n={n} exceeds enumeration limit {n_limit}")
-    restricted = _Restricted(v, s, coeffs, lam1, lam0, gs)
-    if lam0 == 0.0:  # without a count term the full support is optimal
-        S = (1 << n) - 1
-        value = restricted.value(S)
-    else:
-        value, S = _branch_and_bound(
-            restricted, *_bound_costs(v, s, coeffs, lam1, lam0, gs))
-    return OracleResult(value=value, minimizer=restricted.minimizer(S),
-                        method="support_enum")
+def _require_same_n(inst: ProxInstance, gs: GroupStructure) -> None:
+    if inst.n != gs.n:
+        raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
 
 
 def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
@@ -292,34 +279,40 @@ def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
     """Exact global minimum of the main composite objective
     ``(1/2s)||x-v||^2 + lam0*nnz(x) + lam1*sum_i w_i*||x_{G_i}||_2``.
 
-    Searches the supports by branch and bound (convex regime
-    short-circuits to the full support) and solves each restricted convex
-    problem it reaches, one connected component at a time, to ~1e-12. This
-    is :func:`oracle_variant` ``"l0"`` with ``lam = lam1``.
-
-    Raises
-    ------
-    TooLargeError
-        If ``gs.n > n_limit``.
+    This is exactly :func:`oracle_variant` ``"l0"`` with ``lam = lam1``:
+    the one support search sits behind both, with the same refusals.
     """
-    coeffs = inst.lam1 * gs.weights
-    return _support_enumerate(inst.v, inst.s, coeffs, 0.0, inst.lam0, gs, n_limit)
+    return oracle_variant(replace(inst, lam=inst.lam1), gs, "l0", n_limit)
 
 
 def oracle_variant(inst: ProxInstance, gs: GroupStructure, variant: str,
                    n_limit: int = N_LIMIT) -> OracleResult:
-    """Exact optimum of one sandwich target problem.
+    """Exact optimum of one sandwich target problem, by the support search.
 
     The objective is ``(1/2s)||x-v||^2 + lam*sum_i w_i*||x_{G_i}||_2`` plus
     ``lam1*||x||_1`` for the l1 variant or ``lam0*nnz(x)`` for the l0
-    variant.
+    variant. This is the one door into the support search: the full
+    support without a count term, otherwise :func:`_branch_and_bound`, with
+    each restricted problem it reaches solved per component to ~1e-12.
+    Raises ``ValueError`` for an unknown variant or when ``inst.n !=
+    gs.n``, and :class:`TooLargeError` when ``n > n_limit``.
     """
     if variant not in ("plain", "l1", "l0"):
         raise ValueError(f"unknown variant {variant!r}")
-    coeffs = inst.lam * gs.weights
-    lam1 = inst.lam1 if variant == "l1" else 0.0
+    _require_same_n(inst, gs)
+    n = inst.n
+    if n > n_limit:
+        raise TooLargeError(f"n={n} exceeds enumeration limit {n_limit}")
     lam0 = inst.lam0 if variant == "l0" else 0.0
-    return _support_enumerate(inst.v, inst.s, coeffs, lam1, lam0, gs, n_limit)
+    restricted = _Restricted(inst.v, inst.s, inst.lam * gs.weights,
+                             inst.lam1 if variant == "l1" else 0.0, lam0, gs)
+    if lam0 == 0.0:  # without a count term the full support is optimal
+        S = (1 << n) - 1
+        value = restricted.value(S)
+    else:
+        value, S = _branch_and_bound(restricted)
+    return OracleResult(value=value, minimizer=restricted.minimizer(S),
+                        method="support_enum")
 
 
 def _golden_refine(objective, lo: float, hi: float, tol: float = 1e-9):
@@ -442,8 +435,10 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     and the support function ``(p.r - sum_i lam1*w_i*||p_{G_i}||)/||p||``
     bounds it from below. Only when ``||p|| > tol`` and the lower bound
     leaves the verdict open does Dykstra run again, with its 4000-pass
-    budget, and the residual is the rerun's.
+    budget, and the residual is the rerun's. Raises ``ValueError`` when
+    ``inst.n != gs.n``.
     """
+    _require_same_n(inst, gs)
     x = np.asarray(x, dtype=float)
     r = (x - inst.v) / inst.s
     radii = inst.lam1 * gs.weights

@@ -447,11 +447,31 @@ class TestSolveAdmm:
         assert math.isfinite(report.r_norm) and math.isfinite(report.s_norm)
         np.testing.assert_allclose(report.x_final, inst.v, rtol=1e-12)
 
-    def test_mismatched_sizes_rejected(self):
-        gs = GroupStructure(3, [[0, 1]])
-        inst = ProxInstance(v=np.ones(2), s=1.0)
-        with pytest.raises(ValueError, match="n="):
-            solve_admm(inst, gs)
+
+_SIZED_ENTRIES = {
+    "solve_admm": solve_admm,
+    "solve_dual": solve_dual,
+    "sandwich": lambda inst, gs: sandwich(inst, gs, "l0"),
+    "oracle_prox_l0_ogl": oracle_prox_l0_ogl,
+    "oracle_variant": lambda inst, gs: oracle_variant(inst, gs, "plain"),
+    "stationarity_check": lambda inst, gs: stationarity_check(
+        [0.5, -1.5, 2.5], inst, gs),
+}
+
+
+@pytest.mark.parametrize("gs_n", [1, 5], ids=["structure-smaller",
+                                            "structure-larger"])
+@pytest.mark.parametrize("entry", list(_SIZED_ENTRIES))
+def test_mismatched_sizes_rejected(entry, gs_n):
+    # every entry that takes an (instance, structure) pair refuses one of
+    # different sizes, before a smaller structure can broadcast or a larger
+    # one index past the center; files cannot reach this, since the reader
+    # builds both objects from one file
+    gs = GroupStructure(gs_n, [[0]])
+    inst = ProxInstance(v=[1.0, -2.0, 3.0], s=1.0, lam0=0.1, lam1=0.5, lam=0.5)
+    with pytest.raises(ValueError, match=f"^instance has n=3 but structure "
+                                         f"has n={gs_n}$"):
+        _SIZED_ENTRIES[entry](inst, gs)
 
 
 class TestLayoutEdges:

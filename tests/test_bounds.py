@@ -187,6 +187,24 @@ class TestScaledL2Prox:
         c = float(np.linalg.norm(u * x))
         assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
 
+    def test_near_the_zero_threshold(self):
+        # just above the zero test's threshold the fixed point converges
+        # slowly; whichever path answers, the result is stationary and
+        # matches the scan
+        rng = np.random.default_rng(2026)
+        for _ in range(6):
+            n = int(rng.integers(1, 9))
+            u = rng.uniform(0.2, 3.0, n)
+            v = rng.normal(0, 2, n)
+            inv = math.sqrt(float(np.sum((v / u) ** 2)))
+            for fraction in (0.9, 0.99, 0.999):
+                lam = fraction * inv
+                x, val, _ = scaled_l2_prox(v, lam, u)
+                c = float(np.linalg.norm(u * x))
+                assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
+                scan = oracle_c_scan(v, lam, u).value
+                assert abs(val - scan) <= 1e-6 * abs(scan), (n, fraction)
+
     def test_bisection_fallback_engages(self):
         rng = np.random.default_rng(77)
         u = rng.uniform(0.2, 3.0, 6)

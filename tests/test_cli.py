@@ -496,6 +496,12 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and captured.out == ""
 
+    def test_gen_names_a_negative_seed(self, capsys):
+        assert run_cli(["gen", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
     def test_gen_caps_sizes_at_n(self, capsys):
         assert run_cli(["gen", "--n", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["groups"] == [[0], [0], [0]]

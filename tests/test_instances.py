@@ -484,6 +484,10 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_instance(0, 4, 1, overlap_mode="spiral")
 
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            generate_instance(-1, 4, 2)
+
     @pytest.mark.parametrize("size_range", [(3, 2), (0, 0), (0, 2), (-1, 3)])
     def test_rejects_size_ranges_it_cannot_honour(self, size_range):
         with pytest.raises(ValueError, match="needs 1 <= min <= max"):

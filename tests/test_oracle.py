@@ -21,12 +21,11 @@ from sogl import (
 from sogl.instances import generate_instance
 from sogl.oracle import (
     _block_shrink,
-    _bound_costs,
+    _branch_and_bound,
     _count_term_ok,
     _dykstra,
     _Restricted,
     _shrink,
-    _support_enumerate,
 )
 from helpers import (
     convex_stationarity_residual_reference,
@@ -396,8 +395,8 @@ class TestPrunedEnumeration:
             n = int(rng.integers(2, 9))
             gs, v, s, coeffs, lam1 = _bound_case(rng, n)
             assert gs.overlap_counts[-1] == 0
-            off, on = _bound_costs(v, s, coeffs, lam1, lam0, gs)
             r = _Restricted(v, s, coeffs, lam1, lam0, gs)
+            off, on = r.off, r.on
             for S in range(1 << n):
                 if np.count_nonzero(r.minimizer(S)) != bin(S).count("1"):
                     continue
@@ -423,9 +422,9 @@ class TestPrunedEnumeration:
                 lambda1=float(lam), lambda_=float(lam)).build()
             if i % 2:
                 gs = GroupStructure(n, gs.groups, weights=rng.uniform(0.3, 3.0, gs.m))
-            off, on = _bound_costs(inst.v, inst.s, inst.lam * gs.weights, 0.0,
-                                   inst.lam0, gs)
-            root = sum(map(min, off, on))
+            r = _Restricted(inst.v, inst.s, inst.lam * gs.weights, 0.0,
+                            inst.lam0, gs)
+            root = sum(map(min, r.off, r.on))
             lower = sandwich(inst, gs, "l0").lower_value
             assert abs(root - lower) <= 1e-12 * abs(lower), (i, root, lower)
 
@@ -433,16 +432,18 @@ class TestPrunedEnumeration:
     def test_matches_unpruned_enumeration(self, n):
         # the pruned search against the least (value, S) over all supports,
         # on the main objective, the l0 target, and an l1 term next to the
-        # count term, which only the bound's slope sees
+        # count term, which only the bound's slope sees and no public entry
+        # reaches
         for (mode, gs, inst), lam0 in zip(_agreement_cases(n),
                                           (1e-6, 0.05, 1.0, 0.2)):
             for args in ((inst.lam1 * gs.weights, 0.0, inst.lam0),
                          (inst.lam * gs.weights, 0.0, lam0),
                          (inst.lam * gs.weights, 0.3, lam0)):
-                res = _support_enumerate(inst.v, inst.s, *args, gs, n)
+                r = _Restricted(inst.v, inst.s, *args, gs)
+                got, S = _branch_and_bound(r)
                 value, x = _full_enumeration(inst.v, inst.s, *args, gs)
-                assert abs(res.value - value) <= 1e-12 * max(1.0, abs(value)), mode
-                np.testing.assert_allclose(res.minimizer, x, rtol=0, atol=1e-9,
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), mode
+                np.testing.assert_allclose(r.minimizer(S), x, rtol=0, atol=1e-9,
                                            err_msg=mode)
 
     @pytest.mark.parametrize("mode", ["chain", "nested", "random"])
