@@ -23,6 +23,7 @@ import numpy as np
 from .model import (
     GroupStructure,
     ProxInstance,
+    _require_same_n,
     gather,
     group_norms,
     hard_threshold,
@@ -231,8 +232,7 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
         If any iterate picks up NaN/Inf.
     """
     cfg = cfg or AdmmConfig()
-    if inst.n != gs.n:
-        raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
+    _require_same_n(inst, gs)
     pen = penalty_constants(inst, gs, start_rho(inst, cfg))
     floors = (cfg.eps_abs * math.sqrt(gs.total_size or 1),
               cfg.eps_abs * math.sqrt(gs.n))

@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import datetime
 import functools
-import json
 import math
 import os
 import sys
@@ -33,6 +32,7 @@ from .instances import (
     ParseError,
     ValidationError,
     _number_array,
+    _read_json,
     dumps_canonical,
     generate_instance,
     parse_instance,
@@ -102,7 +102,10 @@ def _nonnegative_float(text: str) -> float:
 
 def _positive_int(text: str) -> int:
     """A command-line count that must be at least 1."""
-    k = int(text)
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
     if k < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return k
@@ -317,13 +320,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _load_point(path: str, n: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict) and "report" in data:
         if not isinstance(data["report"], dict):
             raise ValidationError("point: record 'report' must be an object")

@@ -26,6 +26,7 @@ from .admm import AdmmConfig, SolveReport
 from .model import (
     GroupStructure,
     ProxInstance,
+    _require_same_n,
     gather,
     group_norms,
     hard_threshold,
@@ -76,8 +77,7 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
     ``rho`` is not used.
     """
     cfg = cfg or AdmmConfig()
-    if inst.n != gs.n:
-        raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
+    _require_same_n(inst, gs)
     y = np.zeros(gs.total_size)
     best_z, best_obj, best_bound, bound = None, math.inf, -math.inf, -math.inf
     trace = [] if cfg.trace else None

@@ -184,12 +184,19 @@ def parse_instance(path: str) -> InstanceFile:
     ValidationError
         On any schema or invariant violation; the message names the field.
     """
+    return instance_from_dict(_read_json(path))
+
+
+def _read_json(path: str):
+    """The JSON value in the file ``path``; ``ParseError`` names the path
+    when the file cannot be read or does not hold UTF-8 JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_instance_text(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def generate_instance(seed: int, n: int, m: int,

@@ -209,6 +209,13 @@ class ProxInstance:
         return self.v.size
 
 
+def _require_same_n(inst: ProxInstance, gs: GroupStructure) -> None:
+    """Refuse an instance and a structure of different ``n``; the solvers,
+    ``sandwich`` and the oracle entries all check with this."""
+    if inst.n != gs.n:
+        raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
+
+
 def hard_threshold(u, t):
     """Keep entries with ``|u| > t``, zero the rest (ties go to zero).
 

@@ -16,8 +16,10 @@ moves no entry by more than ``1e-13*(1 + ||v_C||)``. The count term is
 charged at the actual nonzero count of each restricted minimizer, so the
 minimum over supports is the exact global optimum. ``oracle_variant`` is
 the one door into this search; ``oracle_prox_l0_ogl`` is its ``"l0"``
-variant at ``lam = lam1``. The search and ``stationarity_check`` refuse
-an instance and a structure of different ``n``.
+variant at ``lam = lam1``, and ``oracle_ub_l0_subsets`` is
+``oracle_prox_l0_ogl`` on one group that holds every coordinate. The
+search and ``stationarity_check`` refuse an instance and a structure of
+different ``n`` with ``model._require_same_n``, the solvers' own check.
 
 With a count term the supports are searched depth first and a branch is
 cut by a separable lower bound: ``||x_G||_2 >= ||x_G||_1/sqrt(|G|)`` turns
@@ -38,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GroupStructure, ProxInstance
+from .model import GroupStructure, ProxInstance, _require_same_n
 
 __all__ = [
     "OracleResult",
@@ -64,7 +66,7 @@ class OracleResult:
 
     value: float
     minimizer: np.ndarray
-    method: str  # support_enum | c_scan | subset_full
+    method: str  # support_enum | c_scan
 
 
 def _shrink(u: np.ndarray, t: float) -> np.ndarray:
@@ -269,11 +271,6 @@ def _branch_and_bound(restricted: _Restricted) -> tuple:
     return tuple(best)
 
 
-def _require_same_n(inst: ProxInstance, gs: GroupStructure) -> None:
-    if inst.n != gs.n:
-        raise ValueError(f"instance has n={inst.n} but structure has n={gs.n}")
-
-
 def oracle_prox_l0_ogl(inst: ProxInstance, gs: GroupStructure,
                        n_limit: int = N_LIMIT) -> OracleResult:
     """Exact global minimum of the main composite objective
@@ -381,35 +378,19 @@ def oracle_c_scan(v: np.ndarray, lam: float, diag) -> OracleResult:
 
 def oracle_ub_l0_subsets(v: np.ndarray, lam: float, lam0: float, diag,
                          n_limit: int = 10) -> OracleResult:
-    """Exhaustive reference for the relaxed count-penalized l2 prox.
+    """Exact reference for the relaxed count-penalized l2 prox.
 
     Minimizes ``0.5*||x-v||^2 + lam*sigma*||x||_2 + lam0*nnz(x)`` with
-    ``sigma`` the largest diagonal entry, by trying every one of the 2^n
-    supports with the closed-form block shrink on each. Certifies the
-    top-k shortcut used by the bounds module.
+    ``sigma`` the largest diagonal entry. That is the main objective with
+    one group holding every coordinate (``s = 1``, weight 1, ``lam1 =
+    lam*sigma``), so this is :func:`oracle_prox_l0_ogl` on that structure:
+    the one support search, with its refusals. Certifies the top-k
+    shortcut used by the bounds module.
     """
     v = np.asarray(v, dtype=float)
-    u = np.asarray(diag, dtype=float)
-    n = v.size
-    if n > n_limit:
-        raise TooLargeError(f"n={n} exceeds enumeration limit {n_limit}")
-    sigma = float(u.max()) if n else 0.0
-    t = lam * sigma
-    best_val = 0.5 * float(np.sum(v**2))
-    best_x = np.zeros(n)
-    all_idx = np.arange(n)
-    for mask in range(1, 1 << n):
-        idx = all_idx[[(mask >> i) & 1 == 1 for i in range(n)]]
-        x = np.zeros(n)
-        x[idx] = _block_shrink(v[idx], t)
-        val = (
-            0.5 * float(np.sum((x - v) ** 2))
-            + t * float(np.linalg.norm(x))
-            + lam0 * int(np.count_nonzero(x))
-        )
-        if val < best_val:
-            best_val, best_x = val, x
-    return OracleResult(value=best_val, minimizer=best_x, method="subset_full")
+    gs = GroupStructure(v.size, [np.arange(v.size)])
+    inst = ProxInstance(v, 1.0, lam0, lam * float(np.max(diag)))
+    return oracle_prox_l0_ogl(inst, gs, n_limit)
 
 
 def stationarity_check(x: np.ndarray, inst: ProxInstance,

@@ -132,6 +132,11 @@ class TestScaledL2Prox:
         assert val == pytest.approx(2.5, abs=1e-10)
         assert tr.fp_residual <= 1e-8
 
+    def test_diagonal_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="^diagonal and center must have "
+                           "matching length$"):
+            scaled_l2_prox(np.ones(3), 0.5, np.ones(2))
+
     def test_zero_condition_boundary(self):
         v = np.array([1.0, 2.0])
         u = np.array([1.0, 2.0])

@@ -142,6 +142,12 @@ class TestSolve:
         a = write_instance(tmp_path, name="a.json")
         assert run_cli(["solve", str(a), "--batch"]) == 1
 
+    def test_batch_requires_instance_paths(self, tmp_path, capsys):
+        assert run_cli(["solve", "--batch", "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --batch requires instance paths\n"
+        assert captured.out == ""
+
     def test_batch_propagates_validation_failures(self, tmp_path):
         good = write_instance(tmp_path, name="good.json")
         bad = tmp_path / "bad.json"
@@ -194,13 +200,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--limit", "-1"], ["bounds", "--with-oracle", "--limit", "0"],
-        ["bounds", "--with-oracle", "--limit", "1.5"],
-    ], ids=["oracle-negative", "bounds-zero", "bounds-fraction"])
+        ["bounds", "--with-oracle", "--limit", "1.5"], ["oracle", "--limit", "abc"],
+    ], ids=["oracle-negative", "bounds-zero", "bounds-fraction", "oracle-word"])
     def test_usage_non_positive_limit(self, tmp_path, capsys, argv):
         inst = write_instance(tmp_path)
         assert run_cli(argv + [str(inst)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage error: ") and captured.out == ""
+        assert captured.err == ("usage error: argument --limit: expected a "
+                                f"positive integer, got {argv[-1]!r}\n")
+        assert captured.out == ""
 
     def test_validation_missing_file(self):
         assert run_cli(["solve", "/definitely/not/here.json"]) == 2
@@ -210,6 +218,20 @@ class TestExitCodes:
         path.write_text('{"v": [1.0], "groups": [[4]], "s": 1, "lambda0": 0, '
                         '"lambda1": 0, "lambda": 0}')
         assert run_cli(["solve", str(path)]) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("v", [], "v: expected a non-empty array of numbers"),
+        ("v", 1.0, "v: expected a non-empty array of numbers"),
+        ("groups", {"0": [0]}, "groups: expected an array of arrays"),
+        ("weights", 1.0, "weights: expected an array of numbers"),
+    ], ids=["v-empty", "v-number", "groups-object", "weights-number"])
+    def test_validation_names_the_field(self, tmp_path, capsys, field, value,
+                                        message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(dict(json.loads(MINIMAL), **{field: value})))
+        assert run_cli(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_non_finite_solver(self, tmp_path):
         path = tmp_path / "inf.json"
@@ -426,8 +448,10 @@ class TestCheckAndPipelines:
         '[null, 1, 2]',
         '{"x": [1e400, 0, 0]}',
         '[1' + '0' * 400 + ', 0, 0]',
+        '"abc"',
+        '{"y": [1, 2, 3]}',
     ], ids=["report-not-object", "string-entry", "null-entry", "float-overflow",
-            "int-overflow"])
+            "int-overflow", "string", "object-without-x"])
     def test_check_malformed_point_is_validation_error(self, tmp_path, capsys, text):
         path = tmp_path / "inst.json"
         path.write_text('{"v": [1.0, 2.0, 3.0], "groups": [[0, 1], [1, 2]], "s": 1, '
@@ -437,6 +461,21 @@ class TestCheckAndPipelines:
         assert run_cli(["check", str(path), "--point", str(point)]) == 2
         captured = capsys.readouterr()
         assert "point" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read"), ("[1.0,", "invalid JSON in"),
+    ], ids=["missing", "invalid-json"])
+    def test_check_unreadable_point_names_the_file(self, tmp_path, capsys, text,
+                                                   message):
+        path = tmp_path / "min.json"
+        path.write_text(MINIMAL)
+        point = tmp_path / "pt.json"
+        if text is not None:
+            point.write_text(text + "\n")
+        assert run_cli(["check", str(path), "--point", str(point)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message} {point}: ")
         assert captured.out == ""
 
     def test_gen_solve_check_pipeline(self, tmp_path, capsys):

@@ -181,6 +181,15 @@ class TestValidation:
         with pytest.raises(ParseError):
             parse_instance(str(tmp_path / "nope.json"))
 
+    @pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe{}"],
+                             ids=["malformed", "not-utf-8"])
+    def test_bad_file_is_parse_error_naming_the_path(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            parse_instance(str(path))
+        assert str(info.value).startswith(f"invalid JSON in {path}: ")
+
 
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("field, value, name", [

@@ -114,6 +114,11 @@ class TestGatherScatter:
         gs = GroupStructure(1, [[0], [0], [0]])
         assert gather(np.array([5.0]), gs).tolist() == [5.0, 5.0, 5.0]
 
+    def test_gather_refuses_a_vector_of_another_length(self):
+        gs = GroupStructure(3, [[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="^expected a vector of length 3, got 2$"):
+            gather(np.ones(2), gs)
+
     def test_scatter_sums(self):
         gs = GroupStructure(3, [[0, 1], [1, 2]])
         out = scatter_add(np.array([1.0, 2.0, 2.0, 3.0]), gs)
@@ -208,6 +213,10 @@ class TestGroupStructureValidation:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             GroupStructure(3, [[0], []])
+
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            GroupStructure(0, [])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -361,6 +370,10 @@ class TestProxInstanceValidation:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError, match="nonneg"):
             ProxInstance(v=np.ones(2), s=1.0, lam0=-0.1)
+
+    def test_matrix_center_rejected(self):
+        with pytest.raises(ValueError, match="^v must be a 1-D vector$"):
+            ProxInstance(v=np.ones((2, 2)))
 
     @pytest.mark.parametrize("name", ["lam0", "lam1", "lam"])
     def test_nan_penalty_rejected(self, name):

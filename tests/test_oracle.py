@@ -198,7 +198,7 @@ class TestSubsetEnumeration:
         # t = 1: keep costs 0.5 + 2 + lam0, drop costs 4.5
         res = oracle_ub_l0_subsets(np.array([3.0]), 1.0, 1.0, np.array([1.0]))
         assert res.value == pytest.approx(3.5, rel=1e-12)
-        assert res.method == "subset_full"
+        assert res.method == "support_enum"
 
 
 class TestStationarityCheck:
@@ -320,7 +320,9 @@ class TestCountTerm:
 def _agreement_cases(n):
     """Structures on n variables, each with penalties drawn at random: a
     chain, a nested and a random one with non-unit weights, the random one
-    with its first group repeated, and one with every penalty 0."""
+    with its first group repeated, one weighted group that holds every
+    coordinate (the shape of ``oracle_ub_l0_subsets``), and one with every
+    penalty 0."""
     rng = np.random.default_rng(500 + n)
     for mode in ("chain", "nested", "random"):
         instf = generate_instance(seed=n, n=n, m=max(1, n // 2),
@@ -332,8 +334,14 @@ def _agreement_cases(n):
             v=rng.normal(0, 1.5, n), s=float(rng.uniform(0.5, 2.0)),
             lam0=float(rng.uniform(0.02, 0.4)), lam1=lam,
             lam=lam if mode == "chain" else float(rng.uniform(0.05, 0.8)))
-    yield "zero", gs, ProxInstance(v=rng.normal(0, 1.5, n), s=1.0,
-                                   lam0=float(rng.uniform(0.02, 0.4)))
+    zero = ProxInstance(v=rng.normal(0, 1.5, n), s=1.0,
+                        lam0=float(rng.uniform(0.02, 0.4)))
+    whole = GroupStructure(n, [list(range(n))], weights=rng.uniform(0.3, 2.0, 1))
+    lam = float(rng.uniform(0.05, 0.8))
+    yield "whole", whole, ProxInstance(
+        v=rng.normal(0, 1.5, n), lam0=float(rng.uniform(0.02, 0.4)), lam1=lam,
+        lam=lam)
+    yield "zero", gs, zero
 
 
 class TestReferenceAgreement:
@@ -358,6 +366,7 @@ class TestReferenceAgreement:
         assert np.array_equal(random_gs.groups[0], random_gs.groups[-1])
         assert any(np.any(gs.overlap_counts == 0) for _, gs, _ in cases)
         assert all(not np.all(gs.weights == 1.0) for _, gs, _ in cases)
+        assert any(gs.m == 1 and gs.sizes[0] == gs.n for _, gs, _ in cases)
         assert cases[-1][2].lam1 == cases[-1][2].lam == 0.0
 
 
@@ -435,7 +444,8 @@ class TestPrunedEnumeration:
         # count term, which only the bound's slope sees and no public entry
         # reaches
         for (mode, gs, inst), lam0 in zip(_agreement_cases(n),
-                                          (1e-6, 0.05, 1.0, 0.2)):
+                                          (1e-6, 0.05, 1.0, 0.1, 0.2),
+                                          strict=True):
             for args in ((inst.lam1 * gs.weights, 0.0, inst.lam0),
                          (inst.lam * gs.weights, 0.0, lam0),
                          (inst.lam * gs.weights, 0.3, lam0)):
