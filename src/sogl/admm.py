@@ -76,10 +76,10 @@ class SolveReport:
     solver the rows are ``(iter, objective, bound, gap)``: the objective at
     the iterate's z, the Lagrangian lower bound at its y, and the best
     objective so far minus the best bound so far. The dual's ``x_final`` is
-    the best candidate seen, and ``converged`` means that gap, or the rise
-    of the bound in one step, fell within the tolerance. ``objective`` is
-    :func:`sogl.model.objective_value` at ``x_final``, group weights
-    included.
+    the best candidate seen, and ``converged`` means that gap, or the rise of
+    the bound in one step, fell within the tolerance; it computes no
+    residuals, so its ``r_norm`` and ``s_norm`` are always 0. ``objective`` is
+    :func:`sogl.model.objective_value` at ``x_final``, group weights included.
     """
 
     x_final: np.ndarray

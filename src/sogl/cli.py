@@ -5,7 +5,8 @@ Subcommands: ``solve`` (ADMM or dual ascent), ``bounds``
 instances), ``check`` (first-order test of a candidate point), ``gen``
 (seeded instance generator). Records go to stdout or ``--out`` as
 deterministic JSON; timing fields stay null unless ``--stamp`` is given,
-so identical invocations produce identical bytes.
+so identical invocations produce identical bytes. ``solve --out-dir DIR``
+writes one record per instance file, ``DIR/<stem>.record.json``.
 
 Exit codes: 0 success, 1 usage, 2 validation or unwritable output,
 3 non-finite iterates or results, 4 instance too large for the oracle.
@@ -36,7 +37,6 @@ from .instances import (
     dumps_canonical,
     generate_instance,
     parse_instance,
-    parse_instance_text,
     trace_to_csv,
     write_atomic,
 )
@@ -100,14 +100,15 @@ def _nonnegative_float(text: str) -> float:
     return x
 
 
-def _positive_int(text: str) -> int:
-    """A command-line count that must be at least 1."""
+def _positive_int(text: str, low: int = 1) -> int:
+    """A command-line count, at least 1; ``low=0`` also admits 0, for a seed."""
     try:
         k = int(text)
     except ValueError:
-        k = 0
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        k = low - 1
+    if k < low:
+        kind = "positive" if low else "nonnegative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return k
 
 
@@ -130,20 +131,18 @@ def _build_parser() -> _Parser:
     solve.add_argument("instance", nargs="*", default=(),
                        help="instance file(s); '-' or empty reads stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
-    solve.add_argument("--rho", type=_finite_float,
+    solve.add_argument("--rho", type=_positive_float,
                        help=f"starting ADMM penalty (default {RHO_TIMES_S}/s), "
                        f"doubled after every {DOUBLE_EVERY} iterations while "
                        "the primal residual lags (sogl.solve_admm gives the "
                        "full rule); admm only")
-    solve.add_argument("--max-iters", type=int, default=AdmmConfig.max_iters)
-    solve.add_argument("--eps-abs", type=_finite_float, default=AdmmConfig.eps_abs)
-    solve.add_argument("--eps-rel", type=_finite_float, default=AdmmConfig.eps_rel)
+    solve.add_argument("--max-iters", type=_positive_int, default=AdmmConfig.max_iters)
+    solve.add_argument("--eps-abs", type=_nonnegative_float, default=AdmmConfig.eps_abs)
+    solve.add_argument("--eps-rel", type=_nonnegative_float, default=AdmmConfig.eps_rel)
     solve.add_argument("--trace", metavar="PATH",
                        help="write per-iteration CSV trace here")
-    solve.add_argument("--batch", action="store_true",
-                       help="process several instance files, one after another")
     solve.add_argument("--out-dir", metavar="DIR",
-                       help="output directory for --batch records")
+                       help="write each file's record to DIR/<stem>.record.json")
 
     bounds = sub.add_parser("bounds", parents=[out, stamp],
                             help="sandwich bounds for one variant")
@@ -172,11 +171,11 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", parents=[out],
                          help="generate a seeded random instance")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, default=8)
-    gen.add_argument("--m", type=int, default=3)
-    gen.add_argument("--min-size", type=int, default=2)
-    gen.add_argument("--max-size", type=int, default=4)
+    gen.add_argument("--seed", type=functools.partial(_positive_int, low=0), default=0)
+    gen.add_argument("--n", type=_positive_int, default=8)
+    gen.add_argument("--m", type=_positive_int, default=3)
+    gen.add_argument("--min-size", type=_positive_int, default=2)
+    gen.add_argument("--max-size", type=_positive_int, default=4)
     gen.add_argument("--mode", choices=("chain", "random", "nested"),
                      default="chain")
     gen.add_argument("--s", type=_positive_float, default=1.0)
@@ -190,7 +189,7 @@ def _build_parser() -> _Parser:
 def _read_instance(path: str) -> tuple:
     """The instance at ``path`` ('-' or empty: stdin) and its source name."""
     if path in ("-", ""):
-        return parse_instance_text(sys.stdin.read()), "stdin"
+        return parse_instance(sys.stdin), "stdin"
     return parse_instance(path), path
 
 
@@ -225,9 +224,9 @@ def _run_solve_single(args, cfg: AdmmConfig, path: str) -> tuple:
     instf, source = _read_instance(path)
     inst, gs = instf.build()
     rho = start_rho(inst, cfg) if args.algorithm == "admm" else None
-    config = {"algorithm": args.algorithm, "rho": rho,
-              "max_iters": cfg.max_iters, "eps_abs": cfg.eps_abs,
-              "eps_rel": cfg.eps_rel}
+    # the config's fields in declaration order, rho as resolved
+    config = {"algorithm": args.algorithm, **vars(cfg), "rho": rho}
+    del config["trace"]
     solver = solve_admm if args.algorithm == "admm" else solve_dual
     start = time.perf_counter()
     report = solver(inst, gs, cfg)
@@ -239,49 +238,48 @@ def _run_solve_single(args, cfg: AdmmConfig, path: str) -> tuple:
     return text, trace_to_csv(report) if args.trace else None
 
 
+def _check_outputs(outputs):
+    """Refuse two ``(writer, path)`` pairs that name one file; no path: stdout."""
+    writers = {}
+    for writer, path in outputs:
+        key = path and os.path.abspath(path)
+        if key and key in writers:
+            raise _UsageError(f"{writers[key]} and {writer} would both write {path}")
+        writers[key] = writer
+
+
 def _cmd_solve(args) -> int:
     if args.algorithm == "dual" and args.rho is not None:
         raise _UsageError("--rho applies only to --algorithm admm")
-    try:
-        cfg = AdmmConfig(rho=args.rho, max_iters=args.max_iters, eps_abs=args.eps_abs,
-                         eps_rel=args.eps_rel, trace=bool(args.trace))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    cfg = AdmmConfig(rho=args.rho, max_iters=args.max_iters, eps_abs=args.eps_abs,
+                     eps_rel=args.eps_rel, trace=bool(args.trace))
     paths = args.instance
-    if args.batch or len(paths) > 1:
+    if args.out_dir:
         if not paths:
-            raise _UsageError("--batch requires instance paths")
-        if not args.out_dir:
-            raise _UsageError("--batch requires --out-dir")
+            raise _UsageError("--out-dir requires instance paths")
         if args.trace or args.out:
-            raise _UsageError("--trace and --out are not supported with --batch")
-        sources = {}  # record path -> the one input that writes it
-        for path in paths:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            out = os.path.join(args.out_dir, f"{stem}.record.json")
-            if out in sources:
-                raise _UsageError(f"{sources[out]} and {path} would both "
-                                  f"write {out}")
-            sources[out] = path
+            raise _UsageError("--trace and --out are not supported with --out-dir")
+        records = [os.path.join(args.out_dir, os.path.splitext(
+            os.path.basename(path))[0] + ".record.json") for path in paths]
+        _check_outputs(zip(paths, records))
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             raise _WriteError(args.out_dir, exc) from exc
-
-        def one(out: str, path: str):
+        code = 0  # the highest exit code met
+        for out, path in zip(records, paths):
             try:
                 _emit(_run_solve_single(args, cfg, path)[0], out)
             except _ERRORS as exc:
-                return _exit_code(exc), f"{path}: error: {exc}"
-            return 0, f"{path}: ok -> {out}"
+                code = max(code, _exit_code(exc))
+                print(f"{path}: error: {exc}")
+            else:
+                print(f"{path}: ok -> {out}")
+        return code
 
-        results = [one(out, path) for out, path in sources.items()]
-        for _, message in results:
-            print(message)
-        return max(code for code, _ in results)
-
-    if args.out_dir:
-        raise _UsageError("--out-dir applies only to --batch; use --out")
+    if len(paths) > 1:
+        raise _UsageError("several instance files need --out-dir")
+    _check_outputs([("--trace", args.trace), ("--out", args.out)])
     text, trace = _run_solve_single(args, cfg, paths[0] if paths else "-")
     if trace is not None:
         _emit(trace, args.trace)
@@ -322,9 +320,9 @@ def _cmd_oracle(args) -> int:
 def _load_point(path: str, n: int) -> np.ndarray:
     data = _read_json(path)
     if isinstance(data, dict) and "report" in data:
-        if not isinstance(data["report"], dict):
-            raise ValidationError("point: record 'report' must be an object")
-        data = data["report"].get("x_final")
+        if not isinstance(data["report"], dict) or "x_final" not in data["report"]:
+            raise ValidationError("point: record has no report.x_final")
+        data = data["report"]["x_final"]
     elif isinstance(data, dict):
         data = data.get("x")
     if not isinstance(data, list):
@@ -347,7 +345,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
+    try:  # only the size range is left to check: each number has its type
         instf = generate_instance(
             seed=args.seed, n=args.n, m=args.m,
             group_size_range=(args.min_size, args.max_size),

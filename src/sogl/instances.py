@@ -7,6 +7,7 @@ across runs.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -166,16 +167,12 @@ def instance_from_dict(data: dict) -> InstanceFile:
 
 def parse_instance_text(text: str) -> InstanceFile:
     """Parse and validate instance JSON text."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return instance_from_dict(data)
+    return parse_instance(io.StringIO(text))
 
 
-def parse_instance(path: str) -> InstanceFile:
-    """Read and validate one instance file; ``build()`` of the result gives
-    the solvers' ``(ProxInstance, GroupStructure)`` pair.
+def parse_instance(path) -> InstanceFile:
+    """Read and validate one instance file or open text stream; ``build()``
+    of the result gives the solvers' ``(ProxInstance, GroupStructure)`` pair.
 
     Raises
     ------
@@ -187,16 +184,20 @@ def parse_instance(path: str) -> InstanceFile:
     return instance_from_dict(_read_json(path))
 
 
-def _read_json(path: str):
-    """The JSON value in the file ``path``; ``ParseError`` names the path
-    when the file cannot be read or does not hold UTF-8 JSON."""
+def _read_json(source):
+    """The JSON value in the file path ``source``, read as UTF-8, or in the open text
+    stream ``source``; ``ParseError`` names it when it cannot be read or parsed."""
+    stream = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if stream else source
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        if stream:
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {name}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+        raise ParseError(f"invalid JSON in {name}: {exc}") from exc
 
 
 def generate_instance(seed: int, n: int, m: int,

@@ -17,7 +17,7 @@ line wrote the same instances, records and traces. The second line is the
 same digest over the exact-enumeration records of every pool instance with
 n <= 10 (``oracle`` and ``bounds --with-oracle`` for each variant), which
 go to ``oracle/`` and are left out of the first. The third line covers one
-``solve --batch`` over each whole pool, whose records go to ``batch/``.
+``solve --out-dir`` over each whole pool, whose records go to ``batch/``.
 Without ``--out`` the files go to a temporary directory that is removed
 afterwards.
 """
@@ -82,7 +82,7 @@ def pipeline(seed: int, mode: str):
             for variant in ("plain", "l1", "l0"):
                 run("bounds", inst, "--variant", variant, "--with-oracle",
                     "--out", f"oracle/{stem}.bounds-{variant}.json")
-    run("solve", "--batch", "--out-dir", f"batch/{d}", *instances)
+    run("solve", "--out-dir", f"batch/{d}", *instances)
 
 
 def digest(root: str, paths: list) -> tuple:

@@ -97,6 +97,33 @@ class TestSolve:
         assert run_cli(["solve", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["converged"]
 
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_stdin_not_utf8_is_parse_error(self, capsys, monkeypatch, errors):
+        # stdin goes through the file reader: bytes that are not UTF-8 are
+        # invalid JSON (exit 2), however the stream decodes them
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8",
+                                 errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run_cli(["solve", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid JSON in ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("trace", ["rec.json", "./rec.json"])
+    def test_trace_and_out_on_one_path_is_usage_error(self, tmp_path, capsys,
+                                                      monkeypatch, trace):
+        # the record would overwrite the trace: refused before any input is read
+        read = []
+        monkeypatch.setattr("sogl.cli.parse_instance", read.append)
+        monkeypatch.chdir(tmp_path)
+        inst = write_instance(tmp_path)
+        assert run_cli(["solve", str(inst), "--trace", trace, "--out", "rec.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --trace and --out would both write rec.json\n"
+        assert captured.out == "" and read == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
     def test_trace_rows_equal_iters(self, tmp_path, capsys):
         inst = write_instance(tmp_path, lambda0=0.1, lambda1=0.3)
         trace_path = tmp_path / "trace.csv"
@@ -130,31 +157,45 @@ class TestSolve:
         a = write_instance(tmp_path, name="a.json", seed=1)
         b = write_instance(tmp_path, name="b.json", seed=2)
         out_dir = tmp_path / "records"
-        code = run_cli(["solve", str(a), str(b), "--batch", "--out-dir",
-                        str(out_dir)])
+        code = run_cli(["solve", str(a), str(b), "--out-dir", str(out_dir)])
         assert code == 0
         for stem in ("a", "b"):
             record = json.loads((out_dir / f"{stem}.record.json").read_text())
             assert record["report"]["converged"] is True
         assert "a.json: ok" in capsys.readouterr().out
 
-    def test_batch_requires_out_dir(self, tmp_path):
+    def test_batch_of_one_writes_its_record(self, tmp_path, capsys):
+        # --out-dir alone turns on batch mode; the record is the one stdout gets
         a = write_instance(tmp_path, name="a.json")
-        assert run_cli(["solve", str(a), "--batch"]) == 1
+        out_dir = tmp_path / "records"
+        assert run_cli(["solve", str(a), "--out-dir", str(out_dir)]) == 0
+        record = out_dir / "a.record.json"
+        assert capsys.readouterr().out == f"{a}: ok -> {record}\n"
+        assert run_cli(["solve", str(a)]) == 0
+        assert record.read_text() == capsys.readouterr().out
+
+    def test_batch_requires_out_dir(self, tmp_path, capsys):
+        a = write_instance(tmp_path, name="a.json")
+        b = write_instance(tmp_path, name="b.json")
+        assert run_cli(["solve", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: several instance files need --out-dir\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_batch_requires_instance_paths(self, tmp_path, capsys):
-        assert run_cli(["solve", "--batch", "--out-dir", str(tmp_path)]) == 1
+        assert run_cli(["solve", "--out-dir", str(tmp_path / "recs")]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "usage error: --batch requires instance paths\n"
+        assert captured.err == "usage error: --out-dir requires instance paths\n"
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_batch_propagates_validation_failures(self, tmp_path):
         good = write_instance(tmp_path, name="good.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         out_dir = tmp_path / "records"
-        code = run_cli(["solve", str(good), str(bad), "--batch", "--out-dir",
-                        str(out_dir)])
+        code = run_cli(["solve", str(good), str(bad), "--out-dir", str(out_dir)])
         assert code == 2
         assert (out_dir / "good.record.json").exists()
 
@@ -196,7 +237,50 @@ class TestExitCodes:
         inst = write_instance(tmp_path)
         assert run_cli(["solve", str(inst), option, value]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage error: ") and captured.out == ""
+        assert captured.err.startswith(f"usage error: argument {option}: expected a ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, option, value, expected", [
+        ("solve", "--rho", "x", "number"),
+        ("solve", "--rho", "0", "positive number"),
+        ("solve", "--max-iters", "abc", "positive integer"),
+        ("solve", "--max-iters", "1.5", "positive integer"),
+        ("solve", "--max-iters", "0", "positive integer"),
+        ("solve", "--eps-abs", "x", "number"),
+        ("solve", "--eps-abs", "-0.5", "nonnegative number"),
+        ("solve", "--eps-rel", "x", "number"),
+        ("solve", "--eps-rel", "-1", "nonnegative number"),
+        ("gen", "--seed", "x", "nonnegative integer"),
+        ("gen", "--seed", "-1", "nonnegative integer"),
+        ("gen", "--n", "abc", "positive integer"),
+        ("gen", "--n", "0", "positive integer"),
+        ("gen", "--m", "x", "positive integer"),
+        ("gen", "--m", "-3", "positive integer"),
+        ("gen", "--min-size", "x", "positive integer"),
+        ("gen", "--min-size", "0", "positive integer"),
+        ("gen", "--max-size", "2.5", "positive integer"),
+        ("gen", "--max-size", "0", "positive integer"),
+        ("gen", "--s", "x", "number"),
+        ("gen", "--s", "0", "positive number"),
+        ("gen", "--lambda0", "x", "number"),
+        ("gen", "--lambda0", "-1", "nonnegative number"),
+        ("gen", "--lambda1", "x", "number"),
+        ("gen", "--lambda1", "-1", "nonnegative number"),
+        ("gen", "--lambda", "x", "number"),
+        ("gen", "--lambda", "-1", "nonnegative number"),
+    ])
+    def test_numeric_option_error_names_the_option(self, tmp_path, capsys, monkeypatch,
+                                                   command, option, value, expected):
+        # each number is checked by its option's type, before any input is
+        # read or output written: no "invalid int value", no library field name
+        read = []
+        monkeypatch.setattr("sogl.cli.parse_instance", read.append)
+        argv = [command, option, value, "--out", str(tmp_path / "out.json")]
+        assert run_cli(argv + [str(tmp_path / "missing.json")] * (command == "solve")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"usage error: argument {option}: expected a "
+                                f"{expected}, got {value!r}\n")
+        assert captured.out == "" and read == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--limit", "-1"], ["bounds", "--with-oracle", "--limit", "0"],
@@ -319,13 +403,10 @@ class TestExitCodes:
         assert not (tmp_path / "t.csv").exists()  # no trace without its record
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "{a}", "--out-dir", "{tmp}/recs"],
-        ["solve", "{a}", "{b}", "--batch", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
         ["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
         ["solve", "{a}", "--algorithm", "dual", "--rho", "5"],
         ["bounds", "{a}", "--limit", "5"],
-    ], ids=["out-dir-without-batch", "out-with-batch", "out-with-several-files",
-            "rho-with-dual", "limit-without-oracle"])
+    ], ids=["out-with-several-files", "rho-with-dual", "limit-without-oracle"])
     def test_ignored_output_option_is_usage_error(self, tmp_path, capsys, argv):
         names = {"a": write_instance(tmp_path, name="a.json"),
                  "b": write_instance(tmp_path, name="b.json"), "tmp": tmp_path}
@@ -463,6 +544,33 @@ class TestCheckAndPipelines:
         assert "point" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--variant", "l0"], ["oracle"], ["check", "--point", "{pt}"],
+    ], ids=["bounds", "oracle", "check"])
+    def test_check_names_what_a_record_lacks(self, tmp_path, capsys, argv):
+        # a record of another command holds no point to check
+        path = tmp_path / "min.json"
+        path.write_text(MINIMAL)
+        point = tmp_path / "pt.json"
+        point.write_text("[1.0]\n")
+        rec = tmp_path / "rec.json"
+        argv = [a.format(pt=point) for a in argv]
+        assert run_cli(argv + [str(path), "--out", str(rec)]) == 0
+        assert run_cli(["check", str(path), "--point", str(rec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: point: record has no report.x_final\n"
+        assert captured.out == ""
+
+    def test_check_point_dash_is_a_file(self, tmp_path, capsys, monkeypatch):
+        # only an instance is read from stdin; --point - names a file
+        path = tmp_path / "min.json"
+        path.write_text(MINIMAL)
+        (tmp_path / "-").write_text("[1.0]\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("not read"))
+        assert run_cli(["check", str(path), "--point", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["stationary"] is True
+
     @pytest.mark.parametrize("text, message", [
         (None, "cannot read"), ("[1.0,", "invalid JSON in"),
     ], ids=["missing", "invalid-json"])
@@ -538,8 +646,13 @@ class TestGen:
     def test_gen_names_a_negative_seed(self, capsys):
         assert run_cli(["gen", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "usage error: seed must be >= 0, got -1\n"
+        assert captured.err == ("usage error: argument --seed: expected a "
+                                "nonnegative integer, got '-1'\n")
         assert captured.out == ""
+
+    def test_gen_writes_the_s_typed(self, capsys):
+        assert run_cli(["gen", "--s", "2.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["s"] == 2.5
 
     def test_gen_caps_sizes_at_n(self, capsys):
         assert run_cli(["gen", "--n", "1"]) == 0

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -144,6 +145,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"v\[0\]"):
             instance_from_dict(data)
 
+    def test_numpy_floats_are_numbers(self):
+        # subclasses of float take the entry-by-entry path of the check
+        data = dict(MINIMAL, v=[np.float64(0.5), np.float64(-1.5)], groups=[[0, 1]])
+        inst, _ = instance_from_dict(data).build()
+        assert inst.v.dtype == float and inst.v.tolist() == [0.5, -1.5]
+
     def test_boolean_is_not_a_number(self):
         data = dict(MINIMAL, s=True)
         with pytest.raises(ValidationError, match="s"):
@@ -176,6 +183,15 @@ class TestValidation:
     def test_top_level_array_is_parse_error(self):
         with pytest.raises(ParseError):
             parse_instance_text("[1, 2]")
+
+    def test_stream_is_read_as_a_file(self):
+        # an open text stream goes through the file reader, named by its name
+        stream = io.StringIO(json.dumps(MINIMAL))
+        assert parse_instance(stream).to_dict() == instance_from_dict(MINIMAL).to_dict()
+        raw = io.BytesIO(b"\xff\xfe{}")
+        raw.name = "<stdin>"
+        with pytest.raises(ParseError, match="^invalid JSON in <stdin>: "):
+            parse_instance(io.TextIOWrapper(raw, encoding="utf-8"))
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
@@ -269,6 +285,10 @@ class TestCanonicalSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_canonical(float("inf"))
+
+    def test_rejects_unsupported_objects(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            dumps_canonical({"report": {"x": {1.0}}})
 
     @given(record=records)
     @settings(max_examples=400, deadline=None)
