@@ -12,15 +12,18 @@ The plain variant is the l1 variant at ``lam1 = 0``. The lower problems are
 separable closed forms. The l1 upper problem is the scaled-l2 prox at the
 soft-thresholded center (Yu 2013, "On Decomposing the Proximal Map"),
 solved by a contraction fixed point whose limit norm also solves a scalar
-equation. Bisection on that equation runs only when the fixed point fails
-its check (not converged, equation residual above ``10*tol``, or
-stationarity residual above 1e-9): a traced 3 s run of each benchmark pool
-(seed 1) records no bisection in 1282 calls. Just above the zero threshold
-it is the usual path: at ``lam >= 0.9*||v/u||`` the fixed point slows
-down, and 14 of the 18 calls in ``test_near_the_zero_threshold`` bisect
-after 175-10000 fixed-point iterations. The l0-flavored upper problem is
-relaxed through the largest diagonal entry and solved exactly by top-k
-support enumeration.
+equation; it stops when successive norms differ by at most ``_TOL``, or
+after ``_MAX_ITERS`` steps. Bisection on that equation runs only when the
+fixed point fails its check (not converged, equation residual above
+``10*_TOL``, or stationarity residual above 1e-9): a traced 3 s run of
+each benchmark pool (seed 1) records no bisection in 1282 calls. Just
+above the zero threshold it is the usual path: at ``lam >= 0.9*||v/u||``
+the fixed point slows down, and 14 of the 18 calls in
+``test_near_the_zero_threshold`` bisect after 175-10000 fixed-point
+iterations. The l0-flavored upper problem is relaxed through the largest
+diagonal entry and solved exactly by top-k support enumeration. Every
+bound's value comes from one evaluator, ``_value``, which leaves out a
+term whose coefficient is 0.
 """
 from __future__ import annotations
 
@@ -43,6 +46,10 @@ __all__ = [
     "upper_bound_l0",
     "sandwich",
 ]
+
+# the fixed point's stopping step between successive norms, and its step cap
+_TOL = 1e-10
+_MAX_ITERS = 10000
 
 
 @dataclass
@@ -103,6 +110,23 @@ def _soft(v: np.ndarray, t) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def _value(x: np.ndarray, v: np.ndarray, lam: float, norm: float,
+           lam1: float = 0.0, lam0: float = 0.0) -> float:
+    """The bound objective ``0.5*||x - v||^2 + lam*norm + lam1*||x||_1 +
+    lam0*nnz(x)``, ``norm`` being the surrogate norm at x. As in
+    ``model.objective_value``, a term whose coefficient is 0 is left out,
+    so a norm or l1 sum that overflows does not turn ``0*inf`` into NaN.
+    """
+    value = 0.5 * float(np.sum((x - v) ** 2))
+    if lam:
+        value += lam * norm
+    if lam1:
+        value += lam1 * float(np.sum(np.abs(x)))
+    if lam0:
+        value += lam0 * int(np.count_nonzero(x))
+    return value
+
+
 def _phi(c: float, uv_sq: np.ndarray, lam_u_sq: np.ndarray) -> float:
     return float(np.sum(uv_sq / (c + lam_u_sq) ** 2)) - 1.0
 
@@ -121,22 +145,21 @@ def _bisect_c(uv_sq: np.ndarray, lam_u_sq: np.ndarray, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
-                   max_iters: int = 10000):
+def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     """Minimize ``0.5*||x - v||^2 + lam*||diag(u) x||_2``.
 
     Coordinates with a zero diagonal entry pass through (x_j = v_j). On the
     penalized block, x = 0 exactly when the inverse-scaled center norm is
     at most ``lam``; otherwise the minimizer is the unique fixed point of
     ``x -> (I + lam*U^2/||Ux||)^(-1) v``, iterated from v until successive
-    scaled norms change by at most ``tol``. The result is
-    then checked: the iteration must have converged, the limit norm must
-    solve the scalar fixed-point equation to ``10*tol``, and the
-    stationarity residual must be at most 1e-9. Only when a check fails is
-    the norm recomputed by bisection on that equation; the fixed point's
-    result is kept otherwise. On the benchmark pools no check fails, but
-    just above the zero threshold (``lam >= 0.9*||v/u||``) most calls
-    bisect, after hundreds to ``max_iters`` fixed-point iterations.
+    scaled norms change by at most ``_TOL``. The result is then checked:
+    the iteration must have converged within ``_MAX_ITERS`` steps, the
+    limit norm must solve the scalar fixed-point equation to ``10*_TOL``,
+    and the stationarity residual must be at most 1e-9. Only when a check
+    fails is the norm recomputed by bisection on that equation; the fixed
+    point's result is kept otherwise. On the benchmark pools no check
+    fails, but just above the zero threshold (``lam >= 0.9*||v/u||``) most
+    calls bisect, after hundreds to ``_MAX_ITERS`` fixed-point iterations.
 
     Returns ``(x, value, FixedPointTrace)``.
     """
@@ -146,32 +169,26 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
         raise ValueError("diagonal and center must have matching length")
     penalized = u > 0
     trace = FixedPointTrace()
-
-    def value_at(x):
-        return 0.5 * float(np.sum((x - v) ** 2)) + lam * float(np.linalg.norm(u * x))
-
-    if lam == 0.0 or not penalized.any():
-        x = v.copy()
+    x = v.copy()
+    if lam == 0.0:
         trace.c = float(np.linalg.norm(u * x))
         trace.norms = [trace.c]
-        return x, value_at(x), trace
+        return x, _value(x, v, lam, trace.c), trace
 
     inv_norm = math.sqrt(float(np.sum((v[penalized] / u[penalized]) ** 2)))
     if inv_norm <= lam:
-        x = v.copy()
         x[penalized] = 0.0
-        return x, value_at(x), trace
+        return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
-    x = v.copy()
     c = float(np.linalg.norm(u * x))  # positive: the zero test failed
     trace.norms.append(c)
     lam_u_sq = lam * u**2
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         x = (c / (c + lam_u_sq)) * v
         c_next = float(np.linalg.norm(u * x))
         trace.norms.append(c_next)
-        done = abs(c_next - c) <= tol
+        done = abs(c_next - c) <= _TOL
         c = c_next
         if done:
             converged = True
@@ -183,14 +200,14 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag, tol: float = 1e-10,
     lam_u_sq_pen = lam_u_sq[penalized]
     resid = abs(_phi(c, uv_sq, lam_u_sq_pen))
     station = float(np.linalg.norm(x - v + lam_u_sq * x / c))
-    if not converged or resid > 10.0 * tol or station > 1e-9:
+    if not converged or resid > 10.0 * _TOL or station > 1e-9:
         c = _bisect_c(uv_sq, lam_u_sq_pen, float(np.linalg.norm(u * v)))
         x = (c / (c + lam_u_sq)) * v
         resid = abs(_phi(c, uv_sq, lam_u_sq_pen))
         trace.used_bisection = True
     trace.c = c
     trace.fp_residual = resid
-    return x, value_at(x), trace
+    return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
 
 def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
@@ -205,12 +222,7 @@ def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     v = np.asarray(v, dtype=float)
     l = np.asarray(diag, dtype=float)
     x = _soft(v, lam * l + lam1)
-    value = (
-        0.5 * float(np.sum((x - v) ** 2))
-        + lam * float(np.sum(l * np.abs(x)))
-        + lam1 * float(np.sum(np.abs(x)))
-    )
-    return x, value
+    return x, _value(x, v, lam, float(np.sum(l * np.abs(x))), lam1=lam1)
 
 
 def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
@@ -225,12 +237,7 @@ def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
     x, _, _ = scaled_l2_prox(_soft(v, lam1), lam, u)
-    value = (
-        0.5 * float(np.sum((x - v) ** 2))
-        + lam * float(np.linalg.norm(u * x))
-        + lam1 * float(np.sum(np.abs(x)))
-    )
-    return x, value
+    return x, _value(x, v, lam, float(np.linalg.norm(u * x)), lam1=lam1)
 
 
 def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
@@ -247,12 +254,7 @@ def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     f_a = 0.5 * (a - v) ** 2 + lam * l * np.abs(a) + lam0 * (a != 0)
     f_zero = 0.5 * v**2
     x = np.where(f_a < f_zero, a, 0.0)
-    value = (
-        0.5 * float(np.sum((x - v) ** 2))
-        + lam * float(np.sum(l * np.abs(x)))
-        + lam0 * int(np.count_nonzero(x))
-    )
-    return x, value
+    return x, _value(x, v, lam, float(np.sum(l * np.abs(x))), lam0=lam0)
 
 
 def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
@@ -285,12 +287,7 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
         best_val = float(vals[k])
         idx = order[:k + 1]
         x[idx] = (1.0 - t / r[k]) * v[idx]
-    value = (
-        0.5 * float(np.sum((x - v) ** 2))
-        + lam * float(np.linalg.norm(u * x))
-        + lam0 * int(np.count_nonzero(x))
-    )
-    return x, value, best_val
+    return x, _value(x, v, lam, float(np.linalg.norm(u * x)), lam0=lam0), best_val
 
 
 def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str) -> BoundsReport:

@@ -129,7 +129,8 @@ def _build_parser() -> _Parser:
     solve = sub.add_parser("solve", parents=[out, stamp],
                            help="run a solver on an instance")
     solve.add_argument("instance", nargs="*", default=(),
-                       help="instance file(s); '-' or empty reads stdin")
+                       help="instance file(s); '-' or none reads one "
+                       "instance from stdin")
     solve.add_argument("--algorithm", choices=("admm", "dual"), default="admm")
     solve.add_argument("--rho", type=_positive_float,
                        help=f"starting ADMM penalty (default {RHO_TIMES_S}/s), "
@@ -186,9 +187,15 @@ def _build_parser() -> _Parser:
     return p
 
 
+# the instance paths that name stdin
+_STDIN = ("-", "")
+
+
 def _read_instance(path: str) -> tuple:
     """The instance at ``path`` ('-' or empty: stdin) and its source name."""
-    if path in ("-", ""):
+    if path in _STDIN:
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise ParseError("cannot read <stdin>: stdin is closed")
         return parse_instance(sys.stdin), "stdin"
     return parse_instance(path), path
 
@@ -259,6 +266,9 @@ def _cmd_solve(args) -> int:
             raise _UsageError("--out-dir requires instance paths")
         if args.trace or args.out:
             raise _UsageError("--trace and --out are not supported with --out-dir")
+        if any(path in _STDIN for path in paths):
+            raise _UsageError("--out-dir takes instance files; stdin ('-') is for "
+                              "a single instance")
         records = [os.path.join(args.out_dir, os.path.splitext(
             os.path.basename(path))[0] + ".record.json") for path in paths]
         _check_outputs(zip(paths, records))

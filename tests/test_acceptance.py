@@ -147,7 +147,7 @@ def test_c4_fixed_point_diagnostics():
             v = rng.normal(0, 2, n)
         inv_norm = math.sqrt(float(np.sum((v / u) ** 2)))
         lam = float(rng.uniform(0.05, 0.95)) * inv_norm  # zero test fails
-        x, val, tr = scaled_l2_prox(v, lam, u, tol=1e-10, max_iters=10000)
+        x, val, tr = scaled_l2_prox(v, lam, u)
         # (a) monotone scaled-norm sequence after the first step
         diffs = np.diff(tr.norms[1:])
         assert np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)

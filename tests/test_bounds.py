@@ -211,15 +211,53 @@ class TestScaledL2Prox:
                 assert abs(val - scan) <= 1e-6 * abs(scan), (n, fraction)
 
     def test_bisection_fallback_engages(self):
-        rng = np.random.default_rng(77)
+        # this draw near the zero threshold runs into the step cap
+        rng = np.random.default_rng(61)
         u = rng.uniform(0.2, 3.0, 6)
         v = rng.normal(0, 2, 6)
-        lam = 0.5 * math.sqrt(float(np.sum((v / u) ** 2)))
-        x, _, tr = scaled_l2_prox(v, lam, u, max_iters=2)
+        lam = 0.999 * math.sqrt(float(np.sum((v / u) ** 2)))
+        x, _, tr = scaled_l2_prox(v, lam, u)
         assert tr.used_bisection and not tr.converged
         assert tr.fp_residual <= 1e-8
         c = float(np.linalg.norm(u * x))
         assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
+
+
+class TestZeroCoefficientTerms:
+    # each call has a coefficient of 0 on a term that overflows; leaving the
+    # term out keeps the value finite, where 0*inf made it NaN
+    big = np.array([1e300, 1e300])
+
+    def test_lower_bound_l1(self):
+        v = np.array([1e308, 1e308])
+        with np.errstate(all="ignore"):
+            _, val = lower_bound_l1(v, 0.1, 0.0, np.ones(2) / math.sqrt(2))
+        assert val == pytest.approx(0.1 * math.sqrt(2) * 1e308, rel=1e-12)
+
+    def test_lower_bound_l0(self):
+        v = np.array([1e308, 1e308])
+        with np.errstate(all="ignore"):
+            x, val = lower_bound_l0(v, 0.0, 0.1, np.ones(2))
+        np.testing.assert_array_equal(x, v)
+        assert val == pytest.approx(0.2, rel=1e-15)
+
+    def test_scaled_l2_prox(self):
+        with np.errstate(all="ignore"):
+            x, val, _ = scaled_l2_prox(np.array([1.0, 2.0]), 0.0, self.big)
+        np.testing.assert_array_equal(x, [1.0, 2.0])
+        assert val == 0.0
+
+    def test_upper_bound_l1(self):
+        with np.errstate(all="ignore"):
+            x, val = upper_bound_l1(np.array([1.0, 2.0]), 0.0, 0.1, self.big)
+        np.testing.assert_allclose(x, [0.9, 1.9], rtol=1e-15)
+        assert val == pytest.approx(0.5 * 0.02 + 0.1 * 2.8, rel=1e-12)
+
+    def test_upper_bound_l0(self):
+        with np.errstate(all="ignore"):
+            x, val, _ = upper_bound_l0(np.array([1.0, 2.0]), 0.0, 0.1, self.big)
+        np.testing.assert_array_equal(x, [1.0, 2.0])
+        assert val == pytest.approx(0.2, rel=1e-15)
 
 
 class TestLowerBoundL1:

@@ -110,6 +110,17 @@ class TestSolve:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "-"], ["solve"], ["bounds"], ["oracle"], ["check", "--point", "p.json"],
+    ], ids=["solve-dash", "solve", "bounds", "oracle", "check"])
+    def test_closed_stdin_is_parse_error(self, capsys, monkeypatch, argv):
+        # a process started with stdin closed has sys.stdin None
+        monkeypatch.setattr("sys.stdin", None)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot read <stdin>: stdin is closed\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("trace", ["rec.json", "./rec.json"])
     def test_trace_and_out_on_one_path_is_usage_error(self, tmp_path, capsys,
                                                       monkeypatch, trace):
@@ -189,6 +200,21 @@ class TestSolve:
         assert captured.err == "usage error: --out-dir requires instance paths\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stdin", ["-", ""])
+    def test_batch_refuses_stdin(self, tmp_path, capsys, monkeypatch, stdin):
+        # stdin has no file name to name a record after: refused before any
+        # input is read or the directory is made
+        read = []
+        monkeypatch.setattr("sogl.cli.parse_instance", read.append)
+        a = write_instance(tmp_path, name="a.json")
+        out_dir = tmp_path / "records"
+        assert run_cli(["solve", str(a), stdin, "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("usage error: --out-dir takes instance files; "
+                                "stdin ('-') is for a single instance\n")
+        assert captured.out == "" and read == []
+        assert not out_dir.exists()
 
     def test_batch_propagates_validation_failures(self, tmp_path):
         good = write_instance(tmp_path, name="good.json")
@@ -482,6 +508,18 @@ class TestBounds:
         rep = json.loads(capsys.readouterr().out)["report"]
         assert rep["oracle_value"] == value
         assert rep["lower_value"] - 1e-9 <= value <= rep["upper_value"] + 1e-9
+
+    @pytest.mark.parametrize("variant", ["plain", "l1"])
+    def test_zero_penalties_with_overflowing_norms(self, tmp_path, capsys, variant):
+        # the optimum is v, whose surrogate norms overflow: at lam = 0 the
+        # norm term is left out, where 0*inf made the upper value NaN (exit 3)
+        path = tmp_path / "big.json"
+        path.write_text('{"v": [1e280, -1e280, 1e280], "groups": [[0, 1], [1, 2]], '
+                        '"s": 1, "lambda0": 0, "lambda1": 0, "lambda": 0}')
+        assert run_cli(["bounds", str(path), "--variant", variant,
+                        "--with-oracle"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 0.0
 
     def test_without_oracle_field_is_null(self, tmp_path, capsys):
         inst = write_instance(tmp_path)
