@@ -4,7 +4,7 @@ group lasso.
 The composite objective is a prox quadratic around a center plus a nonzero
 count, plus a weighted sum of euclidean norms over (possibly overlapping)
 index groups. The package provides a consensus ADMM solver, a dual ascent
-heuristic, closed-form / fixed-point sandwich bounds on the optimal value,
+heuristic, closed-form / Newton sandwich bounds on the optimal value,
 brute-force oracles to certify everything at desk scale, and a CLI with a
 JSON instance format. The solver steps, bound pieces and model primitives
 are imported from their modules (``sogl.admm``, ``sogl.bounds``,

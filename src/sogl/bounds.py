@@ -10,20 +10,15 @@ elementwise l1 term, and the prox with an extra nonzero-count term.
 
 The plain variant is the l1 variant at ``lam1 = 0``. The lower problems are
 separable closed forms. The l1 upper problem is the scaled-l2 prox at the
-soft-thresholded center (Yu 2013, "On Decomposing the Proximal Map"),
-solved by a contraction fixed point whose limit norm also solves a scalar
-equation; it stops when successive norms differ by at most ``_TOL``, or
-after ``_MAX_ITERS`` steps. Bisection on that equation runs only when the
-fixed point fails its check (not converged, equation residual above
-``10*_TOL``, or stationarity residual above 1e-9): a traced 3 s run of
-each benchmark pool (seed 1) records no bisection in 1282 calls. Just
-above the zero threshold it is the usual path: at ``lam >= 0.9*||v/u||``
-the fixed point slows down, and 14 of the 18 calls in
-``test_near_the_zero_threshold`` bisect after 175-10000 fixed-point
-iterations. The l0-flavored upper problem is relaxed through the largest
-diagonal entry and solved exactly by top-k support enumeration. Every
-bound's value comes from one evaluator, ``_value``, which leaves out a
-term whose coefficient is 0.
+soft-thresholded center (Yu 2013, "On Decomposing the Proximal Map"). Its
+minimizer is fixed by one scalar, the scaled norm ``c`` that solves
+``sum_j (u_j*v_j)**2/(c + lam*u_j**2)**2 = 1``; that is the secular equation
+of the trust-region subproblem, and Newton on its reciprocal form rises
+monotonically to the root from a start below it (More & Sorensen 1983,
+"Computing a trust region step"). The l0-flavored upper problem is relaxed
+through the largest diagonal entry and solved exactly by top-k support
+enumeration. Every bound's value comes from one evaluator, ``_value``,
+which leaves out a term whose coefficient is 0.
 """
 from __future__ import annotations
 
@@ -47,26 +42,25 @@ __all__ = [
     "sandwich",
 ]
 
-# the fixed point's stopping step between successive norms, and its step cap
-_TOL = 1e-10
-_MAX_ITERS = 10000
-
 
 @dataclass
 class FixedPointTrace:
-    """Diagnostics of one fixed-point solve.
+    """Diagnostics of one scaled-l2 prox solve.
 
-    ``norms[k]`` is the scaled norm of iterate k (index 0 is the starting
-    point v); step k multiplies coordinate j of the center by the factor
-    ``norms[k] / (norms[k] + lam*u_j**2)``. ``c`` is the limit of the norm
-    sequence and ``fp_residual`` how well it solves the scalar fixed-point
-    equation.
+    ``norms`` holds the Newton iterates ``c_1 < c_2 < ...`` for the scaled
+    norm of the minimizer, all positive (empty when the start ``c_0`` is
+    already the root); the minimizer at norm c multiplies coordinate j of
+    the center by ``c / (c + lam*u_j**2)``. ``c`` is the last iterate (or
+    ``c_0``), ``iterations`` the number of Newton steps and
+    ``fp_residual`` is ``|G(c)**2 - 1|``, how well c solves the scalar
+    equation (G as in ``scaled_l2_prox``). ``used_bisection`` is always
+    False; it stays only for readers that count bisections (perfbench's
+    traced metrics).
     """
 
     norms: list = field(default_factory=list)
     c: float = 0.0
     iterations: int = 0
-    converged: bool = True
     fp_residual: float = 0.0
     used_bisection: bool = False
 
@@ -127,39 +121,20 @@ def _value(x: np.ndarray, v: np.ndarray, lam: float, norm: float,
     return value
 
 
-def _phi(c: float, uv_sq: np.ndarray, lam_u_sq: np.ndarray) -> float:
-    return float(np.sum(uv_sq / (c + lam_u_sq) ** 2)) - 1.0
-
-
-def _bisect_c(uv_sq: np.ndarray, lam_u_sq: np.ndarray, hi: float) -> float:
-    """Root of ``_phi(c, uv_sq, lam_u_sq) = 0`` on (0, hi], hi = ||u*v||."""
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _phi(mid, uv_sq, lam_u_sq) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     """Minimize ``0.5*||x - v||^2 + lam*||diag(u) x||_2``.
 
     Coordinates with a zero diagonal entry pass through (x_j = v_j). On the
     penalized block, x = 0 exactly when the inverse-scaled center norm is
-    at most ``lam``; otherwise the minimizer is the unique fixed point of
-    ``x -> (I + lam*U^2/||Ux||)^(-1) v``, iterated from v until successive
-    scaled norms change by at most ``_TOL``. The result is then checked:
-    the iteration must have converged within ``_MAX_ITERS`` steps, the
-    limit norm must solve the scalar fixed-point equation to ``10*_TOL``,
-    and the stationarity residual must be at most 1e-9. Only when a check
-    fails is the norm recomputed by bisection on that equation; the fixed
-    point's result is kept otherwise. On the benchmark pools no check
-    fails, but just above the zero threshold (``lam >= 0.9*||v/u||``) most
-    calls bisect, after hundreds to ``_MAX_ITERS`` fixed-point iterations.
+    at most ``lam``; otherwise ``x_j = c*v_j/(c + lam*u_j**2)``, where the
+    scaled norm ``c = ||u*x||`` is the root of ``G(c) = 1`` with ``G(c) =
+    ||w||`` and ``w = |u*v|/(c + lam*u**2)`` on the penalized block. Each
+    ``w_j`` is at most 1 at the root, so the root is at least
+    ``c_0 = max(0, max_j(|u_j*v_j| - lam*u_j**2))``, and from there on every
+    ``w_j <= 1``: no square overflows, however large ``|v/(lam*u)|`` is.
+    Newton on ``1/G(c) - 1`` starts at ``c_0``, where G is at least 1; as
+    ``1/G`` is concave and increasing, the iterates rise to the root
+    without overshooting, and the loop stops when c stops rising.
 
     Returns ``(x, value, FixedPointTrace)``.
     """
@@ -180,33 +155,22 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
         x[penalized] = 0.0
         return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
-    c = float(np.linalg.norm(u * x))  # positive: the zero test failed
-    trace.norms.append(c)
-    lam_u_sq = lam * u**2
-    converged = False
-    for _ in range(_MAX_ITERS):
-        x = (c / (c + lam_u_sq)) * v
-        c_next = float(np.linalg.norm(u * x))
-        trace.norms.append(c_next)
-        done = abs(c_next - c) <= _TOL
-        c = c_next
-        if done:
-            converged = True
+    uv = np.abs(u[penalized] * v[penalized])
+    lam_u_sq = lam * u[penalized] ** 2
+    c = max(0.0, float(np.max(uv - lam_u_sq)))
+    while True:
+        inv = 1.0 / (c + lam_u_sq)
+        w = uv * inv
+        sum_sq = float(w.dot(w))  # G(c)**2
+        c_next = c + (math.sqrt(sum_sq) - 1.0) * sum_sq / float((w * w).dot(inv))
+        if not c_next > c:
             break
-    trace.iterations = len(trace.norms) - 1
-    trace.converged = converged
-
-    uv_sq = (u[penalized] * v[penalized]) ** 2
-    lam_u_sq_pen = lam_u_sq[penalized]
-    resid = abs(_phi(c, uv_sq, lam_u_sq_pen))
-    station = float(np.linalg.norm(x - v + lam_u_sq * x / c))
-    if not converged or resid > 10.0 * _TOL or station > 1e-9:
-        c = _bisect_c(uv_sq, lam_u_sq_pen, float(np.linalg.norm(u * v)))
-        x = (c / (c + lam_u_sq)) * v
-        resid = abs(_phi(c, uv_sq, lam_u_sq_pen))
-        trace.used_bisection = True
+        c = c_next
+        trace.norms.append(c)
     trace.c = c
-    trace.fp_residual = resid
+    trace.iterations = len(trace.norms)
+    trace.fp_residual = abs(sum_sq - 1.0)
+    x[penalized] *= c / (c + lam_u_sq)
     return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
 
@@ -267,27 +231,30 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
 
     Returns ``(x, value, relaxed_value)`` where ``value`` evaluates the
     unrelaxed surrogate objective at x (the tighter certified bound) and
-    ``relaxed_value`` is the optimal value of the relaxed problem.
+    ``relaxed_value`` the relaxed objective at x, its optimal value.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
     n = v.size
-    sigma = float(u.max()) if n else 0.0
-    t = lam * sigma
-    order = np.argsort(-np.abs(v), kind="stable")
-    sq = np.cumsum(v[order] ** 2)
-    r = np.sqrt(sq)  # r[k-1]: norm of the k largest magnitudes
-    total = 0.5 * float(sq[-1]) if n else 0.0
-    vals = np.where(r > t, total - 0.5 * (r - t) ** 2 + lam0 * np.arange(1, n + 1),
-                    math.inf)
-    k = int(np.argmin(vals)) if n else 0
     x = np.zeros(n)
-    best_val = total
-    if n and vals[k] < total:
-        best_val = float(vals[k])
-        idx = order[:k + 1]
-        x[idx] = (1.0 - t / r[k]) * v[idx]
-    return x, _value(x, v, lam, float(np.linalg.norm(u * x)), lam0=lam0), best_val
+    t = lam * float(u.max()) if n else 0.0
+    if n:
+        # the candidates are compared on v/2**e, 2**e just above max|v|:
+        # a power-of-two scale is exact, and no square overflows
+        e = math.frexp(float(np.max(np.abs(v))))[1]
+        ts = math.ldexp(t, -e)
+        order = np.argsort(-np.abs(v), kind="stable")
+        sq = np.cumsum(np.ldexp(v[order], -e) ** 2)
+        r = np.sqrt(sq)  # r[k-1]: scaled norm of the k largest magnitudes
+        total = 0.5 * float(sq[-1])
+        vals = np.where(r > ts, total - 0.5 * (r - ts) ** 2
+                        + math.ldexp(lam0, -2 * e) * np.arange(1, n + 1), math.inf)
+        k = int(np.argmin(vals))
+        if vals[k] < total:
+            idx = order[:k + 1]
+            x[idx] = (1.0 - ts / r[k]) * v[idx]
+    return (x, _value(x, v, lam, float(np.linalg.norm(u * x)), lam0=lam0),
+            _value(x, v, t, float(np.linalg.norm(x)), lam0=lam0))
 
 
 def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str) -> BoundsReport:

@@ -25,6 +25,7 @@ from helpers import (
     block_soft_threshold,
     random_instance,
     random_structure,
+    scaled_l2_fixed_point_from,
     upper_bound_l1_masked,
 )
 
@@ -193,9 +194,8 @@ class TestScaledL2Prox:
         assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
 
     def test_near_the_zero_threshold(self):
-        # just above the zero test's threshold the fixed point converges
-        # slowly; whichever path answers, the result is stationary and
-        # matches the scan
+        # just above the zero test's threshold the paper's fixed point
+        # converges slowly; the Newton root is stationary and matches the scan
         rng = np.random.default_rng(2026)
         for _ in range(6):
             n = int(rng.integers(1, 9))
@@ -210,17 +210,61 @@ class TestScaledL2Prox:
                 scan = oracle_c_scan(v, lam, u).value
                 assert abs(val - scan) <= 1e-6 * abs(scan), (n, fraction)
 
-    def test_bisection_fallback_engages(self):
-        # this draw near the zero threshold runs into the step cap
+    def test_newton_steps_stay_few(self):
+        # near the zero threshold, where the paper's fixed point needs up to
+        # 10000 steps, Newton's iterates rise strictly and stop within 12
         rng = np.random.default_rng(61)
         u = rng.uniform(0.2, 3.0, 6)
         v = rng.normal(0, 2, 6)
-        lam = 0.999 * math.sqrt(float(np.sum((v / u) ** 2)))
-        x, _, tr = scaled_l2_prox(v, lam, u)
-        assert tr.used_bisection and not tr.converged
-        assert tr.fp_residual <= 1e-8
-        c = float(np.linalg.norm(u * x))
-        assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
+        cases = [(v, u, 0.999)]
+        rng = np.random.default_rng(2026)  # the draws of the test above
+        for _ in range(6):
+            n = int(rng.integers(1, 9))
+            u = rng.uniform(0.2, 3.0, n)
+            v = rng.normal(0, 2, n)
+            cases += [(v, u, fraction) for fraction in (0.9, 0.99, 0.999)]
+        for v, u, fraction in cases:
+            lam = fraction * math.sqrt(float(np.sum((v / u) ** 2)))
+            x, _, tr = scaled_l2_prox(v, lam, u)
+            assert tr.iterations == len(tr.norms) <= 12, (v.size, fraction)
+            assert np.all(np.diff([0.0] + tr.norms) > 0)
+            assert tr.fp_residual <= 1e-8
+            c = float(np.linalg.norm(u * x))
+            assert float(np.linalg.norm(x - v + lam * u**2 * x / c)) <= 1e-8
+
+    def test_wide_diagonals_and_huge_ratios(self):
+        # beyond C4's draws: n up to 800, a diagonal over e^-7..e^7 with
+        # zeros, lam from 0.001 to 1 - 1e-9 of the zero threshold, one draw
+        # whose ratios |v/(lam*u)| near 1e160 overflow a sum of their
+        # squares, and one whose ratios overflow themselves
+        rng = np.random.default_rng(29)
+        cases = []
+        for n in (1, 2, 7, 40, 150, 800):
+            for fraction in (0.001, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9):
+                u = np.exp(rng.uniform(-7.0, 7.0, n))
+                u[rng.random(n) < 0.2] = 0.0
+                u[0] = max(u[0], 1.0)  # at least one penalized coordinate
+                cases.append((rng.normal(0, 2, n), u, fraction))
+        for scale, fraction, bound in ((1e150, 1e-160, 1e159), (2.0, 1e-310, math.inf)):
+            u = np.exp(rng.uniform(-7.0, 7.0, 50))
+            v = rng.normal(0, scale, 50)
+            lam = fraction * math.sqrt(float(np.sum((v / u) ** 2)))
+            with np.errstate(over="ignore"):
+                assert float(np.max(np.abs(v / (lam * u)))) >= bound
+            cases.append((v, u, fraction))
+        for v, u, fraction in cases:
+            pen = u > 0
+            lam = fraction * math.sqrt(float(np.sum((v[pen] / u[pen]) ** 2)))
+            x, _, tr = scaled_l2_prox(v, lam, u)
+            assert np.all(np.diff([0.0] + tr.norms) > 0)
+            np.testing.assert_array_equal(x[~pen], v[~pen])
+            c = float(np.linalg.norm(u * x))
+            station = float(np.linalg.norm(x - v + lam * u**2 * x / c))
+            scale = 1.0 + float(np.linalg.norm(v))
+            assert station <= 1e-12 * scale, (v.size, fraction, station)
+            if fraction <= 0.5:
+                x_fp = scaled_l2_fixed_point_from(v, lam, u, v, tol=1e-13 * c)
+                assert float(np.linalg.norm(x - x_fp)) <= 1e-8 * scale
 
 
 class TestZeroCoefficientTerms:

@@ -509,10 +509,12 @@ class TestBounds:
         assert rep["oracle_value"] == value
         assert rep["lower_value"] - 1e-9 <= value <= rep["upper_value"] + 1e-9
 
-    @pytest.mark.parametrize("variant", ["plain", "l1"])
+    @pytest.mark.parametrize("variant", ["plain", "l1", "l0"])
     def test_zero_penalties_with_overflowing_norms(self, tmp_path, capsys, variant):
         # the optimum is v, whose surrogate norms overflow: at lam = 0 the
-        # norm term is left out, where 0*inf made the upper value NaN (exit 3)
+        # norm term is left out, where 0*inf made the upper value NaN (exit 3);
+        # l0's top-k candidates are compared on a scaled v, where squares of
+        # v itself overflowed and left the upper value at inf (exit 3)
         path = tmp_path / "big.json"
         path.write_text('{"v": [1e280, -1e280, 1e280], "groups": [[0, 1], [1, 2]], '
                         '"s": 1, "lambda0": 0, "lambda1": 0, "lambda": 0}')
