@@ -128,10 +128,12 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     penalized block, x = 0 exactly when the inverse-scaled center norm is
     at most ``lam``; otherwise ``x_j = c*v_j/(c + lam*u_j**2)``, where the
     scaled norm ``c = ||u*x||`` is the root of ``G(c) = 1`` with ``G(c) =
-    ||w||`` and ``w = |u*v|/(c + lam*u**2)`` on the penalized block. Each
-    ``w_j`` is at most 1 at the root, so the root is at least
-    ``c_0 = max(0, max_j(|u_j*v_j| - lam*u_j**2))``, and from there on every
-    ``w_j <= 1``: no square overflows, however large ``|v/(lam*u)|`` is.
+    ||w||`` and ``w = |u*v|/(c + lam*u**2)`` over the coordinates whose
+    product ``u_j*v_j`` is nonzero; the others add nothing to the norm and
+    pass through as well. Each ``w_j`` is at most 1 at the root, so the
+    root is at least ``c_0 = max(0, max_j(|u_j*v_j| - lam*u_j**2))``, and
+    from there on every ``w_j <= 1``: no square overflows, however large
+    ``|v/(lam*u)|`` is.
     Newton on ``1/G(c) - 1`` starts at ``c_0``, where G is at least 1; as
     ``1/G`` is concave and increasing, the iterates rise to the root
     without overshooting, and the loop stops when c stops rising.
@@ -155,10 +157,14 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
         x[penalized] = 0.0
         return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
-    uv = np.abs(u[penalized] * v[penalized])
-    lam_u_sq = lam * u[penalized] ** 2
-    c = max(0.0, float(np.max(uv - lam_u_sq)))
-    while True:
+    # wherever lam*u_j**2 rounds to 0, c_0 >= |u_j*v_j| > 0: no denominator
+    # is 0; with no nonzero product at all, everything passes through
+    active = np.abs(u * v) > 0
+    uv = np.abs(u[active] * v[active])
+    lam_u_sq = lam * u[active] ** 2
+    c = float(np.max(uv - lam_u_sq, initial=0.0))
+    sum_sq = 1.0
+    while uv.size:
         inv = 1.0 / (c + lam_u_sq)
         w = uv * inv
         sum_sq = float(w.dot(w))  # G(c)**2
@@ -170,7 +176,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     trace.c = c
     trace.iterations = len(trace.norms)
     trace.fp_residual = abs(sum_sq - 1.0)
-    x[penalized] *= c / (c + lam_u_sq)
+    x[active] *= c / (c + lam_u_sq)
     return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
 
@@ -239,9 +245,10 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     x = np.zeros(n)
     t = lam * float(u.max()) if n else 0.0
     if n:
-        # the candidates are compared on v/2**e, 2**e just above max|v|:
-        # a power-of-two scale is exact, and no square overflows
-        e = math.frexp(float(np.max(np.abs(v))))[1]
+        # the candidates are compared on v/2**e, 2**e just above max|v|
+        # when that is at least 1: a power-of-two scale is exact, no square
+        # overflows, and as it only scales down, neither does lam0 or t
+        e = max(0, math.frexp(float(np.max(np.abs(v))))[1])
         ts = math.ldexp(t, -e)
         order = np.argsort(-np.abs(v), kind="stable")
         sq = np.cumsum(np.ldexp(v[order], -e) ** 2)

@@ -236,7 +236,8 @@ class TestScaledL2Prox:
         # beyond C4's draws: n up to 800, a diagonal over e^-7..e^7 with
         # zeros, lam from 0.001 to 1 - 1e-9 of the zero threshold, one draw
         # whose ratios |v/(lam*u)| near 1e160 overflow a sum of their
-        # squares, and one whose ratios overflow themselves
+        # squares, one whose ratios overflow themselves, and two where a
+        # product u_j*v_j or lam*u_j**2 underflows to 0 with Newton at c = 0
         rng = np.random.default_rng(29)
         cases = []
         for n in (1, 2, 7, 40, 150, 800):
@@ -252,6 +253,9 @@ class TestScaledL2Prox:
             with np.errstate(over="ignore"):
                 assert float(np.max(np.abs(v / (lam * u)))) >= bound
             cases.append((v, u, fraction))
+        u = np.array([1.0, 1.0, 1e-170])
+        for v in (np.array([0.8, 0.8, 0.0]), np.array([0.8, 0.8, 1e-160])):
+            cases.append((v, u, 1.0 / math.sqrt(float(np.sum((v / u) ** 2)))))
         for v, u, fraction in cases:
             pen = u > 0
             lam = fraction * math.sqrt(float(np.sum((v[pen] / u[pen]) ** 2)))
@@ -513,6 +517,18 @@ class TestUpperBoundL0:
         _, _, relaxed = upper_bound_l0(v, lam, lam0, u)
         full = oracle_ub_l0_subsets(v, lam, lam0, u)
         assert relaxed == pytest.approx(full.value, abs=1e-9)
+
+    def test_tiny_center_with_unit_count_penalty(self):
+        # a scale of 2**-e with e = frexp(max|v|)[1] very negative would
+        # overflow lam0 and t; the candidates are only ever scaled down
+        v = np.array([1e-200, -1e-200])
+        for lam in (0.0, 1.0):
+            x, val, relaxed = upper_bound_l0(v, lam, 1.0, np.ones(2))
+            np.testing.assert_array_equal(x, [0.0, 0.0])
+            assert val == relaxed == 0.0
+        gs = GroupStructure(2, [[0, 1]])
+        rep = sandwich(ProxInstance(v=v, s=1.0, lam0=1.0, lam=1.0), gs, "l0")
+        assert rep.lower_value == rep.upper_value == 0.0
 
     def test_unrelaxed_value_no_larger_than_relaxed(self):
         rng = np.random.default_rng(8)

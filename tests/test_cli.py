@@ -523,6 +523,17 @@ class TestBounds:
         rep = json.loads(capsys.readouterr().out)["report"]
         assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 0.0
 
+    def test_l0_with_a_tiny_center(self, tmp_path, capsys):
+        # l0's top-k candidates are scaled down only: scaling v near 1e-200
+        # up by a power of two overflowed lambda0 (an uncaught OverflowError)
+        path = tmp_path / "tiny.json"
+        path.write_text('{"v": [1e-200, 1e-200], "groups": [[0, 1]], "s": 1, '
+                        '"lambda0": 1, "lambda1": 0, "lambda": 1}')
+        assert run_cli(["bounds", str(path), "--variant", "l0",
+                        "--with-oracle"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 0.0
+
     def test_without_oracle_field_is_null(self, tmp_path, capsys):
         inst = write_instance(tmp_path)
         assert run_cli(["bounds", str(inst)]) == 0
