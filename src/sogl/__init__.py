@@ -5,10 +5,11 @@ The composite objective is a prox quadratic around a center plus a nonzero
 count, plus a weighted sum of euclidean norms over (possibly overlapping)
 index groups. The package provides a consensus ADMM solver, a dual ascent
 heuristic, closed-form / Newton sandwich bounds on the optimal value,
-brute-force oracles to certify everything at desk scale, and a CLI with a
-JSON instance format. The solver steps, bound pieces and model primitives
-are imported from their modules (``sogl.admm``, ``sogl.bounds``,
-``sogl.dual``, ``sogl.model``).
+an exact support search and a first-order check to certify them at desk
+scale, and a CLI with a JSON instance format. References that only the
+tests use live with the tests. The solver steps, bound pieces and model
+primitives are imported from their modules (``sogl.admm``,
+``sogl.bounds``, ``sogl.dual``, ``sogl.model``).
 """
 from .admm import AdmmConfig, NonFiniteError, SolveReport, solve_admm
 from .bounds import BoundsReport, sandwich
@@ -27,9 +28,7 @@ from .model import GroupDefectError, GroupStructure, ProxInstance, objective_val
 from .oracle import (
     OracleResult,
     TooLargeError,
-    oracle_c_scan,
     oracle_prox_l0_ogl,
-    oracle_ub_l0_subsets,
     oracle_variant,
     stationarity_check,
 )

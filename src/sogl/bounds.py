@@ -30,7 +30,7 @@ import numpy as np
 from .model import GroupStructure, ProxInstance, _require_same_n, scatter_add
 
 __all__ = [
-    "FixedPointTrace",
+    "ScaledL2Trace",
     "BoundsReport",
     "lower_diag",
     "upper_diag",
@@ -44,7 +44,7 @@ __all__ = [
 
 
 @dataclass
-class FixedPointTrace:
+class ScaledL2Trace:
     """Diagnostics of one scaled-l2 prox solve.
 
     ``norms`` holds the Newton iterates ``c_1 < c_2 < ...`` for the scaled
@@ -138,14 +138,14 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     ``1/G`` is concave and increasing, the iterates rise to the root
     without overshooting, and the loop stops when c stops rising.
 
-    Returns ``(x, value, FixedPointTrace)``.
+    Returns ``(x, value, ScaledL2Trace)``.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
     if u.shape != v.shape:
         raise ValueError("diagonal and center must have matching length")
     penalized = u > 0
-    trace = FixedPointTrace()
+    trace = ScaledL2Trace()
     x = v.copy()
     if lam == 0.0:
         trace.c = float(np.linalg.norm(u * x))
@@ -245,17 +245,18 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     x = np.zeros(n)
     t = lam * float(u.max()) if n else 0.0
     if n:
-        # the candidates are compared on v/2**e, 2**e just above max|v|
-        # when that is at least 1: a power-of-two scale is exact, no square
-        # overflows, and as it only scales down, neither does lam0 or t
-        e = max(0, math.frexp(float(np.max(np.abs(v))))[1])
-        ts = math.ldexp(t, -e)
+        # the candidates are compared on v/2**e, 2**e just above max|v|: a
+        # power-of-two scale is exact, no square overflows and the largest
+        # does not underflow; a t or lam0 scaled to inf rightly leaves x = 0
+        e = math.frexp(float(np.max(np.abs(v))))[1]
         order = np.argsort(-np.abs(v), kind="stable")
         sq = np.cumsum(np.ldexp(v[order], -e) ** 2)
         r = np.sqrt(sq)  # r[k-1]: scaled norm of the k largest magnitudes
         total = 0.5 * float(sq[-1])
-        vals = np.where(r > ts, total - 0.5 * (r - ts) ** 2
-                        + math.ldexp(lam0, -2 * e) * np.arange(1, n + 1), math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ts = np.ldexp(t, -e)
+            vals = np.where(r > ts, total - 0.5 * (r - ts) ** 2
+                            + np.ldexp(lam0, -2 * e) * np.arange(1, n + 1), math.inf)
         k = int(np.argmin(vals))
         if vals[k] < total:
             idx = order[:k + 1]

@@ -15,11 +15,10 @@ Dykstra's splitting on the component's coordinates, stopped when a pass
 moves no entry by more than ``1e-13*(1 + ||v_C||)``. The count term is
 charged at the actual nonzero count of each restricted minimizer, so the
 minimum over supports is the exact global optimum. ``oracle_variant`` is
-the one door into this search; ``oracle_prox_l0_ogl`` is its ``"l0"``
-variant at ``lam = lam1``, and ``oracle_ub_l0_subsets`` is
-``oracle_prox_l0_ogl`` on one group that holds every coordinate. The
-search and ``stationarity_check`` refuse an instance and a structure of
-different ``n`` with ``model._require_same_n``, the solvers' own check.
+the one door into this search, and ``oracle_prox_l0_ogl`` is its ``"l0"``
+variant at ``lam = lam1``. The search and ``stationarity_check`` refuse an
+instance and a structure of different ``n`` with ``model._require_same_n``,
+the solvers' own check.
 
 With a count term the supports are searched depth first and a branch is
 cut by a separable lower bound: ``||x_G||_2 >= ||x_G||_1/sqrt(|G|)`` turns
@@ -47,13 +46,10 @@ __all__ = [
     "TooLargeError",
     "oracle_prox_l0_ogl",
     "oracle_variant",
-    "oracle_c_scan",
-    "oracle_ub_l0_subsets",
     "stationarity_check",
 ]
 
 N_LIMIT = 12  # the default enumeration size limit: at most 2**12 supports
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class TooLargeError(ValueError):
@@ -66,7 +62,7 @@ class OracleResult:
 
     value: float
     minimizer: np.ndarray
-    method: str  # support_enum | c_scan
+    method: str  # "support_enum" here; the test references set their own
 
 
 def _shrink(u: np.ndarray, t: float) -> np.ndarray:
@@ -310,87 +306,6 @@ def oracle_variant(inst: ProxInstance, gs: GroupStructure, variant: str,
         value, S = _branch_and_bound(restricted)
     return OracleResult(value=value, minimizer=restricted.minimizer(S),
                         method="support_enum")
-
-
-def _golden_refine(objective, lo: float, hi: float, tol: float = 1e-9):
-    """Golden-section minimization of a 1-D function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    xm = 0.5 * (a + b)
-    return xm, objective(xm)
-
-
-def oracle_c_scan(v: np.ndarray, lam: float, diag) -> OracleResult:
-    """Scan the scaled-l2 prox along its one-parameter solution family.
-
-    Every nonzero candidate has the form ``x(c) = (I + lam*U^2/c)^(-1) v``
-    for some c > 0; the scan minimizes the true objective over a log-spaced
-    c grid with golden refinement, then compares against the zero-block
-    candidate.
-    """
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(diag, dtype=float)
-    penalized = u > 0
-
-    def objective_at(x):
-        return 0.5 * float(np.sum((x - v) ** 2)) + lam * float(
-            np.linalg.norm(u * x)
-        )
-
-    x_zero = v.copy()
-    x_zero[penalized] = 0.0
-    uv_norm = float(np.linalg.norm(u * v))
-    if lam == 0.0 or uv_norm == 0.0:
-        x = v.copy()
-        return OracleResult(value=objective_at(x), minimizer=x, method="c_scan")
-
-    def x_of(log_c):
-        c = math.exp(log_c)
-        return c * v / (c + lam * u**2)
-
-    def f_of(log_c):
-        return objective_at(x_of(log_c))
-
-    lo, hi = math.log(1e-12), math.log(uv_norm * 10.0)
-    grid = np.linspace(lo, hi, 400)
-    vals = [f_of(g) for g in grid]
-    k = int(np.argmin(vals))
-    a = grid[max(0, k - 1)]
-    b = grid[min(len(grid) - 1, k + 1)]
-    log_c, f_best = _golden_refine(f_of, float(a), float(b), tol=1e-12)
-    x_best = x_of(log_c)
-    f_zero = objective_at(x_zero)
-    if f_zero <= f_best:
-        return OracleResult(value=f_zero, minimizer=x_zero, method="c_scan")
-    return OracleResult(value=f_best, minimizer=x_best, method="c_scan")
-
-
-def oracle_ub_l0_subsets(v: np.ndarray, lam: float, lam0: float, diag,
-                         n_limit: int = 10) -> OracleResult:
-    """Exact reference for the relaxed count-penalized l2 prox.
-
-    Minimizes ``0.5*||x-v||^2 + lam*sigma*||x||_2 + lam0*nnz(x)`` with
-    ``sigma`` the largest diagonal entry. That is the main objective with
-    one group holding every coordinate (``s = 1``, weight 1, ``lam1 =
-    lam*sigma``), so this is :func:`oracle_prox_l0_ogl` on that structure:
-    the one support search, with its refusals. Certifies the top-k
-    shortcut used by the bounds module.
-    """
-    v = np.asarray(v, dtype=float)
-    gs = GroupStructure(v.size, [np.arange(v.size)])
-    inst = ProxInstance(v, 1.0, lam0, lam * float(np.max(diag)))
-    return oracle_prox_l0_ogl(inst, gs, n_limit)
 
 
 def stationarity_check(x: np.ndarray, inst: ProxInstance,

@@ -17,7 +17,7 @@ from sogl.model import (
     objective_value,
     scatter_add,
 )
-from sogl.oracle import OracleResult, _golden_refine
+from sogl.oracle import OracleResult, oracle_prox_l0_ogl
 
 
 def random_structure(rng, n=None, m=None, max_n=8, max_m=3, weighted=False):
@@ -303,6 +303,90 @@ def upper_bound_l1_masked(v, lam, lam1, diag):
     value = (0.5 * float(np.sum((x - v) ** 2)) + lam * float(np.linalg.norm(u * x))
              + lam1 * float(np.sum(np.abs(x))))
     return x, value
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_refine(objective, lo: float, hi: float, tol: float = 1e-9):
+    """Golden-section minimization of a 1-D function on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = objective(d)
+    xm = 0.5 * (a + b)
+    return xm, objective(xm)
+
+
+def oracle_c_scan(v: np.ndarray, lam: float, diag) -> OracleResult:
+    """Scan the scaled-l2 prox along its one-parameter solution family.
+
+    Every nonzero candidate has the form ``x(c) = (I + lam*U^2/c)^(-1) v``
+    for some c > 0; the scan minimizes the true objective over a log-spaced
+    c grid with golden refinement, then compares against the zero-block
+    candidate.
+    """
+    v = np.asarray(v, dtype=float)
+    u = np.asarray(diag, dtype=float)
+    penalized = u > 0
+
+    def objective_at(x):
+        return 0.5 * float(np.sum((x - v) ** 2)) + lam * float(
+            np.linalg.norm(u * x)
+        )
+
+    x_zero = v.copy()
+    x_zero[penalized] = 0.0
+    uv_norm = float(np.linalg.norm(u * v))
+    if lam == 0.0 or uv_norm == 0.0:
+        x = v.copy()
+        return OracleResult(value=objective_at(x), minimizer=x, method="c_scan")
+
+    def x_of(log_c):
+        c = math.exp(log_c)
+        return c * v / (c + lam * u**2)
+
+    def f_of(log_c):
+        return objective_at(x_of(log_c))
+
+    lo, hi = math.log(1e-12), math.log(uv_norm * 10.0)
+    grid = np.linspace(lo, hi, 400)
+    vals = [f_of(g) for g in grid]
+    k = int(np.argmin(vals))
+    a = grid[max(0, k - 1)]
+    b = grid[min(len(grid) - 1, k + 1)]
+    log_c, f_best = _golden_refine(f_of, float(a), float(b), tol=1e-12)
+    x_best = x_of(log_c)
+    f_zero = objective_at(x_zero)
+    if f_zero <= f_best:
+        return OracleResult(value=f_zero, minimizer=x_zero, method="c_scan")
+    return OracleResult(value=f_best, minimizer=x_best, method="c_scan")
+
+
+def oracle_ub_l0_subsets(v: np.ndarray, lam: float, lam0: float, diag,
+                         n_limit: int = 10) -> OracleResult:
+    """Exact reference for the relaxed count-penalized l2 prox.
+
+    Minimizes ``0.5*||x-v||^2 + lam*sigma*||x||_2 + lam0*nnz(x)`` with
+    ``sigma`` the largest diagonal entry. That is the main objective with
+    one group holding every coordinate (``s = 1``, weight 1, ``lam1 =
+    lam*sigma``), so this is :func:`oracle_prox_l0_ogl` on that structure:
+    the one support search, with its refusals. Certifies the top-k
+    shortcut used by the bounds module.
+    """
+    v = np.asarray(v, dtype=float)
+    gs = GroupStructure(v.size, [np.arange(v.size)])
+    inst = ProxInstance(v, 1.0, lam0, lam * float(np.max(diag)))
+    return oracle_prox_l0_ogl(inst, gs, n_limit)
 
 
 def oracle_grid_1d(objective, lo: float, hi: float,

@@ -19,9 +19,7 @@ from sogl import (
     AdmmConfig,
     GroupStructure,
     ProxInstance,
-    oracle_c_scan,
     oracle_prox_l0_ogl,
-    oracle_ub_l0_subsets,
     oracle_variant,
     sandwich,
     solve_admm,
@@ -32,18 +30,14 @@ from sogl.bounds import lower_diag, scaled_l2_prox, upper_bound_l0, upper_diag
 from sogl.dual import dual_y_step, dual_z_step
 from sogl.instances import generate_instance
 from sogl.model import gather, scatter_add, group_norm_sum
-from helpers import scaled_l2_fixed_point_from, stacked_normal, z_step_scaled_space
-
-
-def _random_structure(rng, max_n=8, max_m=3, weighted=False):
-    n = int(rng.integers(2, max_n + 1))
-    m = int(rng.integers(1, max_m + 1))
-    groups = [
-        sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-        for _ in range(m)
-    ]
-    weights = rng.uniform(0.3, 2.0, m) if weighted else None
-    return GroupStructure(n=n, groups=groups, weights=weights)
+from helpers import (
+    oracle_c_scan,
+    oracle_ub_l0_subsets,
+    random_structure,
+    scaled_l2_fixed_point_from,
+    stacked_normal,
+    z_step_scaled_space,
+)
 
 
 def _c1_worst_rel_err(seed, weighted):
@@ -51,7 +45,7 @@ def _c1_worst_rel_err(seed, weighted):
     cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-8, max_iters=20000)
     worst = 0.0
     for _ in range(200):
-        gs = _random_structure(rng, max_n=8, max_m=3, weighted=weighted)
+        gs = random_structure(rng, max_n=8, max_m=3, weighted=weighted)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.5, 2)),
                             lam0=0.0, lam1=float(rng.uniform(0, 1)))
@@ -78,7 +72,7 @@ def _c2_match_rate(seed, weighted):
     rng = np.random.default_rng(seed)
     matches = 0
     for _ in range(200):
-        gs = _random_structure(rng, max_n=6, max_m=3, weighted=weighted)
+        gs = random_structure(rng, max_n=6, max_m=3, weighted=weighted)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.5, 1.0)),
                             lam0=float(rng.uniform(0.02, 0.2)),
@@ -115,7 +109,7 @@ def test_c3_norm_bracketing_inequalities():
         ae = float(np.mean(np.abs(xe)))
         assert abs(qe - ae) <= 1e-12
 
-        gs = _random_structure(rng, max_n=8, max_m=4, weighted=True)
+        gs = random_structure(rng, max_n=8, max_m=4, weighted=True)
         l = lower_diag(gs)
         u = upper_diag(gs)
         y = rng.normal(0, 3, gs.n)
@@ -177,7 +171,7 @@ def test_c5_sandwich_property():
     rng = np.random.default_rng(20260812)
     for variant in ("plain", "l1", "l0"):
         for _ in range(100):
-            gs = _random_structure(rng, max_n=6, max_m=3, weighted=True)
+            gs = random_structure(rng, max_n=6, max_m=3, weighted=True)
             inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                                 s=float(rng.uniform(0.5, 2)),
                                 lam0=float(rng.uniform(0.0, 0.5)),
@@ -212,7 +206,7 @@ def test_c7_matrix_form_equivalence():
     rng = np.random.default_rng(20260814)
     worst = 0.0
     for _ in range(100):
-        gs = _random_structure(rng, max_n=12, max_m=5)
+        gs = random_structure(rng, max_n=12, max_m=5)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.3, 3)),
                             lam0=float(rng.uniform(0, 1)),
@@ -234,7 +228,7 @@ def _c8_worst_excess(seed, weighted):
     rng = np.random.default_rng(seed)
     worst_excess = -math.inf
     for _ in range(100):
-        gs = _random_structure(rng, max_n=6, max_m=3, weighted=weighted)
+        gs = random_structure(rng, max_n=6, max_m=3, weighted=weighted)
         inst = ProxInstance(v=rng.normal(0, 2, gs.n),
                             s=float(rng.uniform(0.5, 2)),
                             lam0=float(rng.uniform(0.0, 0.5)),

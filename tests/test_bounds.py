@@ -6,8 +6,6 @@ import pytest
 from sogl import (
     GroupStructure,
     ProxInstance,
-    oracle_c_scan,
-    oracle_ub_l0_subsets,
     oracle_variant,
     sandwich,
 )
@@ -23,6 +21,8 @@ from sogl.bounds import (
 from sogl.model import group_norm_sum
 from helpers import (
     block_soft_threshold,
+    oracle_c_scan,
+    oracle_ub_l0_subsets,
     random_instance,
     random_structure,
     scaled_l2_fixed_point_from,
@@ -519,8 +519,8 @@ class TestUpperBoundL0:
         assert relaxed == pytest.approx(full.value, abs=1e-9)
 
     def test_tiny_center_with_unit_count_penalty(self):
-        # a scale of 2**-e with e = frexp(max|v|)[1] very negative would
-        # overflow lam0 and t; the candidates are only ever scaled down
+        # a scale of 2**-e with e = frexp(max|v|)[1] very negative takes
+        # lam0 to inf, which must leave x = 0 rather than raise
         v = np.array([1e-200, -1e-200])
         for lam in (0.0, 1.0):
             x, val, relaxed = upper_bound_l0(v, lam, 1.0, np.ones(2))
@@ -529,6 +529,13 @@ class TestUpperBoundL0:
         gs = GroupStructure(2, [[0, 1]])
         rep = sandwich(ProxInstance(v=v, s=1.0, lam0=1.0, lam=1.0), gs, "l0")
         assert rep.lower_value == rep.upper_value == 0.0
+
+    def test_tiny_center_keeps_its_block_shrink(self):
+        # the squares of v underflow to 0 unless v is scaled up first
+        v = np.array([1e-200, -3e-200])
+        x, _, _ = upper_bound_l0(v, 1e-200, 0.0, np.ones(2))
+        expected = (1.0 - 1e-200 / math.hypot(1e-200, 3e-200)) * v
+        np.testing.assert_allclose(x, expected, rtol=1e-12, atol=0.0)
 
     def test_unrelaxed_value_no_larger_than_relaxed(self):
         rng = np.random.default_rng(8)

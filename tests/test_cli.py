@@ -524,8 +524,8 @@ class TestBounds:
         assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 0.0
 
     def test_l0_with_a_tiny_center(self, tmp_path, capsys):
-        # l0's top-k candidates are scaled down only: scaling v near 1e-200
-        # up by a power of two overflowed lambda0 (an uncaught OverflowError)
+        # scaling l0's top-k candidates near 1e-200 up by a power of two
+        # takes lambda0 to inf, which must leave x = 0 rather than raise
         path = tmp_path / "tiny.json"
         path.write_text('{"v": [1e-200, 1e-200], "groups": [[0, 1]], "s": 1, '
                         '"lambda0": 1, "lambda1": 0, "lambda": 1}')

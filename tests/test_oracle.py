@@ -9,9 +9,7 @@ from sogl import (
     ProxInstance,
     TooLargeError,
     objective_value,
-    oracle_c_scan,
     oracle_prox_l0_ogl,
-    oracle_ub_l0_subsets,
     oracle_variant,
     sandwich,
     solve_admm,
@@ -30,7 +28,9 @@ from sogl.oracle import (
 from helpers import (
     convex_stationarity_residual_reference,
     count_term_ok_by_zeroing,
+    oracle_c_scan,
     oracle_grid_1d,
+    oracle_ub_l0_subsets,
     oracle_variant_reference,
     random_instance,
     random_structure,
