@@ -17,8 +17,11 @@ of the trust-region subproblem, and Newton on its reciprocal form rises
 monotonically to the root from a start below it (More & Sorensen 1983,
 "Computing a trust region step"). The l0-flavored upper problem is relaxed
 through the largest diagonal entry and solved exactly by top-k support
-enumeration. Every bound's value comes from one evaluator, ``_value``,
-which leaves out a term whose coefficient is 0.
+enumeration. The prox, the upper diagonal and the top-k candidates work on
+data divided by an exact power of two (Blue 1978, "A portable Fortran
+program to find the Euclidean norm of a vector"), so that no product or
+square leaves the float range. Every bound's value comes from one
+evaluator, ``_value``, which leaves out a term whose coefficient is 0.
 """
 from __future__ import annotations
 
@@ -93,9 +96,21 @@ def upper_diag(gs: GroupStructure) -> np.ndarray:
 
     Entry j is ``sqrt(k_j) * ||w||_2`` with k_j the overlap count; the
     scaled l2 norm it induces dominates the group term (Cauchy-Schwarz),
-    tightly for a single unit-weight group.
+    tightly for a single unit-weight group. ``||w||`` is taken on w/2**e.
     """
-    return np.sqrt(gs.overlap_counts.astype(float)) * float(np.linalg.norm(gs.weights))
+    w, e = _scaled(gs.weights)
+    return np.sqrt(gs.overlap_counts.astype(float)) * _ldexp(float(np.linalg.norm(w)), e)
+
+
+def _scaled(a: np.ndarray):
+    """``(a/2**e, e)`` with 2**e just above ``max|a|`` (e = 0 for a zero a)."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a, -e), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x*2**e`` for ``x >= 0``, inf where it overflows (math.ldexp raises)."""
+    return math.ldexp(x, e) if not x or math.frexp(x)[1] + e <= 1024 else math.inf
 
 
 def _soft(v: np.ndarray, t) -> np.ndarray:
@@ -136,34 +151,32 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     ``|v/(lam*u)|`` is.
     Newton on ``1/G(c) - 1`` starts at ``c_0``, where G is at least 1; as
     ``1/G`` is concave and increasing, the iterates rise to the root
-    without overshooting, and the loop stops when c stops rising.
+    without overshooting, and the loop stops when c stops rising (at
+    ``lam = 0``, with x = v). All this runs on ``v/2**ev``, ``u/2**eu`` and
+    ``lam*2**(eu - ev)``, 2**ev and 2**eu just above max|v| and max u.
 
-    Returns ``(x, value, ScaledL2Trace)``.
+    Returns ``(x, value, ScaledL2Trace)``, the trace in the caller's units.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
     if u.shape != v.shape:
         raise ValueError("diagonal and center must have matching length")
-    penalized = u > 0
-    trace = ScaledL2Trace()
+    (vs, ev), (us, eu) = _scaled(v), _scaled(u)
+    lam_s = _ldexp(lam, eu - ev)
+    penalized = us > 0
     x = v.copy()
-    if lam == 0.0:
-        trace.c = float(np.linalg.norm(u * x))
-        trace.norms = [trace.c]
-        return x, _value(x, v, lam, trace.c), trace
-
-    inv_norm = math.sqrt(float(np.sum((v[penalized] / u[penalized]) ** 2)))
-    if inv_norm <= lam:
+    inv_norm = math.sqrt(float(np.sum((vs[penalized] / us[penalized]) ** 2)))
+    if inv_norm <= lam_s:
         x[penalized] = 0.0
-        return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
+        return x, _value(x, v, lam, float(np.linalg.norm(u * x))), ScaledL2Trace()
 
     # wherever lam*u_j**2 rounds to 0, c_0 >= |u_j*v_j| > 0: no denominator
     # is 0; with no nonzero product at all, everything passes through
-    active = np.abs(u * v) > 0
-    uv = np.abs(u[active] * v[active])
-    lam_u_sq = lam * u[active] ** 2
+    active = np.abs(us * vs) > 0
+    uv = np.abs(us[active] * vs[active])
+    lam_u_sq = lam_s * us[active] ** 2
     c = float(np.max(uv - lam_u_sq, initial=0.0))
-    sum_sq = 1.0
+    norms, sum_sq = [], 1.0
     while uv.size:
         inv = 1.0 / (c + lam_u_sq)
         w = uv * inv
@@ -172,11 +185,10 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
         if not c_next > c:
             break
         c = c_next
-        trace.norms.append(c)
-    trace.c = c
-    trace.iterations = len(trace.norms)
-    trace.fp_residual = abs(sum_sq - 1.0)
+        norms.append(c)
     x[active] *= c / (c + lam_u_sq)
+    trace = ScaledL2Trace([_ldexp(cn, ev + eu) for cn in norms], _ldexp(c, ev + eu),
+                          len(norms), abs(sum_sq - 1.0))
     return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
 
 
@@ -245,12 +257,11 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     x = np.zeros(n)
     t = lam * float(u.max()) if n else 0.0
     if n:
-        # the candidates are compared on v/2**e, 2**e just above max|v|: a
-        # power-of-two scale is exact, no square overflows and the largest
-        # does not underflow; a t or lam0 scaled to inf rightly leaves x = 0
-        e = math.frexp(float(np.max(np.abs(v))))[1]
+        # the candidates are compared on v/2**e, 2**e just above max|v|; a
+        # t or lam0 scaled to inf rightly leaves x = 0
+        vs, e = _scaled(v)
         order = np.argsort(-np.abs(v), kind="stable")
-        sq = np.cumsum(np.ldexp(v[order], -e) ** 2)
+        sq = np.cumsum(vs[order] ** 2)
         r = np.sqrt(sq)  # r[k-1]: scaled norm of the k largest magnitudes
         total = 0.5 * float(sq[-1])
         with np.errstate(over="ignore", invalid="ignore"):

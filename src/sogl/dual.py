@@ -30,7 +30,6 @@ from .model import (
     gather,
     group_norms,
     hard_threshold,
-    objective_value,
     scatter_add,
 )
 
@@ -105,7 +104,7 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
         y = dual_y_step(zb, y, inst, gs)
     return SolveReport(
         x_final=best_z,
-        objective=objective_value(best_z, inst, gs),
+        objective=best_obj,
         iters=it,
         converged=converged,
         algorithm="dual",

@@ -152,6 +152,11 @@ class TestScaledL2Prox:
         np.testing.assert_array_equal(x, v)
         assert val == 0.0
 
+    def test_tiny_center_keeps_its_shrink(self):
+        # the product u*v underflows to 0 unless v and u are scaled up first
+        x, _, _ = scaled_l2_prox(np.array([1e-200]), 0.5, np.array([1e-200]))
+        np.testing.assert_allclose(x, [0.5e-200], rtol=1e-12, atol=0.0)
+
     def test_passthrough_on_unpenalized_coordinates(self):
         v = np.array([5.0, 1.0, -4.0])
         u = np.array([0.0, 2.0, 0.0])
@@ -216,7 +221,7 @@ class TestScaledL2Prox:
         rng = np.random.default_rng(61)
         u = rng.uniform(0.2, 3.0, 6)
         v = rng.normal(0, 2, 6)
-        cases = [(v, u, 0.999)]
+        cases = [(v, u, 0.999), (v, u, 0.0)]  # lam = 0 runs the same Newton
         rng = np.random.default_rng(2026)  # the draws of the test above
         for _ in range(6):
             n = int(rng.integers(1, 9))
@@ -599,6 +604,27 @@ class TestSandwich:
             assert getattr(plain, key).hex() == getattr(l1, key).hex()
         for key in ("lower_minimizer", "upper_minimizer"):
             assert getattr(plain, key).tobytes() == getattr(l1, key).tobytes()
+
+    def test_power_of_two_scales_the_minimizers(self):
+        # scaling v, lam1 and the weights by 2**k scales both minimizers by
+        # exactly 2**k, also where squares of the scaled data leave the float
+        # range (|k| = 600); the values may then overflow
+        rng = np.random.default_rng(3200)
+        for _ in range(100):
+            gs = random_structure(rng, max_n=12, max_m=6, weighted=True)
+            inst = random_instance(rng, gs, lam_range=(0.05, 1.0))
+            for variant in ("plain", "l1"):
+                base = sandwich(inst, gs, variant)
+                for k in (-600, -300, 300, 600):
+                    gs_k = GroupStructure(gs.n, gs.groups, np.ldexp(gs.weights, k))
+                    inst_k = ProxInstance(v=np.ldexp(inst.v, k), s=inst.s,
+                                          lam1=math.ldexp(inst.lam1, k), lam=inst.lam)
+                    with np.errstate(over="ignore"):
+                        rep = sandwich(inst_k, gs_k, variant)
+                    for key in ("lower_minimizer", "upper_minimizer"):
+                        assert np.array_equal(getattr(rep, key),
+                                              np.ldexp(getattr(base, key), k)), \
+                            (variant, k, key)
 
     def test_unknown_variant_rejected(self):
         gs = GroupStructure(2, [[0, 1]])

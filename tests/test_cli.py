@@ -534,6 +534,18 @@ class TestBounds:
         rep = json.loads(capsys.readouterr().out)["report"]
         assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 0.0
 
+    @pytest.mark.parametrize("variant", ["plain", "l1", "l0"])
+    def test_huge_group_weight(self, tmp_path, capsys, variant):
+        # ||w||_2 is taken on w scaled by a power of two: squaring 1e200
+        # itself overflowed, and the upper value came out NaN (exit 3)
+        path = tmp_path / "heavy.json"
+        path.write_text('{"v": [1.0, -2.0], "groups": [[0, 1]], "weights": [1e200], '
+                        '"s": 1, "lambda0": 0, "lambda1": 0.1, "lambda": 0.1}')
+        assert run_cli(["bounds", str(path), "--variant", variant,
+                        "--with-oracle"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 2.5
+
     def test_without_oracle_field_is_null(self, tmp_path, capsys):
         inst = write_instance(tmp_path)
         assert run_cli(["bounds", str(inst)]) == 0
