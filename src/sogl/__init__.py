@@ -22,7 +22,6 @@ from .instances import (
     generate_instance,
     instance_from_dict,
     parse_instance,
-    parse_instance_text,
 )
 from .model import GroupDefectError, GroupStructure, ProxInstance, objective_value
 from .oracle import (

@@ -9,7 +9,7 @@ so identical invocations produce identical bytes. ``solve --out-dir DIR``
 writes one record per instance file, ``DIR/<stem>.record.json``.
 
 Exit codes: 0 success, 1 usage, 2 validation or unwritable output,
-3 non-finite iterates or results, 4 instance too large for the oracle.
+3 non-finite iterates or results, 4 too large for the oracle's l0 search.
 """
 from __future__ import annotations
 
@@ -32,11 +32,10 @@ from .instances import (
     NonFiniteNumberError,
     ParseError,
     ValidationError,
-    _number_array,
-    _read_json,
     dumps_canonical,
     generate_instance,
     parse_instance,
+    read_point,
     trace_to_csv,
     write_atomic,
 )
@@ -152,11 +151,12 @@ def _build_parser() -> _Parser:
                         default="plain")
     bounds.add_argument("--with-oracle", action="store_true",
                         help="also compute the exact value by enumeration")
-    limit_help = (f"largest n the exact oracle accepts (default {N_LIMIT}); its "
-                  "pruned search often makes 20 or so practical, but the "
-                  "worst case still solves all 2^n supports")
+    limit_help = (f"largest n (default {N_LIMIT}) of the oracle's search over "
+                  "supports, run only with a count term (lambda0 > 0); pruning "
+                  "often makes 20 or so practical, but the worst case solves "
+                  "all 2^n supports")
     bounds.add_argument("--limit", type=_positive_int,
-                        help="for --with-oracle: " + limit_help)
+                        help="for --with-oracle --variant l0: " + limit_help)
 
     oracle = sub.add_parser("oracle", parents=[out, stamp],
                             help="exact enumeration solve")
@@ -304,8 +304,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.limit is not None and not args.with_oracle:
-        raise _UsageError("--limit applies only to --with-oracle")
+    if args.limit is not None and not (args.with_oracle and args.variant == "l0"):
+        raise _UsageError("--limit applies only to --with-oracle --variant l0")
     instf, source = _read_instance(args.instance)
     inst, gs = instf.build()
     report = sandwich(inst, gs, args.variant)
@@ -327,25 +327,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _load_point(path: str, n: int) -> np.ndarray:
-    data = _read_json(path)
-    if isinstance(data, dict) and "report" in data:
-        if not isinstance(data["report"], dict) or "x_final" not in data["report"]:
-            raise ValidationError("point: record has no report.x_final")
-        data = data["report"]["x_final"]
-    elif isinstance(data, dict):
-        data = data.get("x")
-    if not isinstance(data, list):
-        raise ValidationError("point: expected an array, {'x': ...}, or a record")
-    if len(data) != n:
-        raise ValidationError(f"point: expected length {n}, got {len(data)}")
-    return _number_array(data, "point")
-
-
 def _cmd_check(args) -> int:
     instf, source = _read_instance(args.instance)
     inst, gs = instf.build()
-    x = _load_point(args.point, gs.n)
+    x = read_point(args.point, gs.n)
     ok, residual = stationarity_check(x, inst, gs)
     rep = {"stationary": bool(ok), "residual": residual,
            "objective": objective_value(x, inst, gs)}

@@ -1,4 +1,5 @@
-"""Instance files, canonical serialization, and a generator.
+"""Every file the command line reads or writes: instances and points (one
+JSON reader), canonical records and traces (atomic writes), and a generator.
 
 Instance files are JSON objects with a fixed field set; unknown fields are
 rejected so typos fail loudly. All numbers are emitted with 17 significant
@@ -7,7 +8,6 @@ across runs.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -25,8 +25,8 @@ __all__ = [
     "NonFiniteNumberError",
     "InstanceFile",
     "parse_instance",
-    "parse_instance_text",
     "instance_from_dict",
+    "read_point",
     "generate_instance",
     "dumps_canonical",
     "write_atomic",
@@ -63,11 +63,9 @@ class InstanceFile:
     def to_dict(self) -> dict:
         """The fields of the instance file, in file order."""
         inst, gs = self.inst, self.gs
-        flat, bounds = gs.flat_index.tolist(), gs.offsets.tolist()
         d = {
             "v": inst.v.tolist(),
-            "groups": list(map(flat.__getitem__,
-                               map(slice, bounds[:-1], bounds[1:]))),
+            "groups": [g.tolist() for g in gs.groups],
             "s": inst.s,
             "lambda0": inst.lam0,
             "lambda1": inst.lam1,
@@ -165,11 +163,6 @@ def instance_from_dict(data: dict) -> InstanceFile:
     return InstanceFile(ProxInstance(v, s, *lambdas.values()), gs, name, seed)
 
 
-def parse_instance_text(text: str) -> InstanceFile:
-    """Parse and validate instance JSON text."""
-    return parse_instance(io.StringIO(text))
-
-
 def parse_instance(path) -> InstanceFile:
     """Read and validate one instance file or open text stream; ``build()``
     of the result gives the solvers' ``(ProxInstance, GroupStructure)`` pair.
@@ -198,6 +191,24 @@ def _read_json(source):
         raise ParseError(f"cannot read {name}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {name}: {exc}") from exc
+
+
+def read_point(path, n: int) -> np.ndarray:
+    """The length-``n`` point in the JSON file ``path``: an array, ``{"x":
+    [...]}`` or a solve record's ``report.x_final``. ``ValidationError``
+    names a wrong form or length, or the first entry that is not finite."""
+    data = _read_json(path)
+    if isinstance(data, dict) and "report" in data:
+        if not isinstance(data["report"], dict) or "x_final" not in data["report"]:
+            raise ValidationError("point: record has no report.x_final")
+        data = data["report"]["x_final"]
+    elif isinstance(data, dict):
+        data = data.get("x")
+    if not isinstance(data, list):
+        raise ValidationError("point: expected an array, {'x': ...}, or a record")
+    if len(data) != n:
+        raise ValidationError(f"point: expected length {n}, got {len(data)}")
+    return _number_array(data, "point")
 
 
 def generate_instance(seed: int, n: int, m: int,
@@ -311,18 +322,14 @@ def dumps_canonical(obj) -> str:
 def write_atomic(path: str, text: str):
     """Write via a temp file and rename, so readers never see partial output.
 
-    The temp file is created with mode ``0o666`` less the umask, as
-    ``open(path, "w")`` would create ``path``."""
+    ``open(tmp, "xb")`` creates the temp file exclusively, with mode
+    ``0o666`` less the umask, as ``open(path, "w")`` would create ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fh = open(tmp, "xb")
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        with fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

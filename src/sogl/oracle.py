@@ -16,9 +16,10 @@ moves no entry by more than ``1e-13*(1 + ||v_C||)``. The count term is
 charged at the actual nonzero count of each restricted minimizer, so the
 minimum over supports is the exact global optimum. ``oracle_variant`` is
 the one door into this search, and ``oracle_prox_l0_ogl`` is its ``"l0"``
-variant at ``lam = lam1``. The search and ``stationarity_check`` refuse an
-instance and a structure of different ``n`` with ``model._require_same_n``,
-the solvers' own check.
+variant at ``lam = lam1``. Its size limit bounds only the search with a
+count term: without one the full support is solved once, at any n. The
+search and ``stationarity_check`` refuse an instance and a structure of
+different ``n`` with ``model._require_same_n``, the solvers' own check.
 
 With a count term the supports are searched depth first and a branch is
 cut by a separable lower bound: ``||x_G||_2 >= ||x_G||_1/sqrt(|G|)`` turns
@@ -284,19 +285,20 @@ def oracle_variant(inst: ProxInstance, gs: GroupStructure, variant: str,
 
     The objective is ``(1/2s)||x-v||^2 + lam*sum_i w_i*||x_{G_i}||_2`` plus
     ``lam1*||x||_1`` for the l1 variant or ``lam0*nnz(x)`` for the l0
-    variant. This is the one door into the support search: the full
-    support without a count term, otherwise :func:`_branch_and_bound`, with
-    each restricted problem it reaches solved per component to ~1e-12.
-    Raises ``ValueError`` for an unknown variant or when ``inst.n !=
-    gs.n``, and :class:`TooLargeError` when ``n > n_limit``.
+    variant. This is the one door into the support search: without a count
+    term the full support, at any n, otherwise :func:`_branch_and_bound`,
+    with each restricted problem it reaches solved per component to ~1e-12.
+    Raises ``ValueError`` for an unknown variant or when ``inst.n != gs.n``,
+    and :class:`TooLargeError` when ``n > n_limit`` with a count term.
     """
     if variant not in ("plain", "l1", "l0"):
         raise ValueError(f"unknown variant {variant!r}")
     _require_same_n(inst, gs)
     n = inst.n
-    if n > n_limit:
-        raise TooLargeError(f"n={n} exceeds enumeration limit {n_limit}")
     lam0 = inst.lam0 if variant == "l0" else 0.0
+    if lam0 > 0 and n > n_limit:
+        raise TooLargeError(f"n={n} exceeds the enumeration limit {n_limit} "
+                            "of the search with a count term")
     restricted = _Restricted(inst.v, inst.s, inst.lam * gs.weights,
                              inst.lam1 if variant == "l1" else 0.0, lam0, gs)
     if lam0 == 0.0:  # without a count term the full support is optimal

@@ -1,10 +1,11 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sogl import dumps_canonical, generate_instance, parse_instance
+from sogl import dumps_canonical, generate_instance, oracle_variant, parse_instance
 from sogl.cli import run_cli
 
 MINIMAL = '{"v": [1.0], "groups": [[0]], "s": 1, "lambda0": 0, "lambda1": 0, "lambda": 0}\n'
@@ -432,7 +433,9 @@ class TestExitCodes:
         ["solve", "{a}", "{b}", "--out-dir", "{tmp}/recs", "--out", "{tmp}/r.json"],
         ["solve", "{a}", "--algorithm", "dual", "--rho", "5"],
         ["bounds", "{a}", "--limit", "5"],
-    ], ids=["out-with-several-files", "rho-with-dual", "limit-without-oracle"])
+        ["bounds", "{a}", "--with-oracle", "--variant", "l1", "--limit", "5"],
+    ], ids=["out-with-several-files", "rho-with-dual", "limit-without-oracle",
+            "limit-without-count-term"])
     def test_ignored_output_option_is_usage_error(self, tmp_path, capsys, argv):
         names = {"a": write_instance(tmp_path, name="a.json"),
                  "b": write_instance(tmp_path, name="b.json"), "tmp": tmp_path}
@@ -464,8 +467,20 @@ class TestExitCodes:
         path = tmp_path / "big.json"
         path.write_text(dumps_canonical(instf.to_dict()))
         for argv in (["oracle", "--limit", "12"],
-                     ["bounds", "--with-oracle", "--limit", "12"]):
+                     ["bounds", "--with-oracle", "--variant", "l0", "--limit", "12"]):
             assert run_cli(argv + [str(path)]) == 4
+
+    def test_oracle_without_a_count_term_at_any_n(self, tmp_path, capsys):
+        # lambda0 = 0: the oracle solves the full support once, at any n;
+        # it is oracle_variant's plain variant at lam = lam1
+        instf = generate_instance(seed=3, n=13, m=6, lambda0=0.0)
+        path = tmp_path / "big.json"
+        path.write_text(dumps_canonical(instf.to_dict()))
+        assert run_cli(["oracle", str(path), "--limit", "12"]) == 0
+        value = json.loads(capsys.readouterr().out)["report"]["value"]
+        inst, gs = instf.build()
+        plain = oracle_variant(replace(inst, lam=inst.lam1), gs, "plain", n_limit=12)
+        assert value == plain.value
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -545,6 +560,17 @@ class TestBounds:
                         "--with-oracle"]) == 0
         rep = json.loads(capsys.readouterr().out)["report"]
         assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 2.5
+
+    @pytest.mark.parametrize("n", [13, 100])
+    @pytest.mark.parametrize("variant", ["plain", "l1"])
+    def test_convex_oracle_past_the_limit(self, tmp_path, capsys, variant, n):
+        # without a count term the oracle enumerates nothing, so the
+        # enumeration limit does not apply
+        inst = write_instance(tmp_path, seed=3, n=n, m=n // 2)
+        assert run_cli(["bounds", str(inst), "--variant", variant,
+                        "--with-oracle"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["lower_value"] <= rep["oracle_value"] <= rep["upper_value"]
 
     def test_without_oracle_field_is_null(self, tmp_path, capsys):
         inst = write_instance(tmp_path)

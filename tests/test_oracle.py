@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,10 +80,14 @@ class TestSupportEnumeration:
         assert res.value == pytest.approx(total, rel=1e-12)
 
     def test_size_limit(self):
+        # the limit bounds only the search with a count term
         gs = GroupStructure(13, [[0]])
         inst = ProxInstance(v=np.zeros(13), s=1.0, lam0=0.1)
         with pytest.raises(TooLargeError):
             oracle_prox_l0_ogl(inst, gs, n_limit=12)
+        for variant in ("plain", "l1"):
+            assert oracle_variant(inst, gs, variant, n_limit=12).value == 0.0
+        assert oracle_prox_l0_ogl(replace(inst, lam0=0.0), gs, n_limit=12).value == 0.0
 
     def test_support_size_nonincreasing_in_count_penalty(self):
         rng = np.random.default_rng(1)
