@@ -23,6 +23,7 @@ import numpy as np
 from .model import (
     GroupStructure,
     ProxInstance,
+    _norm,
     _require_same_n,
     gather,
     group_norms,
@@ -150,15 +151,6 @@ def y_step(q: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return q - zb
 
 
-def _norm(a: np.ndarray, sq: float) -> float:
-    """``||a||`` from ``sq = a.dot(a)``; when that square overflows on
-    finite entries, ``a`` is divided by its largest magnitude first."""
-    if math.isfinite(sq) or not np.isfinite(a).all():
-        return math.sqrt(sq)
-    big = float(np.abs(a).max())
-    return big * math.sqrt(np.square(a / big).sum())
-
-
 def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
                    zb: np.ndarray, u: np.ndarray, floors: tuple,
                    gs: GroupStructure, rho: float, eps_rel: float,
@@ -171,22 +163,19 @@ def residual_norms(prev_z: np.ndarray, x: np.ndarray, z: np.ndarray,
     scaled multiplier, with the floors ``eps_abs*sqrt(max(p, 1))`` (p
     stacked entries) and ``eps_abs*sqrt(n)``. s and eps_dual are None when
     ``dual`` is False and the primal test ``r <= eps_pri`` fails: the stop
-    test cannot pass then. ``finite`` is False when x or z holds a NaN or
-    Inf; entries are scanned, and a norm is computed with scaling, only
-    when a squared norm overflows.
+    test cannot pass then. Norms are ``model._norm``'s. ``finite`` is False
+    when x or z holds a NaN or Inf; entries are scanned only when ``||x||``
+    or ``z.dot(z)`` overflows.
     """
-    xx, zz = x.dot(x), z.dot(z)
-    finite = (math.isfinite(xx) and math.isfinite(zz)) or bool(
+    nx, zz = _norm(x), z.dot(z)
+    finite = (math.isfinite(nx) and math.isfinite(zz)) or bool(
         np.isfinite(x).all() and np.isfinite(z).all())
-    d = x - zb
-    r = _norm(d, d.dot(d))
-    eps_pri = floors[0] + eps_rel * max(_norm(x, xx), _norm(zb, zb.dot(zb)))
+    r = _norm(x - zb)
+    eps_pri = floors[0] + eps_rel * max(nx, _norm(zb))
     if not (dual or r <= eps_pri):
         return r, None, eps_pri, None, finite
-    w = gs.overlap_counts * (z - prev_z)
-    su = scatter_add(u, gs)
-    return (r, rho * _norm(w, w.dot(w)), eps_pri,
-            floors[1] + eps_rel * rho * _norm(su, su.dot(su)), finite)
+    return (r, rho * _norm(gs.overlap_counts * (z - prev_z)), eps_pri,
+            floors[1] + eps_rel * rho * _norm(scatter_add(u, gs)), finite)
 
 
 def solve_admm(inst: ProxInstance, gs: GroupStructure,

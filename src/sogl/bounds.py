@@ -17,11 +17,10 @@ of the trust-region subproblem, and Newton on its reciprocal form rises
 monotonically to the root from a start below it (More & Sorensen 1983,
 "Computing a trust region step"). The l0-flavored upper problem is relaxed
 through the largest diagonal entry and solved exactly by top-k support
-enumeration. The prox, the upper diagonal and the top-k candidates work on
-data divided by an exact power of two (Blue 1978, "A portable Fortran
-program to find the Euclidean norm of a vector"), so that no product or
-square leaves the float range. Every bound's value comes from one
-evaluator, ``_value``, which leaves out a term whose coefficient is 0.
+enumeration. The prox and the top-k candidates work on data divided by a
+power of two, and the norms in the values and the upper diagonal are
+``model._norm``'s, so no product or square leaves the float range. One
+evaluator, ``_value``, gives every value, leaving out zero-coefficient terms.
 """
 from __future__ import annotations
 
@@ -30,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GroupStructure, ProxInstance, _require_same_n, scatter_add
+from .model import (GroupStructure, ProxInstance, _ldexp, _norm, _require_same_n,
+                     _scaled, scatter_add)
 
 __all__ = [
     "ScaledL2Trace",
@@ -96,21 +96,9 @@ def upper_diag(gs: GroupStructure) -> np.ndarray:
 
     Entry j is ``sqrt(k_j) * ||w||_2`` with k_j the overlap count; the
     scaled l2 norm it induces dominates the group term (Cauchy-Schwarz),
-    tightly for a single unit-weight group. ``||w||`` is taken on w/2**e.
+    tightly for a single unit-weight group. ``||w||`` is ``model._norm``'s.
     """
-    w, e = _scaled(gs.weights)
-    return np.sqrt(gs.overlap_counts.astype(float)) * _ldexp(float(np.linalg.norm(w)), e)
-
-
-def _scaled(a: np.ndarray):
-    """``(a/2**e, e)`` with 2**e just above ``max|a|`` (e = 0 for a zero a)."""
-    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
-    return np.ldexp(a, -e), e
-
-
-def _ldexp(x: float, e: int) -> float:
-    """``x*2**e`` for ``x >= 0``, inf where it overflows (math.ldexp raises)."""
-    return math.ldexp(x, e) if not x or math.frexp(x)[1] + e <= 1024 else math.inf
+    return np.sqrt(gs.overlap_counts.astype(float)) * _norm(gs.weights)
 
 
 def _soft(v: np.ndarray, t) -> np.ndarray:
@@ -168,7 +156,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     inv_norm = math.sqrt(float(np.sum((vs[penalized] / us[penalized]) ** 2)))
     if inv_norm <= lam_s:
         x[penalized] = 0.0
-        return x, _value(x, v, lam, float(np.linalg.norm(u * x))), ScaledL2Trace()
+        return x, _value(x, v, lam, _norm(u * x)), ScaledL2Trace()
 
     # wherever lam*u_j**2 rounds to 0, c_0 >= |u_j*v_j| > 0: no denominator
     # is 0; with no nonzero product at all, everything passes through
@@ -189,7 +177,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     x[active] *= c / (c + lam_u_sq)
     trace = ScaledL2Trace([_ldexp(cn, ev + eu) for cn in norms], _ldexp(c, ev + eu),
                           len(norms), abs(sum_sq - 1.0))
-    return x, _value(x, v, lam, float(np.linalg.norm(u * x))), trace
+    return x, _value(x, v, lam, _norm(u * x)), trace
 
 
 def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
@@ -219,7 +207,7 @@ def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     v = np.asarray(v, dtype=float)
     u = np.asarray(diag, dtype=float)
     x, _, _ = scaled_l2_prox(_soft(v, lam1), lam, u)
-    return x, _value(x, v, lam, float(np.linalg.norm(u * x)), lam1=lam1)
+    return x, _value(x, v, lam, _norm(u * x), lam1=lam1)
 
 
 def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
@@ -272,8 +260,8 @@ def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
         if vals[k] < total:
             idx = order[:k + 1]
             x[idx] = (1.0 - ts / r[k]) * v[idx]
-    return (x, _value(x, v, lam, float(np.linalg.norm(u * x)), lam0=lam0),
-            _value(x, v, t, float(np.linalg.norm(x)), lam0=lam0))
+    return (x, _value(x, v, lam, _norm(u * x), lam0=lam0),
+            _value(x, v, t, _norm(x), lam0=lam0))
 
 
 def sandwich(inst: ProxInstance, gs: GroupStructure, variant: str) -> BoundsReport:

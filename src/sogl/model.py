@@ -1,7 +1,8 @@
 """Group structures, thresholding primitives, and the composite objective.
 
 Everything here is a pure function of its inputs; structures are plain
-classes wrapping numpy arrays and are safe to share across threads.
+classes wrapping numpy arrays and are safe to share across threads. The
+ADMM residuals and all bound values take their norms from ``_norm``.
 
 Per-group copies of a global vector live in one stacked float array of
 length ``gs.total_size``: block i occupies ``offsets[i]:offsets[i+1]`` and
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +243,27 @@ def scatter_add(a: np.ndarray, gs: GroupStructure) -> np.ndarray:
     """
     # bincount returns integer zeros when there is nothing to add
     return np.bincount(gs.flat_index, weights=a, minlength=gs.n).astype(float, copy=False)
+
+
+def _scaled(a: np.ndarray):
+    """``(a/2**e, e)`` with 2**e just above ``max|a|`` (e = 0 for a zero a)."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a, -e), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x*2**e`` for ``x >= 0``, inf where it overflows (math.ldexp raises)."""
+    return math.ldexp(x, e) if not x or math.frexp(x)[1] + e <= 1024 else math.inf
+
+
+def _norm(a: np.ndarray) -> float:
+    """``||a||_2`` from ``a.dot(a)`` when that is a normal float or a is 0,
+    else from ``_scaled(a)``, as Blue (1978) scales; inf past the range."""
+    sq = float(a.dot(a))
+    if 2.0**-1022 <= sq < math.inf or not (sq or np.count_nonzero(a)):  # or a = 0
+        return math.sqrt(sq)
+    a, e = _scaled(a)
+    return _ldexp(math.sqrt(float(a.dot(a))), e)
 
 
 def group_norms(a: np.ndarray, gs: GroupStructure) -> np.ndarray:

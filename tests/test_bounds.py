@@ -608,7 +608,8 @@ class TestSandwich:
     def test_power_of_two_scales_the_minimizers(self):
         # scaling v, lam1 and the weights by 2**k scales both minimizers by
         # exactly 2**k, also where squares of the scaled data leave the float
-        # range (|k| = 600); the values may then overflow
+        # range (|k| = 600); the values scale by exactly 2**(2k), checked
+        # where that stays in range (|k| = 300)
         rng = np.random.default_rng(3200)
         for _ in range(100):
             gs = random_structure(rng, max_n=12, max_m=6, weighted=True)
@@ -625,6 +626,10 @@ class TestSandwich:
                         assert np.array_equal(getattr(rep, key),
                                               np.ldexp(getattr(base, key), k)), \
                             (variant, k, key)
+                    if abs(k) == 300:
+                        for key in ("lower_value", "upper_value"):
+                            assert getattr(rep, key) == math.ldexp(
+                                getattr(base, key), 2 * k), (variant, k, key)
 
     def test_unknown_variant_rejected(self):
         gs = GroupStructure(2, [[0, 1]])

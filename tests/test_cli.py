@@ -19,6 +19,15 @@ def write_instance(tmp_path, name="inst.json", **overrides):
     return path
 
 
+def _big_file(argv):
+    """An instance with v = 1e200 whose result overflows under ``argv``. The
+    bounds take every norm with scaling, so their values, about 1e199 at
+    lambda = 0.1, stay finite; at lambda = 1e300 they leave the float range."""
+    lam = "1e300" if argv[0] == "bounds" else "0.1"
+    return ('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
+            f'"lambda1": 0.1, "lambda": {lam}}}\n')
+
+
 class TestSolve:
     def test_minimal_instance(self, tmp_path, capsys):
         path = tmp_path / "min.json"
@@ -377,8 +386,7 @@ class TestExitCodes:
     def test_overflowing_result_is_non_finite_error(self, tmp_path, capsys, argv):
         # finite input whose objective overflows: exit 3 before any output
         path = tmp_path / "big.json"
-        path.write_text('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
-                        '"lambda1": 0.1, "lambda": 0.1}\n')
+        path.write_text(_big_file(argv))
         out = tmp_path / "rec.json"
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run_cli(argv + [str(path), "--out", str(out)]) == 3
@@ -392,8 +400,7 @@ class TestExitCodes:
         # numpy's floating-point warnings would fail here: the suite makes
         # every RuntimeWarning an error
         path = tmp_path / "big.json"
-        path.write_text('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
-                        '"lambda1": 0.1, "lambda": 0.1}\n')
+        path.write_text(_big_file(argv))
         (tmp_path / "x.json").write_text("[0.0]\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run_cli(argv + [str(path)]) == 3
@@ -560,6 +567,29 @@ class TestBounds:
                         "--with-oracle"]) == 0
         rep = json.loads(capsys.readouterr().out)["report"]
         assert rep["lower_value"] == rep["upper_value"] == rep["oracle_value"] == 2.5
+
+    @pytest.mark.parametrize("variant", ["plain", "l0"])
+    def test_tiny_group_weight_brackets_the_oracle(self, tmp_path, capsys, variant):
+        # the upper value's norm ||u*x|| is about 1e-170: its unscaled square
+        # underflowed to 0, and the upper value fell under the oracle's
+        path = tmp_path / "light.json"
+        path.write_text('{"v": [1.0, -2.0], "groups": [[0, 1]], "weights": [1e-170], '
+                        '"s": 1, "lambda0": 0, "lambda1": 1, "lambda": 1}')
+        assert run_cli(["bounds", str(path), "--variant", variant,
+                        "--with-oracle"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert 0 < rep["lower_value"] <= rep["oracle_value"] <= rep["upper_value"]
+
+    @pytest.mark.parametrize("variant", ["plain", "l1", "l0"])
+    def test_huge_center_has_finite_bounds(self, tmp_path, capsys, variant):
+        # the bound values are about 1e199, but squaring u*x = 1e200 itself
+        # overflowed and left the upper value at inf (exit 3)
+        path = tmp_path / "big.json"
+        path.write_text('{"v": [1e200], "groups": [[0]], "s": 1, "lambda0": 0, '
+                        '"lambda1": 0.1, "lambda": 0.1}')
+        assert run_cli(["bounds", str(path), "--variant", variant]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert 1e198 < rep["lower_value"] <= rep["upper_value"] < 1e200
 
     @pytest.mark.parametrize("n", [13, 100])
     @pytest.mark.parametrize("variant", ["plain", "l1"])

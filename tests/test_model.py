@@ -12,7 +12,7 @@ from sogl import (
 )
 from sogl.admm import penalty_constants, x_step
 from sogl.instances import generate_instance, instance_from_dict
-from sogl.model import gather, hard_threshold, scatter_add
+from sogl.model import _norm, gather, hard_threshold, scatter_add
 
 from helpers import (
     GROUP_DEFECTS,
@@ -186,6 +186,33 @@ class TestObjective:
         x = np.array([3.0, 4.0, 0.0])
         inst = ProxInstance(v=x, s=1.0, lam1=1.5)
         assert objective_value(x, inst, gs) == 18.0
+
+
+class TestNorm:
+    @pytest.mark.parametrize("k", [-1070, -600, -300, 0, 300, 600, 1000])
+    def test_matches_hypot_across_the_float_range(self, k):
+        # squares of the entries overflow at k >= 600 and underflow at
+        # k <= -600; at k = -1070 the entries themselves are subnormal
+        rng = np.random.default_rng(7000 + k)
+        for _ in range(200):
+            a = np.ldexp(rng.standard_normal(rng.integers(1, 17)), k)
+            want = math.hypot(*a)
+            with np.errstate(over="ignore"):  # the unscaled square overflows
+                got = _norm(a)
+            assert abs(got - want) <= 4 * math.ulp(want), (k, a)
+
+    def test_bit_for_bit_numpy_on_normal_data(self):
+        rng = np.random.default_rng(7001)
+        for _ in range(200):
+            a = rng.standard_normal(rng.integers(1, 50)) * 10.0 ** rng.integers(-9, 9)
+            assert _norm(a) == float(np.linalg.norm(a))
+
+    def test_special_vectors(self):
+        assert _norm(np.zeros(3)) == 0.0 and _norm(np.zeros(0)) == 0.0
+        assert math.isnan(_norm(np.array([1.0, math.nan])))
+        with np.errstate(over="ignore"):
+            assert _norm(np.array([1.0, -math.inf, 2.0])) == math.inf
+            assert _norm(np.array([1.5e308, 1.5e308])) == math.inf  # past the range
 
 
 class TestQuadraticVsArithmeticMean:
