@@ -132,7 +132,7 @@ def x_step(zb: np.ndarray, u: np.ndarray, gs: GroupStructure,
     nrm = group_norms(a, gs)
     # t/nrm on the kept blocks, 1 (a zero scale) on the others
     ratio = np.divide(pen.t, nrm, out=np.ones(gs.m), where=nrm > pen.t)
-    return np.take(1.0 - ratio, gs.block_index) * a
+    return (1.0 - ratio)[gs.block_index] * a
 
 
 def z_step(q: np.ndarray, gs: GroupStructure, pen: Penalty) -> np.ndarray:

@@ -88,7 +88,7 @@ def lower_diag(gs: GroupStructure) -> np.ndarray:
     the weighted l1 norm it induces never exceeds the group term; equality
     holds when every group's entries share one magnitude.
     """
-    return scatter_add(np.take(gs.weights / np.sqrt(gs.sizes), gs.block_index), gs)
+    return scatter_add((gs.weights / np.sqrt(gs.sizes))[gs.block_index], gs)
 
 
 def upper_diag(gs: GroupStructure) -> np.ndarray:
@@ -114,11 +114,11 @@ def _value(x: np.ndarray, v: np.ndarray, lam: float, norm: float,
     ``model.objective_value``, a term whose coefficient is 0 is left out,
     so a norm or l1 sum that overflows does not turn ``0*inf`` into NaN.
     """
-    value = 0.5 * float(np.sum((x - v) ** 2))
+    value = 0.5 * float(((x - v) ** 2).sum())
     if lam:
         value += lam * norm
     if lam1:
-        value += lam1 * float(np.sum(np.abs(x)))
+        value += lam1 * float(np.abs(x).sum())
     if lam0:
         value += lam0 * int(np.count_nonzero(x))
     return value
@@ -153,7 +153,7 @@ def scaled_l2_prox(v: np.ndarray, lam: float, diag):
     lam_s = _ldexp(lam, eu - ev)
     penalized = us > 0
     x = v.copy()
-    inv_norm = math.sqrt(float(np.sum((vs[penalized] / us[penalized]) ** 2)))
+    inv_norm = math.sqrt(float(((vs[penalized] / us[penalized]) ** 2).sum()))
     if inv_norm <= lam_s:
         x[penalized] = 0.0
         return x, _value(x, v, lam, _norm(u * x)), ScaledL2Trace()
@@ -192,7 +192,7 @@ def lower_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
     v = np.asarray(v, dtype=float)
     l = np.asarray(diag, dtype=float)
     x = _soft(v, lam * l + lam1)
-    return x, _value(x, v, lam, float(np.sum(l * np.abs(x))), lam1=lam1)
+    return x, _value(x, v, lam, float((l * np.abs(x)).sum()), lam1=lam1)
 
 
 def upper_bound_l1(v: np.ndarray, lam: float, lam1: float, diag):
@@ -224,7 +224,7 @@ def lower_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):
     f_a = 0.5 * (a - v) ** 2 + lam * l * np.abs(a) + lam0 * (a != 0)
     f_zero = 0.5 * v**2
     x = np.where(f_a < f_zero, a, 0.0)
-    return x, _value(x, v, lam, float(np.sum(l * np.abs(x))), lam0=lam0)
+    return x, _value(x, v, lam, float((l * np.abs(x)).sum()), lam0=lam0)
 
 
 def upper_bound_l0(v: np.ndarray, lam: float, lam0: float, diag):

@@ -112,9 +112,15 @@ def _positive_int(text: str, low: int = 1) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built once per process. Parsing leaves it unchanged, and
-    no default is a mutable object a command could change."""
+def _build_parser() -> tuple:
+    """The top-level parser and each command's own parser by name, built once
+    per process. Parsing leaves them unchanged, and no default is a mutable
+    object a command could change.
+
+    A command's parser reads the arguments after the command name and sets
+    ``command`` by default; the top-level parser reads only an argv that
+    does not start with a command name: none, ``-h``/``--help`` or an
+    unknown command."""
     p = _Parser(prog="sogl", description="Prox solvers and value bounds for "
                 "the l0 sparse overlapping group lasso.")
     sub = p.add_subparsers(dest="command", metavar="command",
@@ -184,7 +190,9 @@ def _build_parser() -> _Parser:
     gen.add_argument("--lambda1", type=_nonnegative_float, default=0.1)
     gen.add_argument("--lambda", dest="lambda_", type=_nonnegative_float,
                      default=0.1)
-    return p
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
+    return p, sub.choices
 
 
 # the instance paths that name stdin
@@ -363,9 +371,16 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``. When its first
+    word names a command, that command's parser reads the rest in one pass;
+    the top-level parser handles every other argv. Returns the exit code."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1

@@ -178,15 +178,21 @@ def parse_instance(path) -> InstanceFile:
 
 
 def _read_json(source):
-    """The JSON value in the file path ``source``, read as UTF-8, or in the open text
-    stream ``source``; ``ParseError`` names it when it cannot be read or parsed."""
+    """The JSON value in the file path ``source`` or in the open text stream
+    ``source``; ``ParseError`` names it when it cannot be read or parsed.
+
+    A path is read as bytes and decoded as strict UTF-8, without the text
+    layer's newline translation: a position in an error message counts the
+    file's own characters, which differs from a text-mode read only for a
+    malformed file with CR line ends."""
     stream = hasattr(source, "read")
     name = getattr(source, "name", "<stream>") if stream else source
     try:
         if stream:
             return json.load(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {name}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -322,14 +328,23 @@ def dumps_canonical(obj) -> str:
 def write_atomic(path: str, text: str):
     """Write via a temp file and rename, so readers never see partial output.
 
-    ``open(tmp, "xb")`` creates the temp file exclusively, with mode
-    ``0o666`` less the umask, as ``open(path, "w")`` would create ``path``."""
+    ``os.open`` creates the temp file exclusively, with mode ``0o666`` less
+    the umask, as ``open(path, "w")`` would create ``path``. ``os.write`` is
+    called until every byte of the UTF-8 text is written, a short write
+    being finished by the next call; then the file is closed and renamed
+    over ``path``. On any failure the temp file is removed and ``path`` is
+    left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
-    fh = open(tmp, "xb")
+    data = text.encode("utf-8")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with fh:
-            fh.write(text.encode("utf-8"))
+        try:
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

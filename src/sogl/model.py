@@ -273,7 +273,7 @@ def group_norms(a: np.ndarray, gs: GroupStructure) -> np.ndarray:
 
 def group_norm_sum(x: np.ndarray, gs: GroupStructure) -> float:
     """The group term ``sum_i w_i*||x_{G_i}||_2`` of every objective."""
-    return float(np.sum(gs.weights * group_norms(gather(x, gs), gs)))
+    return float((gs.weights * group_norms(gather(x, gs), gs)).sum())
 
 
 def objective_value(x: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> float:
@@ -285,7 +285,7 @@ def objective_value(x: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> fl
     that overflows does not turn ``0*inf`` into NaN.
     """
     x = np.asarray(x, dtype=float)
-    value = 0.5 / inst.s * float(np.sum((x - inst.v) ** 2))
+    value = 0.5 / inst.s * float(((x - inst.v) ** 2).sum())
     if inst.lam0:
         value += inst.lam0 * int(np.count_nonzero(x))
     if inst.lam1:

@@ -157,7 +157,7 @@ class _Restricted:
         # coordinate on S is charged through its component
         self.costs = [(o, 0.0 if covered >> j & 1 else c)
                       for j, (o, c) in enumerate(zip(self.off, lone.tolist()))]
-        per_entry = np.take(coeffs / np.sqrt(gs.sizes), gs.block_index)
+        per_entry = (coeffs / np.sqrt(gs.sizes))[gs.block_index]
         slope = lam1 + np.bincount(gs.flat_index, weights=per_entry,
                                    minlength=v.size)
         a = np.abs(v)
@@ -342,21 +342,22 @@ def stationarity_check(x: np.ndarray, inst: ProxInstance,
     radii = inst.lam1 * gs.weights
     xb = x[gs.flat_index]
     nrm = _block_norms(xb, gs)
-    nrm_b = np.take(nrm, gs.block_index)
+    nrm_b = nrm[gs.block_index]
     r += np.bincount(gs.flat_index, minlength=gs.n, weights=np.divide(
-        np.take(radii, gs.block_index) * xb, nrm_b,
-        out=np.zeros_like(xb), where=nrm_b > 0))
-    supp = x != 0
+        radii[gs.block_index] * xb, nrm_b,
+        out=np.zeros(xb.size), where=nrm_b > 0))
     if inst.lam0 > 0:
-        residual = float(np.linalg.norm(r[supp])) if supp.any() else 0.0
+        rs = r[x != 0]
+        residual = math.sqrt(rs.dot(rs))
     else:
         zero = np.flatnonzero((nrm == 0) & (radii > 0))
         blocks = [(gs.groups[i], radii[i]) for i in zero]
         p = _dykstra(r, blocks, 0.0, tol=1e-10, max_passes=500)
-        residual = float(np.linalg.norm(p))
+        residual = math.sqrt(p.dot(p))
         if residual > tol and (p.dot(r) - radii[zero].dot(
                 _block_norms(p[gs.flat_index], gs)[zero])) / residual <= tol:
-            residual = float(np.linalg.norm(_dykstra(r, blocks, 0.0, tol=1e-10)))
+            p = _dykstra(r, blocks, 0.0, tol=1e-10)
+            residual = math.sqrt(p.dot(p))
     ok = residual <= tol
     if ok and inst.lam0 > 0:
         ok = _count_term_ok(x, inst, gs)
@@ -375,7 +376,7 @@ def _count_term_ok(x: np.ndarray, inst: ProxInstance,
     xb = x[gs.flat_index]
     sq = xb * xb
     starts = gs.offsets[:-1]
-    nrm2 = np.take(np.add.reduceat(sq, starts), gs.block_index)
+    nrm2 = np.add.reduceat(sq, starts)[gs.block_index]
     rest2 = nrm2 - sq
     # nrm2 - sq cancels when x_g carries most of its block's norm; at most
     # one entry per block does, and for it the other squares are summed
@@ -383,11 +384,10 @@ def _count_term_ok(x: np.ndarray, inst: ProxInstance,
     if dominant.size:
         others = sq.copy()
         others[dominant] = 0.0
-        rest2[dominant] = np.take(np.add.reduceat(others, starts),
-                                  gs.block_index[dominant])
+        rest2[dominant] = np.add.reduceat(others, starts)[gs.block_index[dominant]]
     change = np.bincount(gs.flat_index, minlength=gs.n, weights=(
-        np.take(gs.weights, gs.block_index)
+        gs.weights[gs.block_index]
         * (np.sqrt(np.maximum(rest2, 0.0)) - np.sqrt(nrm2))))
     delta = (x * (2.0 * inst.v - x) / (2.0 * inst.s) - inst.lam0
              + inst.lam1 * change)
-    return not np.any(delta[x != 0] < -1e-9)
+    return not (delta[x != 0] < -1e-9).any()

@@ -1,6 +1,8 @@
 import io
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +507,53 @@ def test_consecutive_commands_share_nothing(tmp_path, capsys):
     assert run_cli(["solve", str(inst)]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert config["rho"] == 0.3 and config["eps_abs"] == 1e-8  # 0.3/s, s = 1
+
+
+class TestParsers:
+    """A command's own parser reads an argv that starts with its name; the
+    top-level parser reads every other argv. Both give the same exit codes,
+    messages and help as one parser reading the whole argv."""
+
+    # the message argparse gives for a bad command; the list of choices that
+    # follows it is worded differently by some Python versions
+    BAD_COMMAND = "usage error: argument command: invalid choice: "
+
+    @pytest.mark.parametrize("argv, code, err", [
+        ([], 1, "usage: sogl [-h] command ...\n"),
+        (["--help"], 0, ""),
+        (["bogus"], 1, BAD_COMMAND + "'bogus'"),
+        (["--out", "a", "solve"], 1, BAD_COMMAND + "'a'"),
+        (["solve", "x.json", "--bogus"], 1,
+         "usage error: unrecognized arguments: --bogus\n"),
+        (["check", "x.json"], 1,
+         "usage error: the following arguments are required: --point\n"),
+        (["bounds", "x.json", "--variant", "l9"], 1,
+         "usage error: argument --variant: invalid choice: 'l9' (choose from "
+         "'plain', 'l1', 'l0')\n"),
+        (["solve", "--out"], 1, "usage error: argument --out: expected one argument\n"),
+        (["check", "--help"], 0, ""),
+    ], ids=["none", "help", "unknown", "option-before-command", "unknown-option",
+            "missing-required", "bad-choice", "missing-value", "command-help"])
+    def test_exit_code_and_message(self, capsys, argv, code, err):
+        assert run_cli(argv) == code
+        captured = capsys.readouterr()
+        if err.startswith(self.BAD_COMMAND):
+            assert captured.err.startswith(err)
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        else:
+            assert captured.err == err
+        assert bool(captured.out) == (code == 0)
+
+    @pytest.mark.parametrize("command", ["", "solve", "bounds", "oracle", "check", "gen"])
+    def test_help_text(self, capsys, monkeypatch, command):
+        # tests/cli_help.txt holds each help at 80 columns, as one parser
+        # reading the whole argv printed it
+        monkeypatch.setenv("COLUMNS", "80")
+        with open(Path(__file__).with_name("cli_help.txt"), encoding="utf-8") as fh:
+            _, *parts = re.split(r"^== (.*)\n", fh.read(), flags=re.MULTILINE)
+        expected = dict(zip(parts[::2], parts[1::2]))
+        assert run_cli([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr().out == expected[f"sogl {command}".strip()]
 
 
 class TestBounds:

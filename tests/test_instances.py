@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -205,6 +206,26 @@ class TestValidation:
         with pytest.raises(ParseError) as info:
             parse_instance(str(path))
         assert str(info.value).startswith(f"invalid JSON in {path}: ")
+
+    @pytest.mark.parametrize("data, reason", [
+        (b'\xef\xbb\xbf{"v": [1.0]}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'{"v": [1.0], "name": "\xe9"}',
+         "'utf-8' codec can't decode byte 0xe9 in position 22: invalid "
+         "continuation byte"),
+    ], ids=["utf-8-bom", "not-utf-8-inside"])
+    def test_file_is_strict_utf8(self, tmp_path, data, reason):
+        # a file is UTF-8 without a byte order mark, read as the text reader did
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            parse_instance(str(path))
+        assert str(info.value) == f"invalid JSON in {path}: {reason}"
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        path = tmp_path / "crlf.json"
+        path.write_bytes(json.dumps(MINIMAL, indent=1).replace("\n", "\r\n").encode())
+        assert parse_instance(str(path)).to_dict() == instance_from_dict(MINIMAL).to_dict()
 
 
 class TestNonFiniteNumbers:
@@ -592,3 +613,39 @@ def test_write_atomic_mode_follows_umask(tmp_path, umask):
     finally:
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_atomic_finishes_short_writes(tmp_path, monkeypatch):
+    # a write may take fewer bytes than it is given; the rest follows, also
+    # when a short write splits a multibyte character
+    real_write = os.write
+    monkeypatch.setattr("sogl.instances.os.write",
+                        lambda fd, data: real_write(fd, data[:7]))
+    path = tmp_path / "out.json"
+    text = "αβγ δ\n" * 20
+    write_atomic(str(path), text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file size limit")
+def test_write_atomic_failed_write_leaves_the_target(tmp_path):
+    # past the file size limit a write fails with EFBIG part way through the
+    # text: the target keeps its bytes and no temp file is left
+    import resource
+    import signal
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    try:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (16, limits[1]))
+        with pytest.raises(OSError) as info:
+            write_atomic(str(path), "x" * 100)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
+    assert info.value.errno == errno.EFBIG
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
