@@ -253,7 +253,7 @@ def solve_admm(inst: ProxInstance, gs: GroupStructure,
             # the rounding error of s_norm at the doubled penalty, times
             # the margin it must keep below eps_dual
             err = 2.0 * pen.rho * ROUNDING_MARGIN * sys.float_info.epsilon * math.sqrt(
-                gs.overlap_counts.max(initial=1) * max(x.dot(x), zb.dot(zb)))
+                gs.max_overlap * max(x.dot(x), zb.dot(zb)))
             if err <= eps_dual:
                 pen = penalty_constants(inst, gs, 2.0 * pen.rho)
                 u = 0.5 * u

@@ -40,44 +40,29 @@ __all__ = [
 ]
 
 
-def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure, *,
-                thr: float = None) -> np.ndarray:
+def dual_z_step(y: np.ndarray, inst: ProxInstance, gs: GroupStructure) -> np.ndarray:
     """Exact minimizer in z: hard-threshold ``v + s*scatter_add(y)``.
 
-    The threshold is ``thr = sqrt(2*s*lam0)``, applied elementwise; it is
-    computed from ``inst`` unless given, as :func:`solve_dual` does once
-    per solve.
+    The threshold is ``sqrt(2*s*lam0)``, applied elementwise.
     """
-    if thr is None:
-        thr = math.sqrt(2.0 * inst.s * inst.lam0)
     w = inst.v + inst.s * scatter_add(y, gs)
-    return hard_threshold(w, thr)
+    return hard_threshold(w, np.sqrt(2.0 * inst.s * inst.lam0))
 
 
 def dual_y_step(zb: np.ndarray, y: np.ndarray, inst: ProxInstance,
-                gs: GroupStructure, *, k_max: int = None,
-                radius: np.ndarray = None) -> np.ndarray:
+                gs: GroupStructure) -> np.ndarray:
     """Projected ascent step: ``y - zb/(s*k_max)``, block i then projected
     onto the ball of radius ``lam1*w_i``; ``zb`` is ``gather(z)``.
 
-    ``k_max`` is the largest overlap count (1 when no variable is covered),
-    so the step is the inverse of the bound's curvature in ``y``.
-    ``k_max`` and ``radius`` (the radii ``lam1*w``) are computed from ``gs``
-    and ``inst`` unless given, as :func:`solve_dual` does once per solve.
+    ``k_max`` is ``gs.max_overlap``, the largest overlap count (1 when no
+    variable is covered), so the step is the inverse of the bound's
+    curvature in ``y``.
     """
-    if k_max is None:
-        k_max = _k_max(gs)
-    if radius is None:
-        radius = inst.lam1 * gs.weights
-    u = y - zb / (inst.s * k_max)
+    u = y - zb / (inst.s * gs.max_overlap)
+    radius = inst.lam1 * gs.weights
     nrm = group_norms(u, gs)
     scale = np.divide(radius, nrm, out=np.ones(gs.m), where=nrm > radius)
     return scale[gs.block_index] * u
-
-
-def _k_max(gs: GroupStructure) -> int:
-    """The largest overlap count, 1 when no variable is covered."""
-    return max(int(gs.overlap_counts.max()), 1)
 
 
 def solve_dual(inst: ProxInstance, gs: GroupStructure,
@@ -88,20 +73,16 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
     ``eps_abs + eps_rel*|objective|``, or when the bound rose by at most
     ``eps_abs + eps_rel*|bound|`` in one step; otherwise stops at
     ``max_iters``, or as soon as the objective or the bound is not finite.
-    ``rho`` is not used. The steps' constants (the threshold, ``k_max`` and
-    the ball radii) are computed once per solve.
+    ``rho`` is not used.
     """
     cfg = cfg or AdmmConfig()
     _require_same_n(inst, gs)
-    thr = math.sqrt(2.0 * inst.s * inst.lam0)
-    k_max = _k_max(gs)
-    radius = inst.lam1 * gs.weights
     y = np.zeros(gs.total_size)
     best_z, best_obj, best_bound, bound = None, math.inf, -math.inf, -math.inf
     trace = [] if cfg.trace else None
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        z = dual_z_step(y, inst, gs, thr=thr)
+        z = dual_z_step(y, inst, gs)
         zb = gather(z, gs)
         q = (0.5 / inst.s * float(((z - inst.v) ** 2).sum())
              + inst.lam0 * np.count_nonzero(z))
@@ -120,7 +101,7 @@ def solve_dual(inst: ProxInstance, gs: GroupStructure,
                 or bound - prev_bound <= cfg.eps_abs + cfg.eps_rel * abs(bound)):
             converged = True
             break
-        y = dual_y_step(zb, y, inst, gs, k_max=k_max, radius=radius)
+        y = dual_y_step(zb, y, inst, gs)
     return SolveReport(
         x_final=best_z,
         objective=best_obj,

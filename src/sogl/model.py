@@ -70,6 +70,9 @@ class GroupStructure:
         ``block_index[p]`` is the group that stacked position p belongs to.
     overlap_counts : int array, shape (n,)
         ``overlap_counts[g]`` is the number of groups containing ``g``.
+    max_overlap : int
+        The largest overlap count, 1 when no variable is covered; computed
+        on first read.
     """
 
     def __init__(self, n: int, groups: list, weights=None):
@@ -107,6 +110,10 @@ class GroupStructure:
         bounds = self.offsets.tolist()
         return list(map(self.flat_index.__getitem__,
                         map(slice, bounds[:-1], bounds[1:])))
+
+    @functools.cached_property
+    def max_overlap(self) -> int:
+        return max(int(self.overlap_counts.max()), 1)
 
     @property
     def m(self) -> int:

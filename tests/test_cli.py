@@ -514,8 +514,9 @@ class TestParsers:
     top-level parser reads every other argv. Both give the same exit codes,
     messages and help as one parser reading the whole argv."""
 
-    # the message argparse gives for a bad command; the list of choices that
-    # follows it is worded differently by some Python versions
+    # the message argparse gives for a bad choice; the list of choices that
+    # follows it is worded differently by some Python versions, so a case
+    # whose message has no line end pins only the start of the one line
     BAD_COMMAND = "usage error: argument command: invalid choice: "
 
     @pytest.mark.parametrize("argv, code, err", [
@@ -528,8 +529,7 @@ class TestParsers:
         (["check", "x.json"], 1,
          "usage error: the following arguments are required: --point\n"),
         (["bounds", "x.json", "--variant", "l9"], 1,
-         "usage error: argument --variant: invalid choice: 'l9' (choose from "
-         "'plain', 'l1', 'l0')\n"),
+         "usage error: argument --variant: invalid choice: 'l9'"),
         (["solve", "--out"], 1, "usage error: argument --out: expected one argument\n"),
         (["check", "--help"], 0, ""),
     ], ids=["none", "help", "unknown", "option-before-command", "unknown-option",
@@ -537,7 +537,7 @@ class TestParsers:
     def test_exit_code_and_message(self, capsys, argv, code, err):
         assert run_cli(argv) == code
         captured = capsys.readouterr()
-        if err.startswith(self.BAD_COMMAND):
+        if err and not err.endswith("\n"):
             assert captured.err.startswith(err)
             assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         else:
